@@ -23,15 +23,16 @@ from .groups import (
 from .numutil import divisor_count, is_square
 from .refsystems import (
     DicyclicIndex,
+    PreconditionError,
     ReflectionSystem,
     _translates,
     dicyclic_system,
     enumerate_systems,
+    l_gamma,
     omega_set,
 )
 from .refgroups import (
     ReflectionGroup,
-    PreconditionError,
     build_reflection_group,
     default_max_order,
     induced_quotient_involution,
@@ -219,13 +220,12 @@ def _valid_higher(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
         gamma, rep, _ = induced_quotient_involution(K, L.members, H.members)
     except PreconditionError:
         return False
-    L_gamma = tuple(b for b in range(K.order) if rep[K.inv[b]] == gamma[rep[b]])
-    return L_gamma == L.members
+    return l_gamma(K, rep, gamma) == L.members
 
 
 def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:
     """Base and higher-order canonical groups for every system class of K."""
-    records: list[tuple[ClassificationRecord, ReflectionGroup]] = []
+    records: list[ClassificationRecord] = []
     nsubs = normal_subgroups(K)
     for L in enumerate_systems(K):
         H_L = minimal_diagonal_subgroup(K, L)
@@ -237,17 +237,9 @@ def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:
             if not is_canonical(G):
                 raise AssertionError(
                     f"classification produced a non-canonical record for {K.name}")
-            records.append((_record_from_group(K, L, H, G), G))
-    records.sort(key=lambda rg: (rg[0].order, rg[0].label_str()))
-    out = []
-    for rec, G in records:
-        rec_group_map[rec] = G
-        out.append(rec)
-    return out
-
-
-# Built groups for records, kept out of the (frozen, hashable) record itself.
-rec_group_map: dict[ClassificationRecord, ReflectionGroup] = {}
+            records.append(_record_from_group(K, L, H, G))
+    records.sort(key=lambda rec: (rec.order, rec.label_str()))
+    return records
 
 
 def _record_from_group(K, L, H, G) -> ClassificationRecord:
@@ -293,40 +285,18 @@ def _dicyclic_label(K: FiniteQuaternionGroup, L: ReflectionSystem,
     return None
 
 
+@lru_cache(maxsize=32)
 def group_for_record(rec: ClassificationRecord) -> ReflectionGroup:
-    """Build (or fetch) the reflection group behind a record."""
-    G = rec_group_map.get(rec)
-    if G is not None:
-        return G
+    """Build the reflection group behind a record (the last 32 are cached)."""
     if rec.family == "dicyclic":
-        n, a, b, r = rec.label
-        G = build_index_group(IndexQuadruple(n, a, b, r))
-    elif rec.family == "dicyclic-special":
-        K = build_group("dicyclic", int(rec.K_name[1:]))
-        L = next(S for S in enumerate_systems(K) if S.size == rec.L_size)
-        H = next(S2 for S2 in normal_subgroups(K)
-                 if S2.order == _h_order(rec.H_name) and S2.name == rec.H_name)
-        G = build_reflection_group(K, L, H)
-    else:
+        return build_index_group(IndexQuadruple(*rec.label))
+    if rec.family == "polyhedral":
         K = build_group(rec.K_name)
-        L = next(S for S in enumerate_systems(K) if S.size == rec.L_size)
-        H = next(S2 for S2 in normal_subgroups(K)
-                 if S2.order == _h_order(rec.H_name) and S2.name == rec.H_name)
-        G = build_reflection_group(K, L, H)
-    rec_group_map[rec] = G
-    return G
-
-
-def _h_order(name: str) -> int:
-    if name == "1":
-        return 1
-    if name == "Q8":
-        return 8
-    if name.startswith("C"):
-        return int(name[1:])
-    if name.startswith("D"):
-        return 4 * int(name[1:])
-    return {"T": 24, "O": 48, "I": 120}[name]
+    else:  # 'cyclic' (C<n>) or 'dicyclic-special' (D<n>)
+        K = build_group("cyclic" if rec.family == "cyclic" else "dicyclic", int(rec.K_name[1:]))
+    L = next(S for S in enumerate_systems(K) if S.size == rec.L_size)
+    H = next(S for S in normal_subgroups(K) if S.name == rec.H_name)
+    return build_reflection_group(K, L, H)
 
 
 def build_index_group(idx: IndexQuadruple) -> ReflectionGroup:

@@ -401,10 +401,6 @@ class Quaternion:
         vals = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}[axis]
         return cls.from_rationals(m, vals)
 
-    @classmethod
-    def from_scalars(cls, vals: Sequence[FieldScalar]) -> "Quaternion":
-        return cls(*vals)
-
     @property
     def conductor(self) -> int:
         return self.a.m
@@ -522,25 +518,6 @@ class Quaternion:
             for comp in data["coeffs"]
         ]
         return cls(*scalars)
-
-
-# Operation-style aliases for the module contract.
-
-def field_embed_root_of_unity(m: int, k: int) -> FieldScalar:
-    """zeta_m^k as a reduced scalar of conductor m."""
-    return FieldScalar.root_of_unity(m, k)
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
-def quat_inverse(q: Quaternion) -> Quaternion:
-    return q.inverse()
-
-
-def quat_is_unit(q: Quaternion) -> bool:
-    return q.is_unit()
 
 
 def embedded_circle_element(m: int, order: int, k: int) -> Quaternion:

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
-from .numutil import lcm
 
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
 
@@ -49,9 +48,6 @@ class FiniteQuaternionGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.cayley[x][y]
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -211,7 +207,7 @@ def _sorted_with_tags(values: list[Quaternion], tags: list, orders: list[int]):
 
 
 def _build_cyclic(n: int) -> FiniteQuaternionGroup:
-    m = lcm(4, n)
+    m = math.lcm(4, n)
     values = [embedded_circle_element(m, n, e) for e in range(n)]
     tags = list(range(n))
     orders = [n // math.gcd(e, n) for e in range(n)]
@@ -303,20 +299,7 @@ def closure_table(elements: list[Quaternion]):
 
 
 def _build_polyhedral(tag: str) -> FiniteQuaternionGroup:
-    values = mulclose(polyhedral_generators(tag))
-    # element orders straight from the values, so sorting precedes the table
-    orders = []
-    one = Quaternion.one(values[0].conductor)
-    for q in values:
-        k, p = 1, q
-        while p != one:
-            p = p * q
-            k += 1
-        orders.append(k)
-    idx = sorted(range(len(values)), key=lambda i: (orders[i], values[i].sort_key()))
-    values = [values[i] for i in idx]
-    cayley, inv = closure_table(values)
-    return FiniteQuaternionGroup(tag, tag, None, values, cayley, inv)
+    return _group_from_values(tag, tag, None, mulclose(polyhedral_generators(tag)))
 
 
 def build_group_by_closure(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
@@ -328,7 +311,7 @@ def build_group_by_closure(tag: str, n: Optional[int] = None) -> FiniteQuaternio
     if tag in POLYHEDRAL_CONDUCTOR:
         return build_group(tag)
     if tag == "cyclic":
-        m = lcm(4, n)
+        m = math.lcm(4, n)
         gens = [embedded_circle_element(m, n, 1)]
         name = f"C{n}"
     elif tag == "dicyclic":
@@ -337,7 +320,13 @@ def build_group_by_closure(tag: str, n: Optional[int] = None) -> FiniteQuaternio
         name = f"D{n}"
     else:
         raise ValueError(f"unsupported group tag {tag!r}")
-    values = mulclose(gens)
+    return _group_from_values(name, tag, n, mulclose(gens))
+
+
+def _group_from_values(name: str, tag: str, n: Optional[int],
+                       values: list[Quaternion]) -> FiniteQuaternionGroup:
+    """Order closed element values by (element order, coefficients) and tabulate."""
+    # element orders straight from the values, so sorting precedes the table
     one = Quaternion.one(values[0].conductor)
     orders = []
     for q in values:
@@ -499,6 +488,6 @@ def element_order_census(K: FiniteQuaternionGroup) -> dict[int, int]:
 
 def group_contains(outer: FiniteQuaternionGroup, inner: FiniteQuaternionGroup) -> bool:
     """True if inner's element set lies in outer's, after lifting conductors."""
-    m = lcm(outer.conductor, inner.conductor)
+    m = math.lcm(outer.conductor, inner.conductor)
     outer_set = {q.lift(m) for q in outer.elements}
     return all(q.lift(m) in outer_set for q in inner.elements)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def divisors(n: int) -> list[int]:
@@ -29,7 +28,6 @@ def divisor_count(n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
 def prime_factorization(n: int) -> dict[int, int]:
     """Prime factorization as {p: exponent}. Trial division; fine for n < 10^9."""
     if n <= 0:
@@ -51,10 +49,6 @@ def euler_phi(n: int) -> int:
     for p in prime_factorization(n):
         result = result // p * (p - 1)
     return result
-
-
-def lcm(a: int, b: int) -> int:
-    return math.lcm(a, b)
 
 
 def is_square(n: int) -> bool:

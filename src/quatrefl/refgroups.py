@@ -29,8 +29,11 @@ from .groups import (
     is_normal,
 )
 from .refsystems import (
+    PreconditionError,
     ReflectionSystem,
+    check_quotient_involution,
     coset_representatives,
+    l_gamma,
 )
 
 Triple = tuple[int, int, int]
@@ -38,14 +41,6 @@ Triple = tuple[int, int, int]
 
 def default_max_order() -> int:
     return int(os.environ.get("QUATREFL_MAX_ORDER", "1000000"))
-
-
-class PreconditionError(ValueError):
-    """A named violation of a construction precondition."""
-
-    def __init__(self, name: str, detail: str):
-        self.name = name
-        super().__init__(f"{name}: {detail}")
 
 
 def model_mul(K: FiniteQuaternionGroup, t1: Triple, t2: Triple) -> Triple:
@@ -107,12 +102,6 @@ class ReflectionGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def mul(self, t1: Triple, t2: Triple) -> Triple:
-        return model_mul(self.K, t1, t2)
-
-    def inv(self, t: Triple) -> Triple:
-        return model_inv(self.K, t)
 
     def reflections(self) -> list[Triple]:
         out = []
@@ -196,14 +185,7 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
     if len(gamma) < len(cosets):
         raise PreconditionError("quotient map incomplete",
                                 "L does not generate K modulo H")
-    for c1 in cosets:
-        if gamma[gamma[c1]] != c1:
-            raise PreconditionError("quotient map not an involution",
-                                    f"gamma^2 moves coset {c1}")
-        for c2 in cosets:
-            if gamma[rep[K.cayley[c1][c2]]] != rep[K.cayley[gamma[c1]][gamma[c2]]]:
-                raise PreconditionError("quotient map not multiplicative",
-                                        f"gamma fails on cosets ({c1}, {c2})")
+    check_quotient_involution(K, rep, gamma)
     return gamma, rep, coset_members
 
 
@@ -237,12 +219,8 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
 
 
 def nondiagonal_reflections(G: ReflectionGroup) -> tuple[int, ...]:
-    """L_G = {b : the antidiagonal reflection over b lies in G}."""
-    K = G.K
-    return tuple(
-        b for b in range(K.order)
-        if G.coset_rep[K.inv[b]] == G.gamma[G.coset_rep[b]]
-    )
+    """L_G = {b : the antidiagonal reflection over b lies in G}, i.e. L_gamma."""
+    return l_gamma(G.K, G.coset_rep, G.gamma)
 
 
 def is_canonical(G: ReflectionGroup) -> bool:
@@ -297,14 +275,7 @@ class GeneratedClosure:
         return len(self.elements)
 
     def reflection_count(self) -> int:
-        K = self.parent
-        count = 0
-        for (x, y, s) in self.elements:
-            if s == 0:
-                count += (x == 0) != (y == 0)
-            else:
-                count += y == K.inv[x]
-        return count
+        return sum(is_reflection_triple(self.parent, t) for t in self.elements)
 
 
 def generate_from_reflections(K: FiniteQuaternionGroup, diag_seed: Iterable[int],
@@ -407,15 +378,6 @@ def mat_mul(a, b):
 # -- isomorphism machinery -------------------------------------------------
 
 
-def group_invariants(G: ReflectionGroup) -> tuple:
-    return (
-        G.order,
-        G.reflection_count(),
-        G.reflection_order_multiset(),
-        reflection_orbit_types(G).multiset(),
-    )
-
-
 def iso_prescreen(G1: ReflectionGroup, G2: ReflectionGroup):
     """Cheap-invariant screen; returns ('distinct', reasons) or ('candidate', [])."""
     reasons = []
@@ -493,20 +455,11 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
             raise ValueError(f"target element {u} is not in G2")
     if G1.order != G2.order:
         return False
-    gens = [t for t, _ in generator_map]
-    closure = {model_identity()}
-    frontier = [model_identity()]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in gens:
-                u = model_mul(G1.K, t, g)
-                if u not in closure:
-                    closure.add(u)
-                    new.append(u)
-        frontier = new
-    if len(closure) != G1.order:
+    sources = [t for t, _ in generator_map]
+    if len(closure_of_triples(G1.K, sources, bound=G1.order)) != G1.order:
         raise ValueError("generator_map sources do not generate G1")
+    # each (element, generator) pair is compared exactly once: the extension
+    # is a homomorphism iff no pair conflicts
     phi = {model_identity(): model_identity()}
     frontier = [model_identity()]
     while frontier:
@@ -522,11 +475,6 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
                     phi[u] = img
                     new.append(u)
         frontier = new
-    # every (element, generator) relation must agree, and the image must fill G2
-    for t in list(phi):
-        for g, g2 in generator_map:
-            if phi[model_mul(G1.K, t, g)] != model_mul(G2.K, phi[t], g2):
-                return False
     return len(set(phi.values())) == G2.order
 
 
@@ -536,7 +484,7 @@ def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
 
     Raises ValueError when the groups exceed the search bound.
     """
-    if group_invariants(G1)[:2] != group_invariants(G2)[:2]:
+    if (G1.order, G1.reflection_count()) != (G2.order, G2.reflection_count()):
         return None
     if G1.order > max_order:
         raise ValueError(f"isomorphism search bound {max_order} exceeded")
@@ -553,7 +501,7 @@ def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
         if t in closure:
             continue
         gens.append(t)
-        closure = set(closure_of_triples_from(G1.K, gens))
+        closure = closure_of_triples(G1.K, gens)
         if len(closure) == G1.order:
             break
 
@@ -570,10 +518,6 @@ def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
         return None
 
     return backtrack(0, [])
-
-
-def closure_of_triples_from(K: FiniteQuaternionGroup, gens: Sequence[Triple]) -> frozenset:
-    return closure_of_triples(K, gens)
 
 
 # -- rank n >= 3 -----------------------------------------------------------
@@ -624,16 +568,6 @@ def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
                            explicit_order, explicit_refl)
 
 
-def rank_n_membership(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
-                      diag: Sequence[int], perm: Sequence[int]) -> bool:
-    """Whether diag(d_1..d_n) * P_perm lies in the rank-n group over (K, H)."""
-    prod = 0
-    for d in diag[:-1]:
-        prod = K.cayley[prod][d]
-    h = K.cayley[prod][diag[-1]]
-    return h in H.member_set()
-
-
 def rank_n_elements(rank: int, K: FiniteQuaternionGroup, H: Subgroup):
     """Iterate (diag entries, permutation) for the whole rank-n group."""
     perms = list(itertools.permutations(range(rank)))
@@ -661,7 +595,6 @@ def rank_n_mul(K: FiniteQuaternionGroup, e1, e2):
 def _rank_n_explicit_counts(rank: int, K: FiniteQuaternionGroup, H: Subgroup):
     count = 0
     refl = 0
-    Hset = H.member_set()
     for diag, perm in rank_n_elements(rank, K, H):
         count += 1
         moved = [u for u in range(rank) if perm[u] != u]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .groups import (
     FiniteQuaternionGroup,
@@ -17,8 +17,17 @@ from .groups import (
     Subgroup,
     automorphism_group,
     build_group,
+    is_normal,
 )
 from .numutil import divisors, prime_factorization
+
+
+class PreconditionError(ValueError):
+    """A named violation of a construction precondition."""
+
+    def __init__(self, name: str, detail: str):
+        self.name = name
+        super().__init__(f"{name}: {detail}")
 
 
 class NonGeneratingSeedError(ValueError):
@@ -79,11 +88,17 @@ class DicyclicIndex:
 # -- closure -------------------------------------------------------------
 
 
-def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int]) -> frozenset:
-    """Least superset of seed closed under a o b (no generation requirement)."""
+def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int],
+                     closed: frozenset = frozenset()) -> frozenset:
+    """Least circ-closed superset of closed | seed (no generation requirement).
+
+    ``closed`` must already be circ-closed: only the seed elements outside it
+    are queued, so extending a closed set costs no more than the new elements.
+    """
     circ = K.circ_table()
-    current = set(seed)
-    queue = list(current)
+    current = set(closed)
+    queue = [x for x in set(seed) if x not in current]
+    current.update(queue)
     while queue:
         u = queue.pop()
         row_u = circ[u]
@@ -96,20 +111,9 @@ def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int]) -> frozenset
 
 
 def _extend_closure(K: FiniteQuaternionGroup, closed: frozenset, x: int) -> frozenset:
-    """Closure of an already-closed set plus one element."""
-    circ = K.circ_table()
-    current = set(closed)
-    current.add(x)
-    queue = [x]
-    while queue:
-        u = queue.pop()
-        row_u = circ[u]
-        for v in list(current):
-            for w in (row_u[v], circ[v][u]):
-                if w not in current:
-                    current.add(w)
-                    queue.append(w)
-    return frozenset(current)
+    # One extension step of enumerate_systems, kept under this name because
+    # perfbench/tracer.py counts its calls (refsystems.extend_n, useful_ratio).
+    return close_under_circ(K, (x,), closed)
 
 
 def close_system(K: FiniteQuaternionGroup, seed: Iterable[int]) -> ReflectionSystem:
@@ -209,16 +213,18 @@ def equivalence_class_subsets(L: ReflectionSystem) -> set[frozenset]:
     phi(x*L) or phi(L*x) with x a member, because any identity-containing
     two-sided translate x*L*y equals an inner twist of a member translate.
     """
-    K = L.parent
-    if L.size == K.order:
-        return {L.member_set()}
+    return _equivalent_sets(L.parent, L.member_set())
+
+
+def _equivalent_sets(K: FiniteQuaternionGroup, members: frozenset) -> set[frozenset]:
+    if len(members) == K.order:
+        return {members}
     autos = automorphism_group(K)
-    out = set()
-    for _, _, translated in _translates(K, L.member_set()):
-        for phi in autos:
-            img = phi.image
-            out.add(frozenset(img[t] for t in translated))
-    return out
+    return {
+        frozenset(phi.image[t] for t in translated)
+        for _, _, translated in _translates(K, members)
+        for phi in autos
+    }
 
 
 def copy_count(L: ReflectionSystem) -> int:
@@ -248,24 +254,7 @@ def subgroup_copy_count(L: ReflectionSystem) -> int:
 
 def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int, ...]:
     """Lexicographically least image over all translations and automorphisms."""
-    if len(members) == K.order:
-        return tuple(range(K.order))
-    autos = automorphism_group(K)
-    best: Optional[list[int]] = None
-    for _, _, translated in _translates(K, members):
-        for phi in autos:
-            img = phi.image
-            cand = sorted(img[t] for t in translated)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return tuple(best)
-
-
-def _system_invariant(K: FiniteQuaternionGroup, members: frozenset) -> tuple:
-    # size only: element orders are not translation-invariant, so they must
-    # not be used to separate equivalence classes
-    return (len(members),)
+    return min(tuple(sorted(s)) for s in _equivalent_sets(K, frozenset(members)))
 
 
 def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tuple[int, ...]:
@@ -275,7 +264,7 @@ def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tu
     for x in members:
         if x not in closed:
             gens.append(x)
-            closed = close_under_circ(K, gens)
+            closed = close_under_circ(K, (x,), closed)
             if len(closed) == len(members):
                 break
     return tuple(gens)
@@ -297,7 +286,6 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
     autos = automorphism_group(K)
     start = frozenset({0})
     reps: list[frozenset] = [start]
-    invariants: list[tuple] = [_system_invariant(K, start)]
     seen: dict[frozenset, int] = {start: 0}
     queue = [start]
 
@@ -305,16 +293,16 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
         cid = seen.get(subset)
         if cid is not None:
             return cid
-        inv = _system_invariant(K, subset)
+        # only the size separates classes: element orders are not
+        # translation-invariant
         for i, rep in enumerate(reps):
-            if invariants[i] != inv:
+            if len(rep) != len(subset):
                 continue
             for _, _, translated in _translates(K, subset):
                 if _matches_under_autos(autos, translated, rep):
                     seen[subset] = i
                     return i
         reps.append(subset)
-        invariants.append(inv)
         seen[subset] = len(reps) - 1
         queue.append(subset)
         return len(reps) - 1
@@ -395,25 +383,42 @@ def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: dict[
     ``gamma`` maps coset representatives (least member index) to coset
     representatives.  The result is verified to be closed under circ.
     """
-    if not _is_normal(K, H.members):
-        raise ValueError("H must be normal")
+    if not is_normal(K, H.members):
+        raise PreconditionError("H not normal", f"{H.name} is not normal in {K.name}")
     rep = coset_representatives(K, H.members)
     cosets = sorted(set(rep))
     for c in cosets:
         if gamma.get(c) not in rep:
-            raise ValueError("gamma must map coset representatives to coset representatives")
-    # automorphism + involution checks on the quotient
-    for c1 in cosets:
-        if gamma[gamma[c1]] != c1:
-            raise ValueError("gamma is not an involution on the quotient")
-        for c2 in cosets:
-            if gamma[rep[K.cayley[c1][c2]]] != rep[K.cayley[gamma[c1]][gamma[c2]]]:
-                raise ValueError("gamma is not an automorphism of the quotient")
-    members = tuple(sorted(x for x in range(K.order) if gamma[rep[x]] == rep[K.inv[x]]))
-    closed = close_under_circ(K, members)
-    if closed != frozenset(members):
+            raise PreconditionError("quotient map ill-defined",
+                                    "gamma must map coset representatives to coset representatives")
+    check_quotient_involution(K, rep, gamma)
+    members = l_gamma(K, rep, gamma)
+    if close_under_circ(K, members) != frozenset(members):
         raise AssertionError("L_gamma failed to be circ-closed")
     return members
+
+
+def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
+                              gamma: dict[int, int]) -> None:
+    """Raise PreconditionError unless gamma is an involutive automorphism of K/H.
+
+    ``rep`` is the coset-representative table of H and ``gamma`` maps every
+    coset representative to a coset representative.
+    """
+    cosets = sorted(set(rep))
+    for c1 in cosets:
+        if gamma[gamma[c1]] != c1:
+            raise PreconditionError("quotient map not an involution",
+                                    f"gamma^2 moves coset {c1}")
+        for c2 in cosets:
+            if gamma[rep[K.cayley[c1][c2]]] != rep[K.cayley[gamma[c1]][gamma[c2]]]:
+                raise PreconditionError("quotient map not multiplicative",
+                                        f"gamma fails on cosets ({c1}, {c2})")
+
+
+def l_gamma(K: FiniteQuaternionGroup, rep: Sequence[int], gamma: dict[int, int]) -> tuple[int, ...]:
+    """L_gamma = {x : gamma(xH) = x^-1 H}, ascending, from the coset table of H."""
+    return tuple(x for x in range(K.order) if gamma[rep[x]] == rep[K.inv[x]])
 
 
 def coset_representatives(K: FiniteQuaternionGroup, H: Iterable[int]) -> list[int]:
@@ -427,11 +432,6 @@ def coset_representatives(K: FiniteQuaternionGroup, H: Iterable[int]) -> list[in
             for y in coset:
                 rep[y] = least
     return rep
-
-
-def _is_normal(K: FiniteQuaternionGroup, members: Iterable[int]) -> bool:
-    mset = frozenset(members)
-    return all(K.conj(g, x) in mset for x in mset for g in range(K.order))
 
 
 def power_lemma_check(K: FiniteQuaternionGroup, x: int, y: int, n: int) -> bool:

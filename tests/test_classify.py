@@ -1,5 +1,7 @@
 """Classification pipeline: index sets, records, scans, isomorphisms."""
 
+import dataclasses
+
 import pytest
 
 from quatrefl.groups import build_group
@@ -160,6 +162,22 @@ def test_evolution_chain_for_full_system():
         special_half = group_for_record(dicyclic_special_record(n, half=True))
         assert base.elements < higher.elements < special_full.elements
         assert base.elements < special_half.elements < special_full.elements
+
+
+def test_group_for_record_builds_every_family():
+    group_for_record.cache_clear()
+    recs = {}
+    for K in (build_group("cyclic", 6), build_group("dicyclic", 4), build_group("T")):
+        for rec in classify_K(K):
+            recs.setdefault(rec.family, rec)
+    assert set(recs) == {"cyclic", "dicyclic", "dicyclic-special", "polyhedral"}
+    for rec in recs.values():
+        G = group_for_record(rec)
+        assert (G.order, G.reflection_count()) == (rec.order, rec.reflections), rec.label_str()
+    # a record that classify_K never produced is built the same way
+    cyclic = dataclasses.replace(recs["cyclic"], iso_partner="x")
+    G = group_for_record(cyclic)
+    assert (G.order, G.reflection_count()) == (cyclic.order, cyclic.reflections)
 
 
 # -- order scans ---------------------------------------------------------------

@@ -11,10 +11,6 @@ from quatrefl.exactarith import (
     Quaternion,
     cyclotomic_polynomial,
     embedded_circle_element,
-    field_embed_root_of_unity,
-    quat_inverse,
-    quat_is_unit,
-    quat_mul,
 )
 
 
@@ -23,16 +19,16 @@ def rat(m, v):
 
 
 def test_root_of_unity_defining_properties():
-    z4 = field_embed_root_of_unity(4, 1)
+    z4 = FieldScalar.root_of_unity(4, 1)
     assert z4 * z4 == rat(4, -1)
-    s = field_embed_root_of_unity(8, 1) + field_embed_root_of_unity(8, -1)
+    s = FieldScalar.root_of_unity(8, 1) + FieldScalar.root_of_unity(8, -1)
     assert s * s == rat(8, 2)
-    assert field_embed_root_of_unity(1, 0) == rat(1, 1)
+    assert FieldScalar.root_of_unity(1, 0) == rat(1, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 25))
 def test_cyclotomic_polynomial_kills_zeta(m):
-    z = field_embed_root_of_unity(m, 1)
+    z = FieldScalar.root_of_unity(m, 1)
     acc = FieldScalar.zero(m)
     power = FieldScalar.one(m)
     for c in cyclotomic_polynomial(m):
@@ -101,22 +97,22 @@ def test_sqrt2_rotation_squares_to_i():
 def test_inverse_examples():
     m = 4
     i = Quaternion.unit(m, "i")
-    assert quat_inverse(i) == -i
+    assert i.inverse() == -i
     zeta = Quaternion.from_rationals(m, (Fraction(1, 2),) * 4)
-    inv = quat_inverse(zeta)
-    assert quat_mul(zeta, inv) == Quaternion.one(m)
+    inv = zeta.inverse()
+    assert zeta * inv == Quaternion.one(m)
     assert inv == zeta.conjugate()
-    assert quat_inverse(Quaternion.one(m)) == Quaternion.one(m)
+    assert Quaternion.one(m).inverse() == Quaternion.one(m)
     with pytest.raises(ZeroDivisionError):
-        quat_inverse(Quaternion.zero(m))
+        Quaternion.zero(m).inverse()
 
 
 def test_is_unit():
     h = FieldScalar.sqrt2(8) * rat(8, Fraction(1, 2))
     q = Quaternion(h, h, FieldScalar.zero(8), FieldScalar.zero(8))
-    assert quat_is_unit(q)
-    assert not quat_is_unit(Quaternion.from_rationals(4, (1, 1, 0, 0)))
-    assert not quat_is_unit(Quaternion.zero(4))
+    assert q.is_unit()
+    assert not Quaternion.from_rationals(4, (1, 1, 0, 0)).is_unit()
+    assert not Quaternion.zero(4).is_unit()
 
 
 def test_norm_multiplicative_on_unit_group():

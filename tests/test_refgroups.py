@@ -341,6 +341,40 @@ def test_verify_isomorphism_rejects_wrong_map():
     assert not verify_isomorphism(G, G, list(zip(gens, images)))
 
 
+def _t12_reflection_generators():
+    T, L12 = T_system(12)
+    G = build_reflection_group(T, L12, normal_of_order(T, 2))
+    gens = [(b, T.inv[b], 1) for b in L12.members]
+    gens.append((T.index[-Quaternion.one(4)], 0, 0))
+    return T, G, gens
+
+
+def test_verify_isomorphism_rejects_non_homomorphism():
+    # the antidiagonal reflection over -1 goes to diag(1, -1); the extended
+    # map still fills G, so only a conflicting product pair can reject it
+    T, G, gens = _t12_reflection_generators()
+    minus_one = T.index[-Quaternion.one(4)]
+    moved = (minus_one, minus_one, 1)
+    assert moved in gens
+    images = [(0, minus_one, 0) if g == moved else g for g in gens]
+    assert verify_isomorphism(G, G, list(zip(gens, images))) is False
+
+
+def test_verify_isomorphism_requires_generating_sources():
+    _, G, gens = _t12_reflection_generators()
+    with pytest.raises(ValueError, match="do not generate G1"):
+        verify_isomorphism(G, G, [(g, g) for g in gens[:1]])
+
+
+def test_verify_isomorphism_requires_targets_in_g2():
+    T, G, gens = _t12_reflection_generators()
+    outside = next((x, 0, 0) for x in range(T.order) if (x, 0, 0) not in G.elements)
+    pairs = [(g, g) for g in gens]
+    pairs[-1] = (gens[-1], outside)
+    with pytest.raises(ValueError, match="not in G2"):
+        verify_isomorphism(G, G, pairs)
+
+
 def test_isomorphism_search_positive_and_negative():
     from quatrefl.classify import build_index_group, IndexQuadruple
 

@@ -4,17 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatrefl.exactarith import FieldScalar, Quaternion
 from quatrefl.groups import Subgroup, build_group, normal_subgroups
 from quatrefl.refsystems import (
     DicyclicIndex,
     NonGeneratingSeedError,
+    PreconditionError,
     ReflectionSystem,
     _dicyclic_element,
+    check_quotient_involution,
     close_system,
     close_under_circ,
     copy_count,
+    coset_representatives,
     dicyclic_system,
     enumerate_systems,
     equivalence_class_subsets,
@@ -27,6 +31,9 @@ from quatrefl.refsystems import (
     system_orbit,
     systems_equivalent,
 )
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def T_group():
@@ -313,6 +320,64 @@ def test_system_from_automorphism_rejects_non_involution():
     shift = {x: C5.cayley[x][g] for x in range(5)}  # translation, not an involution
     with pytest.raises(ValueError):
         system_from_automorphism(C5, H, shift)
+
+
+CLOSURE_GROUPS = [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)]
+
+
+@PROPERTY
+@given(st.data())
+def test_close_under_circ_extends_a_closed_part(data):
+    tag, n = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    K = build_group(tag, n) if n else build_group(tag)
+    subsets = st.frozensets(st.integers(0, K.order - 1), max_size=4)
+    base, seed = data.draw(subsets), data.draw(subsets)
+    closed = close_under_circ(K, base)
+    assert close_under_circ(K, seed, closed) == close_under_circ(K, base | seed)
+
+
+def _c5_quotient():
+    C5 = build_group("cyclic", 5)
+    H = Subgroup(C5, (0,))
+    return C5, H, coset_representatives(C5, H.members)
+
+
+def _both_reject(C5, H, rep, gamma):
+    with pytest.raises(PreconditionError) as direct:
+        system_from_automorphism(C5, H, gamma)
+    with pytest.raises(PreconditionError) as shared:
+        check_quotient_involution(C5, rep, gamma)
+    assert direct.value.name == shared.value.name
+    return direct.value.name
+
+
+@PROPERTY
+@given(st.integers(1, 4))
+def test_translation_of_c5_is_rejected_as_non_involution(g):
+    C5, H, rep = _c5_quotient()
+    shift = {x: C5.cayley[x][g] for x in range(5)}
+    assert _both_reject(C5, H, rep, shift) == "quotient map not an involution"
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+def test_transposition_of_c5_is_rejected_as_non_multiplicative(pair):
+    C5, H, rep = _c5_quotient()
+    a, b = pair
+    swap = {x: x for x in range(5)}
+    swap[a], swap[b] = b, a
+    assert _both_reject(C5, H, rep, swap) == "quotient map not multiplicative"
+
+
+def test_induced_quotient_involution_ends_in_the_shared_check():
+    # the seeds extend to a map on all of D3/C2 that is not multiplicative
+    from quatrefl.refgroups import induced_quotient_involution
+
+    D3 = build_group("dicyclic", 3)
+    H = Subgroup(D3, (0, 1))
+    with pytest.raises(PreconditionError) as exc:
+        induced_quotient_involution(D3, (0, 2, 3, 4, 5, 6), H.members)
+    assert exc.value.name == "quotient map not multiplicative"
 
 
 def test_power_lemma_examples():
