@@ -285,9 +285,8 @@ def _dicyclic_label(K: FiniteQuaternionGroup, L: ReflectionSystem,
     return None
 
 
-@lru_cache(maxsize=32)
 def group_for_record(rec: ClassificationRecord) -> ReflectionGroup:
-    """Build the reflection group behind a record (the last 32 are cached)."""
+    """Build the reflection group behind a record."""
     if rec.family == "dicyclic":
         return build_index_group(IndexQuadruple(*rec.label))
     if rec.family == "polyhedral":

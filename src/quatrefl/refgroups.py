@@ -244,6 +244,12 @@ def minimal_diagonal_subgroup(K: FiniteQuaternionGroup, L: ReflectionSystem) -> 
 
 def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],
                        bound: int = 10 ** 6) -> frozenset:
+    return _triple_closure(K, gens, bound)
+
+
+def _triple_closure(K: FiniteQuaternionGroup, gens: Sequence[Triple], bound: int) -> frozenset:
+    # The one generator BFS over triples. verify_isomorphism calls it
+    # directly, so a traced run keeps its generation check inside its own span.
     seen = {model_identity()}
     frontier = [model_identity()]
     while frontier:
@@ -456,7 +462,7 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
     if G1.order != G2.order:
         return False
     sources = [t for t, _ in generator_map]
-    if len(closure_of_triples(G1.K, sources, bound=G1.order)) != G1.order:
+    if len(_triple_closure(G1.K, sources, G1.order)) != G1.order:
         raise ValueError("generator_map sources do not generate G1")
     # each (element, generator) pair is compared exactly once: the extension
     # is a homomorphism iff no pair conflicts

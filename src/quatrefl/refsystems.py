@@ -95,6 +95,18 @@ def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int],
     ``closed`` must already be circ-closed: only the seed elements outside it
     are queued, so extending a closed set costs no more than the new elements.
     """
+    return _circ_closure(K, seed, closed)
+
+
+def _extend_closure(K: FiniteQuaternionGroup, closed: frozenset, x: int) -> frozenset:
+    # One extension step of enumerate_systems, kept under this name because
+    # perfbench/tracer.py counts its calls (refsystems.extend_n, useful_ratio).
+    return _circ_closure(K, (x,), closed)
+
+
+def _circ_closure(K: FiniteQuaternionGroup, seed: Iterable[int], closed: frozenset) -> frozenset:
+    # The one circ-closure loop. It is private so that a traced run opens no
+    # span for each of the thousands of extension steps.
     circ = K.circ_table()
     current = set(closed)
     queue = [x for x in set(seed) if x not in current]
@@ -108,12 +120,6 @@ def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int],
                     current.add(w)
                     queue.append(w)
     return frozenset(current)
-
-
-def _extend_closure(K: FiniteQuaternionGroup, closed: frozenset, x: int) -> frozenset:
-    # One extension step of enumerate_systems, kept under this name because
-    # perfbench/tracer.py counts its calls (refsystems.extend_n, useful_ratio).
-    return close_under_circ(K, (x,), closed)
 
 
 def close_system(K: FiniteQuaternionGroup, seed: Iterable[int]) -> ReflectionSystem:

@@ -165,7 +165,6 @@ def test_evolution_chain_for_full_system():
 
 
 def test_group_for_record_builds_every_family():
-    group_for_record.cache_clear()
     recs = {}
     for K in (build_group("cyclic", 6), build_group("dicyclic", 4), build_group("T")):
         for rec in classify_K(K):

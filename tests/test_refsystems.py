@@ -1,10 +1,10 @@
 """Reflection systems: closure, orbits, equivalence, enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quatrefl.exactarith import FieldScalar, Quaternion
 from quatrefl.groups import Subgroup, build_group, normal_subgroups
@@ -31,9 +31,6 @@ from quatrefl.refsystems import (
     system_orbit,
     systems_equivalent,
 )
-
-
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def T_group():
@@ -325,15 +322,21 @@ def test_system_from_automorphism_rejects_non_involution():
 CLOSURE_GROUPS = [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)]
 
 
-@PROPERTY
-@given(st.data())
-def test_close_under_circ_extends_a_closed_part(data):
-    tag, n = data.draw(st.sampled_from(CLOSURE_GROUPS))
-    K = build_group(tag, n) if n else build_group(tag)
-    subsets = st.frozensets(st.integers(0, K.order - 1), max_size=4)
-    base, seed = data.draw(subsets), data.draw(subsets)
-    closed = close_under_circ(K, base)
-    assert close_under_circ(K, seed, closed) == close_under_circ(K, base | seed)
+def test_close_under_circ_extends_a_closed_part():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+    @hypothesis.given(st.data())
+    def extends(data):
+        tag, n = data.draw(st.sampled_from(CLOSURE_GROUPS))
+        K = build_group(tag, n) if n else build_group(tag)
+        subsets = st.frozensets(st.integers(0, K.order - 1), max_size=4)
+        base, seed = data.draw(subsets), data.draw(subsets)
+        closed = close_under_circ(K, base)
+        assert close_under_circ(K, seed, closed) == close_under_circ(K, base | seed)
+
+    extends()
 
 
 def _c5_quotient():
@@ -342,31 +345,27 @@ def _c5_quotient():
     return C5, H, coset_representatives(C5, H.members)
 
 
-def _both_reject(C5, H, rep, gamma):
+def _rejections(C5, H, rep, gamma):
     with pytest.raises(PreconditionError) as direct:
         system_from_automorphism(C5, H, gamma)
     with pytest.raises(PreconditionError) as shared:
         check_quotient_involution(C5, rep, gamma)
-    assert direct.value.name == shared.value.name
-    return direct.value.name
+    return direct.value.name, shared.value.name
 
 
-@PROPERTY
-@given(st.integers(1, 4))
+@pytest.mark.parametrize("g", range(1, 5))
 def test_translation_of_c5_is_rejected_as_non_involution(g):
     C5, H, rep = _c5_quotient()
     shift = {x: C5.cayley[x][g] for x in range(5)}
-    assert _both_reject(C5, H, rep, shift) == "quotient map not an involution"
+    assert _rejections(C5, H, rep, shift) == ("quotient map not an involution",) * 2
 
 
-@PROPERTY
-@given(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
-def test_transposition_of_c5_is_rejected_as_non_multiplicative(pair):
+@pytest.mark.parametrize("a,b", itertools.combinations(range(5), 2))
+def test_transposition_of_c5_is_rejected_as_non_multiplicative(a, b):
     C5, H, rep = _c5_quotient()
-    a, b = pair
     swap = {x: x for x in range(5)}
     swap[a], swap[b] = b, a
-    assert _both_reject(C5, H, rep, swap) == "quotient map not multiplicative"
+    assert _rejections(C5, H, rep, swap) == ("quotient map not multiplicative",) * 2
 
 
 def test_induced_quotient_involution_ends_in_the_shared_check():
