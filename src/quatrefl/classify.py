@@ -18,6 +18,7 @@ from .groups import (
     Subgroup,
     automorphism_group,
     build_group,
+    default_max_order,
     normal_subgroups,
 )
 from .numutil import divisor_count, is_square
@@ -34,7 +35,6 @@ from .refsystems import (
 from .refgroups import (
     ReflectionGroup,
     build_reflection_group,
-    default_max_order,
     induced_quotient_involution,
     is_canonical,
     iso_prescreen,

@@ -22,7 +22,7 @@ from .classify import (
     order_scan,
 )
 from .golden import SUITES
-from .groups import build_group, element_order_census
+from .groups import SizeBoundError, build_group, element_order_census
 from .refsystems import copy_count, enumerate_systems, orbit_partition, subgroup_copy_count
 
 SCHEMA_VERSION = 1
@@ -51,7 +51,7 @@ def cmd_group(args) -> int:
         K = _build_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return DOMAIN_ERROR if isinstance(exc, SizeBoundError) else USAGE_ERROR
     if args.emit == "summary":
         print(f"name={K.name}")
         print(f"order={K.order}")
@@ -71,7 +71,7 @@ def cmd_systems(args) -> int:
         K = _build_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return DOMAIN_ERROR if isinstance(exc, SizeBoundError) else USAGE_ERROR
     try:
         systems = enumerate_systems(K)
     except ValueError as exc:
@@ -148,7 +148,7 @@ def cmd_classify(args) -> int:
         K = _build_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return DOMAIN_ERROR if isinstance(exc, SizeBoundError) else USAGE_ERROR
     try:
         records = classify_K(K)
     except ValueError as exc:
@@ -238,7 +238,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SizeBoundError as exc:  # a group built deeper down, e.g. by --order
+        print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
 
 
 if __name__ == "__main__":

@@ -253,14 +253,6 @@ class FieldScalar:
         """Coefficient sequence over the reduced zeta-power basis."""
         return tuple(Fraction(v, self.den) for v in self.nums)
 
-    def complex_conjugate(self) -> "FieldScalar":
-        """Galois image under zeta -> zeta^-1 (complex conjugation)."""
-        m = self.m
-        full = [0] * m
-        for i, v in enumerate(self.nums):
-            full[(m - i) % m] += v
-        return FieldScalar(m, full, self.den)
-
     def lift(self, big_m: int) -> "FieldScalar":
         """Embed into Q(zeta_M) for m | M via zeta_m = zeta_M^(M/m)."""
         if big_m % self.m:
@@ -477,9 +469,6 @@ class Quaternion:
 
     def __repr__(self) -> str:
         return f"Quaternion({self.render()!r})"
-
-    def sort_key(self) -> tuple:
-        return self.a.coeffs() + self.b.coeffs() + self.c.coeffs() + self.d.coeffs()
 
     def render(self) -> str:
         parts = []

@@ -1,23 +1,29 @@
 """Finite subgroups of the unit quaternions as Cayley-table groups.
 
-The constructors cover the full classification: cyclic C_n, dicyclic D_n of
+``build_group`` covers the full classification: cyclic C_n, dicyclic D_n of
 order 4n, and the binary tetrahedral / octahedral / icosahedral groups of
-orders 24 / 48 / 120.  Elements are exact quaternions; indices are stable
-(sorted by element order, then lexicographic coefficients) so tables and
-golden files are reproducible across runs.
+orders 24 / 48 / 120.  Every group takes one construction path: its
+generators (zeta_n; zeta_2n and j; or ``polyhedral_generators``) are closed
+under right multiplication in |K|*|gens| exact quaternion products, and the
+Cayley table is filled from those products by integer lookups.  Elements are
+exact quaternions; indices are stable (sorted by element order, then
+lexicographic coefficients) so tables and golden files are reproducible
+across runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
 
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
+POLYHEDRAL_ORDER = {"T": 24, "O": 48, "I": 120}
 
 
 class FiniteQuaternionGroup:
@@ -29,7 +35,7 @@ class FiniteQuaternionGroup:
     """
 
     def __init__(self, name: str, tag: str, n: Optional[int], elements: list[Quaternion],
-                 cayley: list[list[int]], inv: list[int]):
+                 cayley: list[list[int]], inv: list[int], element_orders: list[int]):
         self.name = name
         self.tag = tag
         self.n = n
@@ -38,7 +44,7 @@ class FiniteQuaternionGroup:
         self.inv = inv
         self.conductor = elements[0].conductor
         self.index = {q: i for i, q in enumerate(elements)}
-        self.element_orders = self._element_orders()
+        self.element_orders = element_orders
         # lazily built caches
         self._circ: Optional[list[list[int]]] = None
         self._conj_classes: Optional[list[tuple[int, ...]]] = None
@@ -64,16 +70,6 @@ class FiniteQuaternionGroup:
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.cayley[self.cayley[g][x]][self.inv[g]]
-
-    def _element_orders(self) -> list[int]:
-        orders = []
-        for x in range(len(self.elements)):
-            k, y = 1, x
-            while y != 0:
-                y = self.cayley[y][x]
-                k += 1
-            orders.append(k)
-        return orders
 
     def circ_table(self) -> list[list[int]]:
         """Table of a o b = a * b^-1 * a, the reflection-system operation."""
@@ -180,78 +176,46 @@ class GroupAutomorphism:
 # -- constructors -------------------------------------------------------
 
 
+class SizeBoundError(ValueError):
+    """|K|^2, the size of the Cayley table, exceeds ``default_max_order()``."""
+
+
+def default_max_order() -> int:
+    return int(os.environ.get("QUATREFL_MAX_ORDER", "1000000"))
+
+
 @lru_cache(maxsize=None)
 def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     """Construct a finite subgroup of the unit quaternions.
 
     tag: 'cyclic' (n >= 1), 'dicyclic' (n >= 2), or 'T' / 'O' / 'I'.
+    Raises SizeBoundError, before any field is built, when |K|^2 exceeds
+    ``default_max_order()``.
     """
     if tag == "cyclic":
         if n is None or n < 1:
             raise ValueError(f"cyclic group needs n >= 1, got {n}")
-        return _build_cyclic(n)
+        _check_table_size(f"C{n}", n)
+        return _close_generators(f"C{n}", tag, n, [embedded_circle_element(math.lcm(4, n), n, 1)])
     if tag == "dicyclic":
         if n is None or n < 2:
             raise ValueError(f"dicyclic group needs n >= 2, got {n}")
-        return _build_dicyclic(n)
+        _check_table_size(f"D{n}", 4 * n)
+        gens = [embedded_circle_element(4 * n, 2 * n, 1), Quaternion.unit(4 * n, "j")]
+        return _close_generators(f"D{n}", tag, n, gens)
     if tag in POLYHEDRAL_CONDUCTOR:
         if n is not None:
             raise ValueError(f"group {tag} takes no parameter")
-        return _build_polyhedral(tag)
+        _check_table_size(tag, POLYHEDRAL_ORDER[tag])
+        return _close_generators(tag, tag, None, polyhedral_generators(tag))
     raise ValueError(f"unsupported group tag {tag!r}")
 
 
-def _sorted_with_tags(values: list[Quaternion], tags: list, orders: list[int]):
-    keyed = sorted(range(len(values)), key=lambda i: (orders[i], values[i].sort_key()))
-    return ([values[i] for i in keyed], [tags[i] for i in keyed], [orders[i] for i in keyed])
-
-
-def _build_cyclic(n: int) -> FiniteQuaternionGroup:
-    m = math.lcm(4, n)
-    values = [embedded_circle_element(m, n, e) for e in range(n)]
-    tags = list(range(n))
-    orders = [n // math.gcd(e, n) for e in range(n)]
-    values, tags, orders = _sorted_with_tags(values, tags, orders)
-    pos = {t: i for i, t in enumerate(tags)}
-    cayley = [[pos[(tags[i] + tags[j]) % n] for j in range(n)] for i in range(n)]
-    inv = [pos[(-tags[i]) % n] for i in range(n)]
-    return FiniteQuaternionGroup(f"C{n}", "cyclic", n, values, cayley, inv)
-
-
-def _dicyclic_tag_mul(n: int, t1, t2):
-    e1, s1 = t1
-    e2, s2 = t2
-    if s1 == 0:
-        return ((e1 + e2) % (2 * n), s2)
-    if s2 == 0:
-        return ((e1 - e2) % (2 * n), 1)
-    return ((e1 - e2 + n) % (2 * n), 0)
-
-
-def _build_dicyclic(n: int) -> FiniteQuaternionGroup:
-    m = 4 * n
-    j = Quaternion.unit(m, "j")
-    values, tags, orders = [], [], []
-    for e in range(2 * n):
-        w = embedded_circle_element(m, 2 * n, e)
-        values.append(w)
-        tags.append((e, 0))
-        orders.append(2 * n // math.gcd(e, 2 * n))
-        values.append(w * j)
-        tags.append((e, 1))
-        orders.append(4)
-    values, tags, orders = _sorted_with_tags(values, tags, orders)
-    pos = {t: i for i, t in enumerate(tags)}
-    size = 4 * n
-    cayley = [
-        [pos[_dicyclic_tag_mul(n, tags[i], tags[j2])] for j2 in range(size)]
-        for i in range(size)
-    ]
-    inv = []
-    for i in range(size):
-        e, s = tags[i]
-        inv.append(pos[((-e) % (2 * n), 0)] if s == 0 else pos[((e + n) % (2 * n), 1)])
-    return FiniteQuaternionGroup(f"D{n}", "dicyclic", n, values, cayley, inv)
+def _check_table_size(name: str, order: int) -> None:
+    bound = default_max_order()
+    if order * order > bound:
+        raise SizeBoundError(
+            f"{name}: Cayley table of {order}^2 entries exceeds the bound {bound} (QUATREFL_MAX_ORDER)")
 
 
 def polyhedral_generators(tag: str) -> list[Quaternion]:
@@ -270,75 +234,52 @@ def polyhedral_generators(tag: str) -> list[Quaternion]:
     return [Quaternion.unit(m, "i"), zeta, w]
 
 
-def mulclose(generators: Sequence[Quaternion]) -> list[Quaternion]:
-    """Closure of a set of quaternions under multiplication."""
-    m = generators[0].conductor
-    one = Quaternion.one(m)
-    seen = {one}
-    frontier = [one]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return list(seen)
+def _close_generators(name: str, tag: str, n: Optional[int],
+                      gens: list[Quaternion]) -> FiniteQuaternionGroup:
+    """Close ``gens`` under multiplication and tabulate the group.
 
-
-def closure_table(elements: list[Quaternion]):
-    """Cayley and inverse tables from raw element values (order n^2 products)."""
-    index = {q: i for i, q in enumerate(elements)}
-    n = len(elements)
-    cayley = [[index[elements[i] * elements[j]] for j in range(n)] for i in range(n)]
-    one = Quaternion.one(elements[0].conductor)
-    inv = [next(j for j in range(n) if cayley[i][j] == index[one]) for i in range(n)]
-    return cayley, inv
-
-
-def _build_polyhedral(tag: str) -> FiniteQuaternionGroup:
-    return _group_from_values(tag, tag, None, mulclose(polyhedral_generators(tag)))
-
-
-def build_group_by_closure(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
-    """Independent construction path: close the generators by multiplication.
-
-    Used to cross-check the fast cyclic/dicyclic constructors; identical
-    element sets, ordering, and tables are expected.
+    A breadth-first search from 1 forms x*g for every element x and generator
+    g (|K|*|gens| exact products), recording ``right[x][k] = x*gens[k]`` and
+    the word ``(parent, k)`` that first reached each element.  The Cayley
+    table then needs integer lookups only: x*y = right[x*parent(y)][k].
     """
-    if tag in POLYHEDRAL_CONDUCTOR:
-        return build_group(tag)
-    if tag == "cyclic":
-        m = math.lcm(4, n)
-        gens = [embedded_circle_element(m, n, 1)]
-        name = f"C{n}"
-    elif tag == "dicyclic":
-        m = 4 * n
-        gens = [embedded_circle_element(m, 2 * n, 1), Quaternion.unit(m, "j")]
-        name = f"D{n}"
-    else:
-        raise ValueError(f"unsupported group tag {tag!r}")
-    return _group_from_values(name, tag, n, mulclose(gens))
-
-
-def _group_from_values(name: str, tag: str, n: Optional[int],
-                       values: list[Quaternion]) -> FiniteQuaternionGroup:
-    """Order closed element values by (element order, coefficients) and tabulate."""
-    # element orders straight from the values, so sorting precedes the table
-    one = Quaternion.one(values[0].conductor)
+    one = Quaternion.one(gens[0].conductor)
+    values, index, word, right = [one], {one: 0}, [None], []
+    for x, q in enumerate(values):  # values grows while it is walked
+        row = []
+        for k, g in enumerate(gens):
+            y = q * g
+            if y not in index:
+                index[y] = len(values)
+                values.append(y)
+                word.append((x, k))
+            row.append(index[y])
+        right.append(row)
+    cayley = []
+    for x in range(len(values)):
+        row = [x]
+        for p, k in word[1:]:
+            row.append(right[row[p]][k])
+        cayley.append(row)
     orders = []
-    for q in values:
-        k, p = 1, q
-        while p != one:
-            p = p * q
+    for x, row in enumerate(cayley):
+        k, y = 1, x
+        while y != 0:
+            y = row[y]
             k += 1
         orders.append(k)
-    idx = sorted(range(len(values)), key=lambda i: (orders[i], values[i].sort_key()))
-    values = [values[i] for i in idx]
-    cayley, inv = closure_table(values)
-    return FiniteQuaternionGroup(name, tag, n, values, cayley, inv)
+    # order by (element order, coefficients); integers over one common
+    # denominator compare exactly as the Fraction coefficients would
+    scalars = [(q.a, q.b, q.c, q.d) for q in values]
+    den = math.lcm(*(s.den for qs in scalars for s in qs))
+    keys = [tuple(v * (den // s.den) for s in qs for v in s.nums) for qs in scalars]
+    idx = sorted(range(len(values)), key=lambda i: (orders[i], keys[i]))
+    pos = [0] * len(idx)
+    for new, old in enumerate(idx):
+        pos[old] = new
+    cayley = [[pos[row[j]] for j in idx] for row in (cayley[i] for i in idx)]
+    return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
+                                 [row.index(0) for row in cayley], [orders[i] for i in idx])
 
 
 # -- subgroup machinery --------------------------------------------------

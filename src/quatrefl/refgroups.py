@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -26,6 +25,7 @@ from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
     commutator_subgroup,
+    default_max_order,
     is_normal,
 )
 from .refsystems import (
@@ -37,10 +37,6 @@ from .refsystems import (
 )
 
 Triple = tuple[int, int, int]
-
-
-def default_max_order() -> int:
-    return int(os.environ.get("QUATREFL_MAX_ORDER", "1000000"))
 
 
 def model_mul(K: FiniteQuaternionGroup, t1: Triple, t2: Triple) -> Triple:

@@ -1,16 +1,19 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from quatrefl.cli import main
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "quatrefl.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=None if env is None else {**os.environ, **env})
 
 
 def test_group_summary():
@@ -152,6 +155,21 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "[2,1,2,1]" in out and "16" in out
+
+
+@pytest.mark.parametrize("command", ["group", "systems", "classify"])
+def test_group_size_guard_exits_3_and_bad_n_exits_2(command):
+    result = run_cli(command, "--k", "dicyclic", "--n", "251")
+    assert result.returncode == 3
+    assert "bound" in result.stderr
+    assert run_cli(command, "--k", "dicyclic", "--n", "1").returncode == 2
+
+
+def test_order_scan_size_guard_exits_3():
+    # order 48 settles the known pair G(3,1,3,2) ~ G(6,2,3,1) through D6
+    result = run_cli("classify", "--order", "48", env={"QUATREFL_MAX_ORDER": "500"})
+    assert result.returncode == 3
+    assert "bound" in result.stderr
 
 
 def test_systems_beyond_bound_exits_3():

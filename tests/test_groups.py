@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from quatrefl import groups
 from quatrefl.exactarith import Quaternion
 from quatrefl.groups import (
+    SizeBoundError,
+    _close_generators,
     automorphism_group,
     build_group,
-    build_group_by_closure,
     commutator_subgroup,
     element_order_census,
     group_contains,
@@ -65,21 +67,84 @@ def test_associativity_spot_check():
             assert K.cayley[K.cayley[a][b]][c] == K.cayley[a][K.cayley[b][c]]
 
 
+def _fraction_key(K, x):
+    q = K.elements[x]
+    return K.element_orders[x], tuple(c for s in (q.a, q.b, q.c, q.d) for c in s.coeffs())
+
+
+TABLE_GROUPS = ([("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 7)]
+                + [("cyclic", n) for n in (1, 2, 5, 8)])
+
+
 def test_cayley_matches_quaternion_products():
-    for K in (build_group("T"), build_group("dicyclic", 3)):
+    for tag, n in TABLE_GROUPS + [("I", None), ("dicyclic", 60)]:
+        K = build_group(tag, n) if n else build_group(tag)
+        # sorted by element order, then by the Fraction coefficients
+        keys = [_fraction_key(K, x) for x in range(K.order)]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), K.name
+        if (tag, n) not in TABLE_GROUPS:
+            continue
+        one = Quaternion.one(K.conductor)
         for a in range(K.order):
+            assert K.elements[K.inv[a]] * K.elements[a] == one
             for b in range(K.order):
                 assert K.elements[K.cayley[a][b]] == K.elements[a] * K.elements[b]
 
 
-def test_symbolic_vs_closure_construction():
-    for tag, ns in (("dicyclic", (2, 3, 4, 5, 6)), ("cyclic", (1, 2, 5, 8))):
-        for n in ns:
-            fast = build_group(tag, n)
-            slow = build_group_by_closure(tag, n)
-            assert fast.elements == slow.elements
-            assert fast.cayley == slow.cayley
-            assert fast.inv == slow.inv
+BUILDER_GROUPS = [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)]
+
+
+def test_close_generators_matches_subgroup_closure():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
+    @hypothesis.given(st.data())
+    def closes(data):
+        tag, n = data.draw(st.sampled_from(BUILDER_GROUPS))
+        K = build_group(tag, n) if n else build_group(tag)
+        idx = data.draw(st.lists(st.integers(0, K.order - 1), min_size=1, max_size=3))
+        members = K.subgroup_closure(idx)
+        hypothesis.assume(len(members) <= 24)  # the oracle below forms every product
+        H = _close_generators("H", tag, n, [K.elements[x] for x in idx])
+        assert set(H.elements) == {K.elements[x] for x in members}
+        for a, qa in enumerate(H.elements):
+            for b, qb in enumerate(H.elements):
+                assert H.elements[H.cayley[a][b]] == qa * qb
+
+    closes()
+
+
+@pytest.mark.parametrize("tag,n,products", [
+    ("T", None, 48), ("O", None, 96), ("I", None, 360), ("dicyclic", 5, 40)])
+def test_build_takes_order_times_generators_products(monkeypatch, tag, n, products):
+    calls = []
+    mul = Quaternion.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counting)
+    build_group.__wrapped__(tag, n)  # uncached, without emptying the shared cache
+    assert len(calls) == products
+
+
+def test_size_guard_bounds_the_cayley_table(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.delenv("QUATREFL_MAX_ORDER", raising=False)
+    # the first field of D_n is built by its rotation generator
+    monkeypatch.setattr(groups, "embedded_circle_element", reached)
+    monkeypatch.setattr(groups, "_close_generators", reached)
+    with pytest.raises(Reached):
+        build_group("dicyclic", 250)  # 1000^2 entries: at the default bound 10^6
+    with pytest.raises(SizeBoundError, match="bound"):
+        build_group("dicyclic", 251)
 
 
 def test_element_order_census():
