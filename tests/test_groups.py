@@ -1,11 +1,12 @@
 """Finite quaternion groups: constructors, subgroups, automorphisms."""
 
+import math
 import random
 
 import pytest
 
 from quatrefl import groups
-from quatrefl.exactarith import Quaternion
+from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
     SizeBoundError,
     _close_generators,
@@ -89,6 +90,28 @@ def test_cayley_matches_quaternion_products():
             assert K.elements[K.inv[a]] * K.elements[a] == one
             for b in range(K.order):
                 assert K.elements[K.cayley[a][b]] == K.elements[a] * K.elements[b]
+
+
+def test_symbolic_vs_closure_construction():
+    # the closure-built tables against the closed-form rules: w^a w^b = w^(a+b),
+    # w^a (w^b j) = w^(a+b) j, (w^a j) w^b = w^(a-b) j, (w^a j)(w^b j) = w^(a-b+n)
+    for n in (1, 2, 5, 8):
+        K = build_group("cyclic", n)
+        sym = [K.index[embedded_circle_element(math.lcm(4, n), n, e)] for e in range(n)]
+        assert sorted(sym) == list(range(n))
+        for a in range(n):
+            assert K.inv[sym[a]] == sym[-a % n]
+            for b in range(n):
+                assert K.cayley[sym[a]][sym[b]] == sym[(a + b) % n]
+    for n in (2, 3, 4, 5, 6):
+        K = build_group("dicyclic", n)
+        sym = {(e, s): _dicyclic_element(K, e, s) for e in range(2 * n) for s in (0, 1)}
+        assert sorted(sym.values()) == list(range(4 * n))
+        for (a, s), x in sym.items():
+            assert K.inv[x] == (sym[-a % (2 * n), 0] if s == 0 else sym[(a + n) % (2 * n), 1])
+            for (b, t), y in sym.items():
+                e = (a + b if s == 0 else a - b + n * t) % (2 * n)
+                assert K.cayley[x][y] == sym[e, s ^ t]
 
 
 BUILDER_GROUPS = [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)]
