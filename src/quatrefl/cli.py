@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from .classify import (
     order_scan,
 )
 from .golden import SUITES
-from .groups import SizeBoundError, build_group, element_order_census
+from .groups import build_group, default_max_order, element_order_census
 from .refsystems import copy_count, enumerate_systems, orbit_partition, subgroup_copy_count
 
 SCHEMA_VERSION = 1
@@ -36,10 +37,20 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=1, sort_keys=False))
 
 
+class SizeBoundError(Exception):
+    """The Cayley table of the group named by --k/--n exceeds the bound."""
+
+
 def _build_from_args(args) -> "FiniteQuaternionGroup":
     if args.k in ("cyclic", "dicyclic"):
         if args.n is None:
             raise ValueError(f"--k {args.k} requires --n")
+        order = args.n if args.k == "cyclic" else 4 * args.n
+        bound = default_max_order()
+        # order > isqrt(bound) iff order^2 > bound; a bad n is left to build_group
+        if order > math.isqrt(bound):
+            raise SizeBoundError(f"--k {args.k} --n {args.n}: Cayley table of {order}^2 "
+                                 f"entries exceeds the bound {bound} (QUATREFL_MAX_ORDER)")
         return build_group(args.k, args.n)
     if args.n is not None:
         raise ValueError(f"--k {args.k} takes no --n")
@@ -51,7 +62,7 @@ def cmd_group(args) -> int:
         K = _build_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR if isinstance(exc, SizeBoundError) else USAGE_ERROR
+        return USAGE_ERROR
     if args.emit == "summary":
         print(f"name={K.name}")
         print(f"order={K.order}")
@@ -71,7 +82,7 @@ def cmd_systems(args) -> int:
         K = _build_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR if isinstance(exc, SizeBoundError) else USAGE_ERROR
+        return USAGE_ERROR
     try:
         systems = enumerate_systems(K)
     except ValueError as exc:
@@ -148,7 +159,7 @@ def cmd_classify(args) -> int:
         K = _build_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR if isinstance(exc, SizeBoundError) else USAGE_ERROR
+        return USAGE_ERROR
     try:
         records = classify_K(K)
     except ValueError as exc:
@@ -240,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SizeBoundError as exc:  # a group built deeper down, e.g. by --order
+    except SizeBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

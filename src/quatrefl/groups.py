@@ -23,7 +23,6 @@ from typing import Iterable, Optional
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
 
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
-POLYHEDRAL_ORDER = {"T": 24, "O": 48, "I": 120}
 
 
 class FiniteQuaternionGroup:
@@ -176,10 +175,6 @@ class GroupAutomorphism:
 # -- constructors -------------------------------------------------------
 
 
-class SizeBoundError(ValueError):
-    """|K|^2, the size of the Cayley table, exceeds ``default_max_order()``."""
-
-
 def default_max_order() -> int:
     return int(os.environ.get("QUATREFL_MAX_ORDER", "1000000"))
 
@@ -189,33 +184,21 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     """Construct a finite subgroup of the unit quaternions.
 
     tag: 'cyclic' (n >= 1), 'dicyclic' (n >= 2), or 'T' / 'O' / 'I'.
-    Raises SizeBoundError, before any field is built, when |K|^2 exceeds
-    ``default_max_order()``.
     """
     if tag == "cyclic":
         if n is None or n < 1:
             raise ValueError(f"cyclic group needs n >= 1, got {n}")
-        _check_table_size(f"C{n}", n)
         return _close_generators(f"C{n}", tag, n, [embedded_circle_element(math.lcm(4, n), n, 1)])
     if tag == "dicyclic":
         if n is None or n < 2:
             raise ValueError(f"dicyclic group needs n >= 2, got {n}")
-        _check_table_size(f"D{n}", 4 * n)
         gens = [embedded_circle_element(4 * n, 2 * n, 1), Quaternion.unit(4 * n, "j")]
         return _close_generators(f"D{n}", tag, n, gens)
     if tag in POLYHEDRAL_CONDUCTOR:
         if n is not None:
             raise ValueError(f"group {tag} takes no parameter")
-        _check_table_size(tag, POLYHEDRAL_ORDER[tag])
         return _close_generators(tag, tag, None, polyhedral_generators(tag))
     raise ValueError(f"unsupported group tag {tag!r}")
-
-
-def _check_table_size(name: str, order: int) -> None:
-    bound = default_max_order()
-    if order * order > bound:
-        raise SizeBoundError(
-            f"{name}: Cayley table of {order}^2 entries exceeds the bound {bound} (QUATREFL_MAX_ORDER)")
 
 
 def polyhedral_generators(tag: str) -> list[Quaternion]:

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 
 import pytest
 
-from quatrefl.cli import main
+from quatrefl import cli
+from quatrefl.cli import SizeBoundError, _build_from_args, main
 
 
 def run_cli(*args, env=None):
@@ -165,11 +167,29 @@ def test_group_size_guard_exits_3_and_bad_n_exits_2(command):
     assert run_cli(command, "--k", "dicyclic", "--n", "1").returncode == 2
 
 
-def test_order_scan_size_guard_exits_3():
-    # order 48 settles the known pair G(3,1,3,2) ~ G(6,2,3,1) through D6
-    result = run_cli("classify", "--order", "48", env={"QUATREFL_MAX_ORDER": "500"})
-    assert result.returncode == 3
-    assert "bound" in result.stderr
+def test_size_guard_bounds_the_cayley_table(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.delenv("QUATREFL_MAX_ORDER", raising=False)
+    monkeypatch.setattr(cli, "build_group", reached)
+    # 1000^2 entries: at the default bound 10^6
+    for k, n_at, n_over in (("dicyclic", 250, 251), ("cyclic", 1000, 1001)):
+        with pytest.raises(Reached):
+            _build_from_args(Namespace(k=k, n=n_at))
+        with pytest.raises(SizeBoundError, match="bound"):
+            _build_from_args(Namespace(k=k, n=n_over))
+
+
+def test_size_guard_leaves_order_scans_alone():
+    # the known pair G(31,1,31,2) ~ G(62,2,31,1) is settled through D62,
+    # whose 248^2-entry table exceeds this bound; only --k/--n is bounded
+    result = run_cli("classify", "--order", "496", env={"QUATREFL_MAX_ORDER": "14400"})
+    assert result.returncode == 0
+    assert "isomorphism: [31,1,31,2] ~ [62,2,31,1]" in result.stdout
 
 
 def test_systems_beyond_bound_exits_3():

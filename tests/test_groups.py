@@ -5,10 +5,8 @@ import random
 
 import pytest
 
-from quatrefl import groups
 from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
-    SizeBoundError,
     _close_generators,
     automorphism_group,
     build_group,
@@ -151,23 +149,6 @@ def test_build_takes_order_times_generators_products(monkeypatch, tag, n, produc
     monkeypatch.setattr(Quaternion, "__mul__", counting)
     build_group.__wrapped__(tag, n)  # uncached, without emptying the shared cache
     assert len(calls) == products
-
-
-def test_size_guard_bounds_the_cayley_table(monkeypatch):
-    class Reached(Exception):
-        pass
-
-    def reached(*args):
-        raise Reached
-
-    monkeypatch.delenv("QUATREFL_MAX_ORDER", raising=False)
-    # the first field of D_n is built by its rotation generator
-    monkeypatch.setattr(groups, "embedded_circle_element", reached)
-    monkeypatch.setattr(groups, "_close_generators", reached)
-    with pytest.raises(Reached):
-        build_group("dicyclic", 250)  # 1000^2 entries: at the default bound 10^6
-    with pytest.raises(SizeBoundError, match="bound"):
-        build_group("dicyclic", 251)
 
 
 def test_element_order_census():
