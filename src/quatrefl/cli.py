@@ -138,8 +138,12 @@ def cmd_classify(args) -> int:
             _print_records([rec])
         return 0
     if args.order is not None:
-        records = order_scan(args.order)
-        isos = find_isomorphisms(records)
+        try:
+            records = order_scan(args.order)
+            isos = find_isomorphisms(records)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return DOMAIN_ERROR
         partner = {}
         for iso in isos:
             partner[iso.label1] = iso.label2
@@ -180,8 +184,11 @@ def _print_records(records) -> None:
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    report = suite()
+    try:
+        report = SUITES[args.suite]()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
     print(report.render())
     return 0 if report.passed else 1
 
@@ -249,6 +256,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    try:
+        default_max_order()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except SizeBoundError as exc:

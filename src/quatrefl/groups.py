@@ -9,16 +9,24 @@ Cayley table is filled from those products by integer lookups.  Elements are
 exact quaternions; indices are stable (sorted by element order, then
 lexicographic coefficients) so tables and golden files are reproducible
 across runs.
+
+Every generator walk of the package goes through one closure routine,
+``_generate``: group construction, subgroup closure, the automorphism
+search, and (in ``refsystems`` and ``refgroups``) closures of reflection
+triples, isomorphism checks and orbits under maps.  Maps given on generators
+are extended to homomorphisms by ``_extend_map`` along the same walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
 
@@ -97,16 +105,8 @@ class FiniteQuaternionGroup:
 
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated by ``seed``."""
-        members = {0}
-        queue = list(set(seed) - members)
-        members.update(queue)
-        while queue:
-            u = queue.pop()
-            for v in list(members):
-                for w in (self.cayley[u][v], self.cayley[v][u]):
-                    if w not in members:
-                        members.add(w)
-                        queue.append(w)
+        cay = self.cayley
+        members = _generate(0, sorted(set(seed) - {0}), lambda x, g: cay[x][g])[0]
         return tuple(sorted(members))
 
     def generating_sequence(self) -> list[int]:
@@ -172,11 +172,61 @@ class GroupAutomorphism:
         return self.image[x]
 
 
+# -- the closure routine --------------------------------------------------
+
+
+def _generate(one, gens: Sequence, mul: Callable, bound: Optional[int] = None):
+    """Close ``gens`` under right multiplication, breadth first from ``one``.
+
+    Returns ``(elements, right, word)``: the elements in discovery order,
+    ``right[x][k]``, the index of ``mul(elements[x], gens[k])``, and
+    ``word[x] = (parent, k)``, the product that first reached x (None for
+    ``one``).  Raises ValueError once more than ``bound`` elements are found.
+    """
+    elements, index, word, right = [one], {one: 0}, [None], []
+    for x, u in enumerate(elements):  # elements grows while it is walked
+        row = []
+        for k, g in enumerate(gens):
+            n, v = len(elements), mul(u, g)
+            y = index.setdefault(v, n)
+            if y == n:
+                elements.append(v)
+                word.append((x, k))
+                if bound is not None and n >= bound:
+                    raise ValueError(f"closure exceeded bound {bound}")
+            row.append(y)
+        right.append(row)
+    return elements, right, word
+
+
+def _extend_map(right: list[list[int]], targets: Sequence, mul: Callable, one) -> Optional[list]:
+    """Images of ``_generate``'s elements under the map gens[k] -> targets[k].
+
+    Each element takes its image along the product that first reached it;
+    the result is None unless every (element, generator) pair agrees, i.e.
+    unless the map extends to a homomorphism.
+    """
+    image = [one]
+    for x, row in enumerate(right):
+        u = image[x]
+        for y, t in zip(row, targets):
+            v = mul(u, t)
+            if y == len(image):  # y is first reached here, as in _generate
+                image.append(v)
+            elif image[y] != v:
+                return None
+    return image
+
+
 # -- constructors -------------------------------------------------------
 
 
 def default_max_order() -> int:
-    return int(os.environ.get("QUATREFL_MAX_ORDER", "1000000"))
+    """The explicit-construction budget, from QUATREFL_MAX_ORDER (default 10^6)."""
+    text = os.environ.get("QUATREFL_MAX_ORDER", "1000000")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"QUATREFL_MAX_ORDER must be a positive integer, got {text!r}")
+    return int(text)
 
 
 @lru_cache(maxsize=None)
@@ -221,23 +271,11 @@ def _close_generators(name: str, tag: str, n: Optional[int],
                       gens: list[Quaternion]) -> FiniteQuaternionGroup:
     """Close ``gens`` under multiplication and tabulate the group.
 
-    A breadth-first search from 1 forms x*g for every element x and generator
-    g (|K|*|gens| exact products), recording ``right[x][k] = x*gens[k]`` and
-    the word ``(parent, k)`` that first reached each element.  The Cayley
-    table then needs integer lookups only: x*y = right[x*parent(y)][k].
+    ``_generate`` forms x*g for every element x and generator g (|K|*|gens|
+    exact products); the Cayley table then needs integer lookups only:
+    x*y = right[x*parent(y)][k] for the word (parent, k) that first reached y.
     """
-    one = Quaternion.one(gens[0].conductor)
-    values, index, word, right = [one], {one: 0}, [None], []
-    for x, q in enumerate(values):  # values grows while it is walked
-        row = []
-        for k, g in enumerate(gens):
-            y = q * g
-            if y not in index:
-                index[y] = len(values)
-                values.append(y)
-                word.append((x, k))
-            row.append(index[y])
-        right.append(row)
+    values, right, word = _generate(Quaternion.one(gens[0].conductor), gens, operator.mul)
     cayley = []
     for x in range(len(values)):
         row = [x]
@@ -275,12 +313,11 @@ def subgroup_name(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> str:
     orders = [K.element_orders[x] for x in members]
     if max(orders) == o:
         return f"C{o}"
-    abelian = all(
-        K.cayley[x][y] == K.cayley[y][x] for x in members for y in members
-    ) if o <= 16 else False
-    if o == 8 and not abelian:
+    # every finite abelian subgroup of the unit quaternions is cyclic (a finite
+    # subgroup of a field's multiplicative group), so from here on none is
+    if o == 8:
         return "Q8"
-    if o % 4 == 0 and max(orders) == o // 2 and not abelian:
+    if o % 4 == 0 and max(orders) == o // 2:
         return f"D{o // 4}"
     if o == 24:
         return "T"
@@ -297,23 +334,12 @@ def is_normal(K: FiniteQuaternionGroup, members: Iterable[int]) -> bool:
 
 
 def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:
-    """All normal subgroups, found by closing unions of conjugacy classes."""
-    classes = K.conjugacy_classes()
-    trivial = (0,)
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        base = queue.pop()
-        for cls in classes:
-            if cls[0] in base:
-                continue
-            closed = K.subgroup_closure(set(base) | set(cls))
-            if closed not in found:
-                found.add(closed)
-                queue.append(closed)
-    subs = [Subgroup(K, members) for members in found]
-    subs.sort(key=lambda s: (s.order, s.members))
-    return subs
+    """All normal subgroups: the closure of 1 under joining conjugacy classes."""
+    def join(base: tuple[int, ...], cls: tuple[int, ...]) -> tuple[int, ...]:
+        return base if cls[0] in base else K.subgroup_closure(base + cls)
+
+    found = _generate((0,), K.conjugacy_classes(), join)[0]
+    return sorted((Subgroup(K, members) for members in found), key=lambda s: (s.order, s.members))
 
 
 def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
@@ -326,79 +352,22 @@ def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
 
 
 def automorphism_group(K: FiniteQuaternionGroup, bound: int = 120) -> list[GroupAutomorphism]:
-    """All automorphisms, by backtracking on images of a generating sequence."""
+    """All automorphisms: every same-order choice of images of a generating
+    sequence that extends to a bijective homomorphism."""
     if K.order > bound:
         raise ValueError(f"automorphism search bound {bound} exceeded by |K| = {K.order}")
     if K._automorphisms is not None:
         return K._automorphisms
-
+    cay, orders = K.cayley, K.element_orders
     gens = K.generating_sequence()
-    if not gens:  # trivial group
-        autos = [GroupAutomorphism(K, (0,))]
-        K._automorphisms = autos
-        return autos
-
-    # breadth-first words for every element over the generating sequence
-    parent: list[Optional[tuple[int, int]]] = [None] * K.order
-    seen = [False] * K.order
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = K.cayley[x][g]
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = (x, gi)
-                    nxt.append(y)
-        frontier = nxt
-
-    by_order: dict[int, list[int]] = {}
-    for x in range(K.order):
-        by_order.setdefault(K.element_orders[x], []).append(x)
-
+    elements, right, _ = _generate(0, gens, lambda x, g: cay[x][g])
     images = []
-
-    def extend(chosen: list[int]) -> Optional[tuple[int, ...]]:
-        img: list[Optional[int]] = [None] * K.order
-        img[0] = 0
-        pending = [x for x in range(K.order) if parent[x] is not None]
-        # resolve in dependency order via repeated passes (parents form a DAG)
-        resolved = 1
-        while pending:
-            progressed = False
-            rest = []
-            for x in pending:
-                px, gi = parent[x]
-                if img[px] is not None:
-                    img[x] = K.cayley[img[px]][chosen[gi]]
-                    progressed = True
-                else:
-                    rest.append(x)
-            pending = rest
-            if pending and not progressed:
-                raise AssertionError("BFS parent chain incomplete")
-        if len(set(img)) != K.order:
-            return None
-        # homomorphism check on (x, generator) pairs extends to all products
-        for x in range(K.order):
-            for gi, g in enumerate(gens):
-                if img[K.cayley[x][g]] != K.cayley[img[x]][chosen[gi]]:
-                    return None
-        return tuple(img)  # type: ignore[arg-type]
-
-    def backtrack(i: int, chosen: list[int]):
-        if i == len(gens):
-            result = extend(chosen)
-            if result is not None:
-                images.append(result)
-            return
-        for cand in by_order[K.element_orders[gens[i]]]:
-            backtrack(i + 1, chosen + [cand])
-
-    backtrack(0, [])
-    autos = [GroupAutomorphism(K, img) for img in sorted(set(images))]
+    for targets in itertools.product(*([y for y in range(K.order) if orders[y] == orders[g]]
+                                       for g in gens)):
+        image = _extend_map(right, targets, lambda x, t: cay[x][t], 0)
+        if image is not None and len(set(image)) == K.order:
+            images.append(tuple(y for _, y in sorted(zip(elements, image))))
+    autos = [GroupAutomorphism(K, img) for img in sorted(images)]
     K._automorphisms = autos
     return autos
 

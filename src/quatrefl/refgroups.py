@@ -18,12 +18,15 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .exactarith import Quaternion
 from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
+    _extend_map,
+    _generate,
     commutator_subgroup,
     default_max_order,
     is_normal,
@@ -240,26 +243,7 @@ def minimal_diagonal_subgroup(K: FiniteQuaternionGroup, L: ReflectionSystem) -> 
 
 def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],
                        bound: int = 10 ** 6) -> frozenset:
-    return _triple_closure(K, gens, bound)
-
-
-def _triple_closure(K: FiniteQuaternionGroup, gens: Sequence[Triple], bound: int) -> frozenset:
-    # The one generator BFS over triples. verify_isomorphism calls it
-    # directly, so a traced run keeps its generation check inside its own span.
-    seen = {model_identity()}
-    frontier = [model_identity()]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in gens:
-                u = model_mul(K, t, g)
-                if u not in seen:
-                    seen.add(u)
-                    new.append(u)
-                    if len(seen) > bound:
-                        raise ValueError(f"closure exceeded bound {bound}")
-        frontier = new
-    return frozenset(seen)
+    return frozenset(_generate(model_identity(), gens, partial(model_mul, K), bound)[0])
 
 
 @dataclass
@@ -325,25 +309,17 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
     entries: list[tuple[int, str]] = []
     if G.H.order > 1:
         entries.append((2, G.H.name))
-    circ = K.circ_table()
+    circ, cay = K.circ_table(), K.cayley
     L_G = nondiagonal_reflections(G)
+    # x -> a o x for a in L_G, and the left and right H-translations
+    maps = [circ[a] for a in L_G] + [cay[h] for h in G.H.members]
+    maps += [[row[h] for row in cay] for h in G.H.members]
     remaining = set(L_G)
     nondiag = []
     while remaining:
-        b = min(remaining)
-        orbit = {b}
-        queue = [b]
-        while queue:
-            x = queue.pop()
-            images = [circ[a][x] for a in L_G]
-            images += [K.cayley[h][x] for h in G.H.members]
-            images += [K.cayley[x][h] for h in G.H.members]
-            for y in images:
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
+        orbit = _generate(min(remaining), maps, lambda x, f: f[x])[0]
         nondiag.append(len(orbit))
-        remaining -= orbit
+        remaining.difference_update(orbit)
     nondiag.sort()
     entries.extend((size, "C2") for size in nondiag)
     return ReflectionOrbitType(tuple(entries))
@@ -446,9 +422,10 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
                        generator_map: Sequence[tuple[Triple, Triple]]) -> bool:
     """Check that mapping the given generators extends to an isomorphism.
 
-    The map is extended breadth-first along products; the extension is a
-    homomorphism iff no product pair conflicts, and an isomorphism iff it is
-    onto a group of equal order.
+    One walk of G1 over the sources checks that they generate it; the map is
+    extended along that walk, which is a homomorphism iff no (element,
+    generator) pair conflicts, and an isomorphism iff it is onto a group of
+    equal order.
     """
     for t, u in generator_map:
         if t not in G1.elements:
@@ -458,26 +435,12 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
     if G1.order != G2.order:
         return False
     sources = [t for t, _ in generator_map]
-    if len(_triple_closure(G1.K, sources, G1.order)) != G1.order:
+    elements, right, _ = _generate(model_identity(), sources, partial(model_mul, G1.K), G1.order)
+    if len(elements) != G1.order:
         raise ValueError("generator_map sources do not generate G1")
-    # each (element, generator) pair is compared exactly once: the extension
-    # is a homomorphism iff no pair conflicts
-    phi = {model_identity(): model_identity()}
-    frontier = [model_identity()]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g, g2 in generator_map:
-                u = model_mul(G1.K, t, g)
-                img = model_mul(G2.K, phi[t], g2)
-                if u in phi:
-                    if phi[u] != img:
-                        return False
-                else:
-                    phi[u] = img
-                    new.append(u)
-        frontier = new
-    return len(set(phi.values())) == G2.order
+    image = _extend_map(right, [u for _, u in generator_map], partial(model_mul, G2.K),
+                        model_identity())
+    return image is not None and len(set(image)) == G2.order
 
 
 def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,

@@ -15,6 +15,7 @@ from .groups import (
     FiniteQuaternionGroup,
     GroupAutomorphism,
     Subgroup,
+    _generate,
     automorphism_group,
     build_group,
     is_normal,
@@ -138,18 +139,8 @@ def system_orbit(L: ReflectionSystem, b: int) -> tuple[int, ...]:
     """Closure of {b} under x -> a o x for a in L."""
     if b not in L.member_set():
         raise ValueError(f"element {b} is not in the system")
-    K = L.parent
-    circ = K.circ_table()
-    orbit = {b}
-    queue = [b]
-    while queue:
-        x = queue.pop()
-        for a in L.members:
-            y = circ[a][x]
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return tuple(sorted(orbit))
+    circ = L.parent.circ_table()
+    return tuple(sorted(_generate(b, [circ[a] for a in L.members], lambda x, f: f[x])[0]))
 
 
 def orbit_partition(L: ReflectionSystem) -> list[tuple[int, ...]]:

@@ -192,6 +192,21 @@ def test_size_guard_leaves_order_scans_alone():
     assert "isomorphism: [31,1,31,2] ~ [62,2,31,1]" in result.stdout
 
 
+@pytest.mark.parametrize("command", [("group", "--k", "dicyclic", "--n", "6"),
+                                     ("classify", "--order", "48"),
+                                     ("verify", "--suite", "table1")])
+@pytest.mark.parametrize("value,code,message", [
+    ("abc", 2, "QUATREFL_MAX_ORDER"), ("", 2, "QUATREFL_MAX_ORDER"),
+    ("-5", 2, "QUATREFL_MAX_ORDER"), ("0", 2, "QUATREFL_MAX_ORDER"),
+    ("500", 3, "bound")])  # legal, but below D6's 24^2 table and the closures
+def test_bad_or_small_max_order_is_one_error_line(command, value, code, message):
+    result = run_cli(*command, env={"QUATREFL_MAX_ORDER": value})
+    assert result.returncode == code
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_systems_beyond_bound_exits_3():
     result = run_cli("systems", "--k", "dicyclic", "--n", "31")
     assert result.returncode == 3

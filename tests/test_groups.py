@@ -125,8 +125,12 @@ def test_close_generators_matches_subgroup_closure():
         tag, n = data.draw(st.sampled_from(BUILDER_GROUPS))
         K = build_group(tag, n) if n else build_group(tag)
         idx = data.draw(st.lists(st.integers(0, K.order - 1), min_size=1, max_size=3))
-        members = K.subgroup_closure(idx)
-        hypothesis.assume(len(members) <= 24)  # the oracle below forms every product
+        # the subgroup idx generates, as the fixpoint of all pairwise products
+        # (independent of the closure routine under test)
+        members = {0, *idx}
+        while (grown := members | {K.cayley[a][b] for a in members for b in members}) != members:
+            members = grown
+        hypothesis.assume(len(members) <= 24)  # the check below forms every product
         H = _close_generators("H", tag, n, [K.elements[x] for x in idx])
         assert set(H.elements) == {K.elements[x] for x in members}
         for a, qa in enumerate(H.elements):
@@ -216,22 +220,38 @@ def test_commutator_subgroups():
 
 def test_automorphism_counts():
     assert len(automorphism_group(build_group("dicyclic", 2))) == 24
-    for n in (3, 4, 5, 6, 8):
+    for n in (1, 3, 4, 5, 6, 8):  # C1: the empty generating sequence
         assert len(automorphism_group(build_group("cyclic", n))) == euler_phi(n)
+    # Aut(T) = S4, Aut(O) = S4 x C2, Aut(I) = S5
+    for tag, count in (("T", 24), ("O", 48), ("I", 120)):
+        assert len(automorphism_group(build_group(tag))) == count
+    # Aut(D_n) = Hol(C_2n) for n >= 3
+    for n in range(3, 13):
+        assert len(automorphism_group(build_group("dicyclic", n))) == 2 * n * euler_phi(2 * n)
 
 
 def test_automorphisms_preserve_structure():
-    K = build_group("dicyclic", 3)
-    autos = automorphism_group(K)
-    assert tuple(range(K.order)) in {a.image for a in autos}
-    rng = random.Random(5)
-    for a in autos:
-        assert a(0) == 0
-        for _ in range(30):
-            x, y = rng.randrange(K.order), rng.randrange(K.order)
-            assert a(K.cayley[x][y]) == K.cayley[a(x)][a(y)]
-        for x in range(K.order):
-            assert K.element_orders[a(x)] == K.element_orders[x]
+    for K in (build_group("dicyclic", 3), build_group("T")):
+        autos = automorphism_group(K)
+        assert tuple(range(K.order)) in {a.image for a in autos}
+        for a in autos:
+            assert a(0) == 0
+            for x in range(K.order):
+                for y in range(K.order):
+                    assert a(K.cayley[x][y]) == K.cayley[a(x)][a(y)]
+                assert K.element_orders[a(x)] == K.element_orders[x]
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)])
+def test_abelian_subgroups_are_cyclic(tag, n):
+    # subgroup_name relies on this; an abelian non-cyclic group would contain
+    # C_p x C_p, which two commuting elements generate
+    K = build_group(tag, n)
+    for x in range(K.order):
+        for y in range(K.order):
+            if K.cayley[x][y] == K.cayley[y][x]:
+                members = K.subgroup_closure([x, y])
+                assert max(K.element_orders[z] for z in members) == len(members)
 
 
 def test_rotation_twist_automorphism_swaps_half_subgroups():
