@@ -19,7 +19,6 @@ from .classify import (
     corollary_pair_search,
     dicyclic_record,
     find_isomorphisms,
-    lambda_set,
     order_scan,
 )
 from .golden import SUITES
@@ -112,7 +111,7 @@ def _parse_index(text: str) -> IndexQuadruple:
     parts = [int(v) for v in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("--index needs n,a,b,r")
-    return parts  # validated against Lambda_n later
+    return parts  # validated by IndexQuadruple
 
 
 def cmd_classify(args) -> int:
@@ -126,10 +125,6 @@ def cmd_classify(args) -> int:
             idx = IndexQuadruple(n, a, b, r)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return DOMAIN_ERROR
-        if idx not in lambda_set(n):
-            print(f"error: [{n},{a},{b},{r}] is not in the index set of D_{n}",
-                  file=sys.stderr)
             return DOMAIN_ERROR
         rec = dicyclic_record(idx)
         if args.format == "json":

@@ -352,24 +352,47 @@ def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
 
 
 def automorphism_group(K: FiniteQuaternionGroup, bound: int = 120) -> list[GroupAutomorphism]:
-    """All automorphisms: every same-order choice of images of a generating
-    sequence that extends to a bijective homomorphism."""
+    """All automorphisms of K: the quotient search with H = 1."""
     if K.order > bound:
         raise ValueError(f"automorphism search bound {bound} exceeded by |K| = {K.order}")
-    if K._automorphisms is not None:
-        return K._automorphisms
-    cay, orders = K.cayley, K.element_orders
-    gens = K.generating_sequence()
-    elements, right, _ = _generate(0, gens, lambda x, g: cay[x][g])
+    if K._automorphisms is None:
+        K._automorphisms = [GroupAutomorphism(K, img)
+                            for img in quotient_automorphisms(K, range(K.order))]
+    return K._automorphisms
+
+
+def quotient_automorphisms(K: FiniteQuaternionGroup, rep: Sequence[int]) -> list[tuple[int, ...]]:
+    """All automorphisms of K/H, for H given by its coset table rep[x] (the
+    least index in xH).
+
+    Every same-order choice of images of a generating sequence of K/H that
+    extends to a bijective homomorphism; each automorphism is returned as
+    ``image[x]``, the representative of the image of the coset xH, and the
+    list is sorted.
+    """
+    cay = K.cayley
+    cosets = sorted(set(rep))
+
+    def mul(c1: int, c2: int) -> int:
+        return rep[cay[c1][c2]]
+
+    orders = {}
+    for c in cosets:
+        k, y = 1, c
+        while y != 0:
+            y = mul(y, c)
+            k += 1
+        orders[c] = k
+    gens = [c for c in dict.fromkeys(rep[g] for g in K.generating_sequence()) if c != 0]
+    elements, right, _ = _generate(0, gens, mul)
     images = []
-    for targets in itertools.product(*([y for y in range(K.order) if orders[y] == orders[g]]
+    for targets in itertools.product(*([c for c in cosets if orders[c] == orders[g]]
                                        for g in gens)):
-        image = _extend_map(right, targets, lambda x, t: cay[x][t], 0)
-        if image is not None and len(set(image)) == K.order:
-            images.append(tuple(y for _, y in sorted(zip(elements, image))))
-    autos = [GroupAutomorphism(K, img) for img in sorted(images)]
-    K._automorphisms = autos
-    return autos
+        image = _extend_map(right, targets, mul, 0)
+        if image is not None and len(set(image)) == len(cosets):
+            on_cosets = dict(zip(elements, image))
+            images.append(tuple(on_cosets[c] for c in rep))
+    return sorted(images)
 
 
 def element_order_census(K: FiniteQuaternionGroup) -> dict[int, int]:

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .groups import (
     FiniteQuaternionGroup,
-    GroupAutomorphism,
     Subgroup,
     _generate,
     automorphism_group,
     build_group,
     is_normal,
+    normal_subgroups,
+    quotient_automorphisms,
 )
 from .numutil import divisors, prime_factorization
 
@@ -96,18 +97,6 @@ def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int],
     ``closed`` must already be circ-closed: only the seed elements outside it
     are queued, so extending a closed set costs no more than the new elements.
     """
-    return _circ_closure(K, seed, closed)
-
-
-def _extend_closure(K: FiniteQuaternionGroup, closed: frozenset, x: int) -> frozenset:
-    # One extension step of enumerate_systems, kept under this name because
-    # perfbench/tracer.py counts its calls (refsystems.extend_n, useful_ratio).
-    return _circ_closure(K, (x,), closed)
-
-
-def _circ_closure(K: FiniteQuaternionGroup, seed: Iterable[int], closed: frozenset) -> frozenset:
-    # The one circ-closure loop. It is private so that a traced run opens no
-    # span for each of the thousands of extension steps.
     circ = K.circ_table()
     current = set(closed)
     queue = [x for x in set(seed) if x not in current]
@@ -195,14 +184,6 @@ def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
     return False, None
 
 
-def _matches_under_autos(autos: Sequence[GroupAutomorphism], source: frozenset, target: frozenset) -> bool:
-    for phi in autos:
-        img = phi.image
-        if all(img[t] in target for t in source):
-            return True
-    return False
-
-
 def equivalence_class_subsets(L: ReflectionSystem) -> set[frozenset]:
     """All distinct reflection systems equivalent to L.
 
@@ -270,54 +251,29 @@ def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tu
 def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[ReflectionSystem]:
     """All reflection systems of K, one canonical representative per class.
 
-    Walks the lattice of circ-closed subsets containing the identity,
-    pruning states that are equivalent (translation + automorphism) to a
-    state already visited; every reflection system is reachable this way
-    because each one is built up by adjoining one generator at a time.
+    Every reflection system is some L_gamma = {x : gamma(xH) = x^-1 H} for a
+    normal subgroup H and an involutive automorphism gamma of K/H; the
+    L_gamma that generate K are canonicalised once per equivalence class.
     """
     if K.order > bound:
         raise ValueError(f"enumeration bound {bound} exceeded by |K| = {K.order}")
     if K._systems is not None:
         return K._systems
 
-    autos = automorphism_group(K)
-    start = frozenset({0})
-    reps: list[frozenset] = [start]
-    seen: dict[frozenset, int] = {start: 0}
-    queue = [start]
-
-    def classify(subset: frozenset) -> int:
-        cid = seen.get(subset)
-        if cid is not None:
-            return cid
-        # only the size separates classes: element orders are not
-        # translation-invariant
-        for i, rep in enumerate(reps):
-            if len(rep) != len(subset):
-                continue
-            for _, _, translated in _translates(K, subset):
-                if _matches_under_autos(autos, translated, rep):
-                    seen[subset] = i
-                    return i
-        reps.append(subset)
-        seen[subset] = len(reps) - 1
-        queue.append(subset)
-        return len(reps) - 1
-
-    while queue:
-        state = queue.pop()
-        if len(state) == K.order:
-            continue
-        for x in range(K.order):
-            if x not in state:
-                classify(_extend_closure(K, state, x))
-
+    seen: set[frozenset] = set()
     systems = []
-    for rep in reps:
-        if len(K.subgroup_closure(rep)) != K.order:
-            continue
-        canon = canonical_members(K, rep)
-        systems.append(ReflectionSystem(K, canon, minimal_generators(K, canon)))
+    for H in normal_subgroups(K):
+        rep = coset_representatives(K, H.members)
+        for gamma in quotient_automorphisms(K, rep):
+            if any(gamma[gamma[c]] != c for c in rep):
+                continue
+            members = frozenset(l_gamma(K, rep, gamma))
+            if members in seen or len(K.subgroup_closure(members)) != K.order:
+                continue
+            equivalent = _equivalent_sets(K, members)
+            seen |= equivalent
+            canon = min(tuple(sorted(s)) for s in equivalent)
+            systems.append(ReflectionSystem(K, canon, minimal_generators(K, canon)))
     systems.sort(key=lambda L: (L.size, L.members))
     K._systems = systems
     return systems
@@ -396,11 +352,12 @@ def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: dict[
 
 
 def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
-                              gamma: dict[int, int]) -> None:
+                              gamma: Mapping[int, int] | Sequence[int]) -> None:
     """Raise PreconditionError unless gamma is an involutive automorphism of K/H.
 
     ``rep`` is the coset-representative table of H and ``gamma`` maps every
-    coset representative to a coset representative.
+    coset representative to a coset representative (a dict, or a sequence
+    indexed by element such as ``quotient_automorphisms`` returns).
     """
     cosets = sorted(set(rep))
     for c1 in cosets:
@@ -413,7 +370,8 @@ def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
                                         f"gamma fails on cosets ({c1}, {c2})")
 
 
-def l_gamma(K: FiniteQuaternionGroup, rep: Sequence[int], gamma: dict[int, int]) -> tuple[int, ...]:
+def l_gamma(K: FiniteQuaternionGroup, rep: Sequence[int],
+            gamma: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
     """L_gamma = {x : gamma(xH) = x^-1 H}, ascending, from the coset table of H."""
     return tuple(x for x in range(K.order) if gamma[rep[x]] == rep[K.inv[x]])
 

@@ -1,6 +1,7 @@
 """Classification pipeline: index sets, records, scans, isomorphisms."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,9 @@ from quatrefl.classify import (
 )
 from quatrefl.refgroups import (
     iso_prescreen,
+    model_inv,
+    model_mul,
+    triple_order,
     verify_isomorphism,
 )
 
@@ -215,6 +219,28 @@ def test_order_192_four_groups_pairwise_distinct():
         for j in range(i + 1, 4):
             verdict, reasons = iso_prescreen(groups[i], groups[j])
             assert verdict == "distinct", (recs[i].label_str(), recs[j].label_str())
+
+
+def _conjugacy_class_count(G):
+    K, elements = G.K, sorted(G.elements)
+    seen, count = set(), 0
+    for x in elements:
+        if x not in seen:
+            count += 1
+            seen.update(model_mul(K, model_mul(K, g, x), model_inv(K, g)) for g in elements)
+    return count
+
+
+def test_order_192_four_groups_are_distinct_abstract_groups():
+    # class counts and element-order censuses are invariants of the abstract
+    # group, unlike iso_prescreen's reflection-orbit types
+    recs = [r for r in order_scan(192) if r.reflections == 22]
+    groups = {r.label_str(): group_for_record(r) for r in recs}
+    counts = {label: _conjugacy_class_count(G) for label, G in groups.items()}
+    assert counts == {"[12,2,3,2]": 36, "[24,3,8,1]": 33, "[6,1,3,4]": 30, "G_O(L20,C2)": 23}
+    censuses = {tuple(sorted(Counter(triple_order(G.K, x) for x in G.elements).items()))
+                for G in groups.values()}
+    assert len(censuses) == 4
 
 
 def test_no_cross_family_isomorphism_at_shared_orders():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,15 @@ from quatrefl import cli
 from quatrefl.cli import SizeBoundError, _build_from_args, main
 
 
-def run_cli(*args, env=None):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, env=None, timeout=None):
+    # the child imports quatrefl from this checkout's src, as the tests do
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "quatrefl.cli", *args],
-        capture_output=True, text=True, env=None if env is None else {**os.environ, **env})
+        [sys.executable, "-m", "quatrefl.cli", *args], capture_output=True, text=True,
+        timeout=timeout, env={**os.environ, "PYTHONPATH": path, **(env or {})})
 
 
 def test_group_summary():
@@ -87,6 +93,15 @@ def test_classify_index_summary():
 def test_classify_index_domain_error_exits_3():
     result = run_cli("classify", "--index", "6,1,3,5")
     assert result.returncode == 3
+
+
+def test_classify_index_huge_n_returns_at_once():
+    # the record is a closed form in n, a, b, r: no divisor search of n
+    result = run_cli("classify", "--index", "100000000000000000,1,1,200000000000000000",
+                     timeout=10)
+    assert result.returncode == 0
+    for bad in ("6,1,3,5", "6,2,3,2"):  # a*b*r is neither n nor 2n with a*b odd
+        assert run_cli("classify", "--index", bad).returncode == 3
 
 
 def test_classify_requires_one_selector():

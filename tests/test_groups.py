@@ -14,9 +14,10 @@ from quatrefl.groups import (
     element_order_census,
     group_contains,
     normal_subgroups,
+    quotient_automorphisms,
 )
 from quatrefl.numutil import euler_phi
-from quatrefl.refsystems import _dicyclic_element
+from quatrefl.refsystems import _dicyclic_element, coset_representatives
 
 
 def test_constructor_orders():
@@ -228,6 +229,32 @@ def test_automorphism_counts():
     # Aut(D_n) = Hol(C_2n) for n >= 3
     for n in range(3, 13):
         assert len(automorphism_group(build_group("dicyclic", n))) == 2 * n * euler_phi(2 * n)
+
+
+def _quotient_automorphisms(K, H_name):
+    H = next(H for H in normal_subgroups(K) if H.name == H_name)
+    return quotient_automorphisms(K, coset_representatives(K, H.members))
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
+                         + [("dicyclic", n) for n in range(2, 13)]
+                         + [("cyclic", n) for n in range(1, 13)])
+def test_quotient_search_with_trivial_h_is_automorphism_group(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    assert _quotient_automorphisms(K, "1") == [a.image for a in automorphism_group(K)]
+
+
+@pytest.mark.parametrize("tag,n,H_name,count", [
+    ("T", None, "C2", 24),   # T/C2 = A4
+    ("T", None, "Q8", 2),    # T/Q8 = C3
+    ("O", None, "C2", 24),   # O/C2 = S4
+    ("O", None, "Q8", 6),    # O/Q8 = S3
+    ("O", None, "T", 1),     # O/T = C2
+    ("I", None, "C2", 120),  # I/C2 = A5
+] + [("dicyclic", n, "C2", n * euler_phi(n)) for n in range(3, 13)])  # dihedral, order 2n
+def test_quotient_automorphism_counts(tag, n, H_name, count):
+    K = build_group(tag, n) if n else build_group(tag)
+    assert len(_quotient_automorphisms(K, H_name)) == count
 
 
 def test_automorphisms_preserve_structure():

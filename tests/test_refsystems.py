@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from quatrefl.exactarith import FieldScalar, Quaternion
-from quatrefl.groups import Subgroup, build_group, normal_subgroups
+from quatrefl.groups import Subgroup, build_group, normal_subgroups, quotient_automorphisms
 from quatrefl.refsystems import (
     DicyclicIndex,
     NonGeneratingSeedError,
     PreconditionError,
     ReflectionSystem,
     _dicyclic_element,
+    canonical_members,
     check_quotient_involution,
     close_system,
     close_under_circ,
@@ -22,6 +23,7 @@ from quatrefl.refsystems import (
     dicyclic_system,
     enumerate_systems,
     equivalence_class_subsets,
+    l_gamma,
     omega_count_formula,
     omega_set,
     orbit_partition,
@@ -128,6 +130,45 @@ def test_enumeration_octahedral_sizes_and_copies():
     systems = enumerate_systems(O)
     assert [L.size for L in systems] == [14, 18, 20, 32, 48]
     assert [copy_count(L) for L in systems] == [7, 9, 10, 4, 1]
+
+
+ORACLE_GROUPS = ([("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 13)]
+                 + [("cyclic", n) for n in range(1, 13)])
+
+
+@pytest.mark.parametrize("tag,n", ORACLE_GROUPS)
+def test_enumeration_matches_every_circ_closed_set(tag, n):
+    # every circ-closed set containing 1, reached by adjoining one element at
+    # a time with no equivalence pruning (O has 123 of them)
+    K = build_group(tag, n) if n else build_group(tag)
+    start = close_under_circ(K, (0,))
+    closed, queue = {start}, [start]
+    while queue:
+        S = queue.pop()
+        for x in range(K.order):
+            bigger = close_under_circ(K, (x,), S)
+            if bigger not in closed:
+                closed.add(bigger)
+                queue.append(bigger)
+    classes = {canonical_members(K, S) for S in closed if len(K.subgroup_closure(S)) == K.order}
+    assert sorted(classes, key=lambda m: (len(m), m)) == [L.members for L in enumerate_systems(K)]
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
+                         + [("dicyclic", n) for n in range(2, 9)])
+def test_quotient_involutions_pass_the_shared_check(tag, n):
+    # the gamma that enumerate_systems keeps are the involutive ones
+    K = build_group(tag, n) if n else build_group(tag)
+    for H in normal_subgroups(K):
+        rep = coset_representatives(K, H.members)
+        for gamma in quotient_automorphisms(K, rep):
+            if any(gamma[gamma[c]] != c for c in rep):
+                with pytest.raises(PreconditionError, match="not an involution"):
+                    check_quotient_involution(K, rep, gamma)
+                continue
+            check_quotient_involution(K, rep, gamma)
+            members = frozenset(l_gamma(K, rep, gamma))
+            assert 0 in members and close_under_circ(K, members) == members
 
 
 def test_omega_sets():
