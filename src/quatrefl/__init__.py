@@ -31,6 +31,7 @@ from .refgroups import (
     ReflectionGroup,
     ReflectionOrbitType,
     build_reflection_group,
+    diagonal_subgroups,
     generate_from_reflections,
     is_canonical,
     iso_prescreen,

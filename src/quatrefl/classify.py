@@ -21,25 +21,22 @@ from .groups import (
     default_max_order,
     normal_subgroups,
 )
-from .numutil import divisor_count, is_square
+from .numutil import divisor_count, divisors, is_square
 from .refsystems import (
     DicyclicIndex,
-    PreconditionError,
     ReflectionSystem,
     _translates,
     dicyclic_system,
     enumerate_systems,
-    l_gamma,
     omega_set,
 )
 from .refgroups import (
     ReflectionGroup,
     build_reflection_group,
-    induced_quotient_involution,
+    diagonal_subgroups,
     is_canonical,
     iso_prescreen,
     isomorphism_search,
-    minimal_diagonal_subgroup,
     reflection_orbit_types,
     verify_isomorphism,
 )
@@ -209,30 +206,12 @@ def _dedup_subgroups(L: ReflectionSystem, subgroups: list[Subgroup]) -> list[Sub
     return kept
 
 
-def _valid_higher(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
-                  H_L: Subgroup) -> bool:
-    L_set = L.member_set()
-    if not (H.order > H_L.order and H_L.member_set() <= H.member_set() <= L_set):
-        return False
-    if any(K.cayley[x][h] not in L_set for x in L.members for h in H.members):
-        return False  # LH != L
-    try:
-        gamma, rep, _ = induced_quotient_involution(K, L.members, H.members)
-    except PreconditionError:
-        return False
-    return l_gamma(K, rep, gamma) == L.members
-
-
 def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:
     """Base and higher-order canonical groups for every system class of K."""
     records: list[ClassificationRecord] = []
-    nsubs = normal_subgroups(K)
     for L in enumerate_systems(K):
-        H_L = minimal_diagonal_subgroup(K, L)
-        chosen = [H_L]
-        higher = [H for H in nsubs if _valid_higher(K, L, H, H_L)]
-        chosen.extend(_dedup_subgroups(L, higher))
-        for H in chosen:
+        H_L, *higher = diagonal_subgroups(K, L)
+        for H in [H_L] + _dedup_subgroups(L, higher):
             G = build_reflection_group(K, L, H)
             if not is_canonical(G):
                 raise AssertionError(
@@ -366,12 +345,10 @@ def polyhedral_records() -> tuple[ClassificationRecord, ...]:
 def order_scan(order: int) -> list[ClassificationRecord]:
     """All imprimitive rank-two records of a given order, both families."""
     records = []
-    n = 2
-    while 8 * n <= order:
-        if order % (8 * n) == 0:
+    if order % 8 == 0:
+        for n in divisors(order // 8)[1:]:
             r = order // (8 * n)
             records.extend(dicyclic_record(idx) for idx in lambda_set(n) if idx.r == r)
-        n += 1
     if order % 32 == 0 and is_square(order // 32):
         m = math.isqrt(order // 32)
         if m >= 2:

@@ -55,6 +55,7 @@ class FiniteQuaternionGroup:
         # lazily built caches
         self._circ: Optional[list[list[int]]] = None
         self._conj_classes: Optional[list[tuple[int, ...]]] = None
+        self._normal: Optional[list["Subgroup"]] = None
         self._automorphisms: Optional[list["GroupAutomorphism"]] = None
         self._systems = None
 
@@ -338,8 +339,11 @@ def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:
     def join(base: tuple[int, ...], cls: tuple[int, ...]) -> tuple[int, ...]:
         return base if cls[0] in base else K.subgroup_closure(base + cls)
 
-    found = _generate((0,), K.conjugacy_classes(), join)[0]
-    return sorted((Subgroup(K, members) for members in found), key=lambda s: (s.order, s.members))
+    if K._normal is None:
+        found = _generate((0,), K.conjugacy_classes(), join)[0]
+        K._normal = sorted((Subgroup(K, members) for members in found),
+                           key=lambda s: (s.order, s.members))
+    return K._normal
 
 
 def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:

@@ -30,11 +30,11 @@ from .groups import (
     commutator_subgroup,
     default_max_order,
     is_normal,
+    normal_subgroups,
 )
 from .refsystems import (
     PreconditionError,
     ReflectionSystem,
-    check_quotient_involution,
     coset_representatives,
     l_gamma,
 )
@@ -149,43 +149,38 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
                                 H_members: Sequence[int]):
     """The coset map gamma(bH) = b^-1 H seeded on L and extended along products.
 
+    K/H is walked from L's cosets by ``_generate`` and the seed is extended
+    by ``_extend_map``; a homomorphism that inverts a generating set is its
+    own inverse, so the result is an involutive automorphism of K/H.
     Returns (gamma, coset_rep, coset_members).  Raises PreconditionError when
-    the seed is inconsistent, the extension conflicts, or the result is not
-    an involutive automorphism of K/H.
+    the seed is inconsistent, L does not generate K/H, or the seed does not
+    extend to a homomorphism.
     """
     rep = coset_representatives(K, H_members)
     members: dict[int, list[int]] = {}
     for x in range(K.order):
         members.setdefault(rep[x], []).append(x)
     coset_members = {c: tuple(sorted(v)) for c, v in members.items()}
-    cosets = sorted(coset_members)
 
-    gamma: dict[int, int] = {}
+    seed: dict[int, int] = {}
     for x in L_members:
         c, image = rep[x], rep[K.inv[x]]
-        if gamma.setdefault(c, image) != image:
+        if seed.setdefault(c, image) != image:
             raise PreconditionError("quotient map ill-defined",
                                     f"coset of element {x} has conflicting inverses mod H")
-    # multiplicative extension; L generates K so all cosets are reached
-    changed = True
-    while changed and len(gamma) < len(cosets):
-        changed = False
-        known = list(gamma)
-        for c1 in known:
-            for c2 in known:
-                c3 = rep[K.cayley[c1][c2]]
-                image = rep[K.cayley[gamma[c1]][gamma[c2]]]
-                if c3 not in gamma:
-                    gamma[c3] = image
-                    changed = True
-                elif gamma[c3] != image:
-                    raise PreconditionError("quotient map inconsistent",
-                                            f"coset {c3} received two different images")
-    if len(gamma) < len(cosets):
+
+    def mul(c1: int, c2: int) -> int:
+        return rep[K.cayley[c1][c2]]
+
+    cosets, right, _ = _generate(0, list(seed), mul)
+    if len(cosets) < len(coset_members):
         raise PreconditionError("quotient map incomplete",
                                 "L does not generate K modulo H")
-    check_quotient_involution(K, rep, gamma)
-    return gamma, rep, coset_members
+    image = _extend_map(right, list(seed.values()), mul, 0)
+    if image is None:
+        raise PreconditionError("quotient map not multiplicative",
+                                "the seed on L does not extend to a homomorphism of K/H")
+    return dict(zip(cosets, image)), rep, coset_members
 
 
 def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
@@ -226,19 +221,30 @@ def is_canonical(G: ReflectionGroup) -> bool:
     return nondiagonal_reflections(G) == G.L.members
 
 
-def minimal_diagonal_subgroup(K: FiniteQuaternionGroup, L: ReflectionSystem) -> Subgroup:
-    """H_L: diagonal entries diag(h, 1) reachable from L's antidiagonal reflections.
+def diagonal_subgroups(K: FiniteQuaternionGroup, L: ReflectionSystem) -> list[Subgroup]:
+    """The normal H inside L over which L is L_gamma, in ``normal_subgroups`` order.
 
-    For L = K this is the commutator subgroup, which keeps the largest case
-    (the icosahedral group with 28800 elements downstream) cheap; the
-    identity is cross-checked against direct closure in the test suite.
+    These are exactly the H for which G_K(L, H) is canonical; the first is
+    H_L, the diagonal part of the group generated by L's antidiagonal
+    reflections (cross-checked against that closure in the test suite).
     """
-    if L.size == K.order:
-        return commutator_subgroup(K)
-    gens = [(b, K.inv[b], 1) for b in L.members]
-    elements = closure_of_triples(K, gens, bound=default_max_order())
-    members = sorted(x for (x, y, s) in elements if s == 0 and y == 0)
-    return Subgroup(K, tuple(members))
+    L_set = L.member_set()
+    out = []
+    for H in normal_subgroups(K):
+        if not L_set.issuperset(H.members):
+            continue
+        try:
+            gamma, rep, _ = induced_quotient_involution(K, L.members, H.members)
+        except PreconditionError:
+            continue
+        if l_gamma(K, rep, gamma) == L.members:
+            out.append(H)
+    return out
+
+
+def minimal_diagonal_subgroup(K: FiniteQuaternionGroup, L: ReflectionSystem) -> Subgroup:
+    """H_L: the least normal subgroup over which L is L_gamma."""
+    return diagonal_subgroups(K, L)[0]
 
 
 def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],

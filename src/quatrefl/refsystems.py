@@ -264,7 +264,10 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
     systems = []
     for H in normal_subgroups(K):
         rep = coset_representatives(K, H.members)
-        for gamma in quotient_automorphisms(K, rep):
+        # for H = 1, the search that automorphism_group caches on K
+        autos = ([phi.image for phi in automorphism_group(K)] if H.order == 1
+                 else quotient_automorphisms(K, rep))
+        for gamma in autos:
             if any(gamma[gamma[c]] != c for c in rep):
                 continue
             members = frozenset(l_gamma(K, rep, gamma))

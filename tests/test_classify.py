@@ -211,6 +211,20 @@ def test_order_scan_480():
     assert len(recs) == 8
 
 
+def test_order_scan_dicyclic_records_match_the_linear_walk():
+    # a record [n,a,b,r] has order 8nr, so only n dividing order/8 can reach it
+    for order in range(1, 4001):
+        linear = []
+        n = 2
+        while 8 * n <= order:
+            if order % (8 * n) == 0:
+                r = order // (8 * n)
+                linear.extend(dicyclic_record(idx) for idx in lambda_set(n) if idx.r == r)
+            n += 1
+        scanned = [rec for rec in order_scan(order) if rec.family == "dicyclic"]
+        assert scanned == sorted(linear, key=lambda rec: rec.label_str())
+
+
 def test_order_192_four_groups_pairwise_distinct():
     recs = [r for r in order_scan(192) if r.reflections == 22]
     assert len(recs) == 4

@@ -207,19 +207,39 @@ def test_size_guard_leaves_order_scans_alone():
     assert "isomorphism: [31,1,31,2] ~ [62,2,31,1]" in result.stdout
 
 
-@pytest.mark.parametrize("command", [("group", "--k", "dicyclic", "--n", "6"),
-                                     ("classify", "--order", "48"),
-                                     ("verify", "--suite", "table1")])
-@pytest.mark.parametrize("value,code,message", [
+MAX_ORDER_COMMANDS = [("group", "--k", "dicyclic", "--n", "6"),
+                      ("classify", "--order", "48"),
+                      ("verify", "--suite", "table1")]
+MAX_ORDER_VALUES = [
     ("abc", 2, "QUATREFL_MAX_ORDER"), ("", 2, "QUATREFL_MAX_ORDER"),
     ("-5", 2, "QUATREFL_MAX_ORDER"), ("0", 2, "QUATREFL_MAX_ORDER"),
-    ("500", 3, "bound")])  # legal, but below D6's 24^2 table and the closures
+    ("500", 3, "bound")]  # legal, but below D6's 24^2 table and table1's closures
+
+
+@pytest.mark.parametrize("command,value,code,message", [
+    pytest.param(command, value, code, message, id=f"{value}-{code}-{message}-command{i}")
+    for value, code, message in MAX_ORDER_VALUES
+    for i, command in enumerate(MAX_ORDER_COMMANDS)
+    # classify forms no reflection closure under the bound (see the next test)
+    if (value, command[0]) != ("500", "classify")])
 def test_bad_or_small_max_order_is_one_error_line(command, value, code, message):
     result = run_cli(*command, env={"QUATREFL_MAX_ORDER": value})
     assert result.returncode == code
     assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_classify_order_is_unbounded_by_a_small_max_order():
+    small = run_cli("classify", "--order", "48", env={"QUATREFL_MAX_ORDER": "500"})
+    assert small.returncode == 0
+    assert small.stdout == run_cli("classify", "--order", "48").stdout
+
+
+def test_classify_huge_order_returns_at_once():
+    # n runs over the divisors of order/8, not over every n <= order/8
+    result = run_cli("classify", "--order", "8000000000", timeout=10)
+    assert result.returncode == 0
 
 
 def test_systems_beyond_bound_exits_3():

@@ -25,6 +25,8 @@ from quatrefl.refsystems import (
 from quatrefl.refgroups import (
     PreconditionError,
     build_reflection_group,
+    closure_of_triples,
+    diagonal_subgroups,
     generate_from_reflections,
     induced_quotient_involution,
     is_canonical,
@@ -145,14 +147,39 @@ def test_minimal_diagonal_subgroup():
             assert set(H.members) == set(D.subgroup_closure([w2ab]))
 
 
+DIAGONAL_ORACLE_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                          + [("dicyclic", n) for n in range(2, 13)]
+                          + [("cyclic", n) for n in range(1, 13)])
+
+
+@pytest.mark.parametrize("tag,n", DIAGONAL_ORACLE_GROUPS)
+def test_diagonal_subgroups_are_the_canonical_h(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    for L in enumerate_systems(K):
+        if L.size == K.order == 120:
+            continue  # the closure below would walk all 28800 elements
+        canonical = []
+        for H in normal_subgroups(K):
+            try:
+                G = build_reflection_group(K, L, H)
+            except PreconditionError:
+                continue
+            if is_canonical(G):
+                canonical.append(H)
+        got = diagonal_subgroups(K, L)
+        assert got == canonical
+        # H_L as first defined: the diagonal part of the group that L's
+        # antidiagonal reflections generate
+        closed = closure_of_triples(K, [(b, K.inv[b], 1) for b in L.members])
+        assert got[0].members == tuple(sorted(x for x, y, s in closed if s == 0 and y == 0))
+
+
 def test_commutator_identity_for_full_systems():
     # H_{L=K} equals the commutator subgroup, checked by direct closure
     for tag, n in (("cyclic", 6), ("dicyclic", 2), ("dicyclic", 3), ("T", None), ("O", None)):
         K = build_group(tag, n) if n else build_group(tag)
         L = close_system(K, tuple(range(K.order)))
         gens = [(b, K.inv[b], 1) for b in L.members]
-        from quatrefl.refgroups import closure_of_triples
-
         closed = closure_of_triples(K, gens)
         direct = sorted(x for (x, y, s) in closed if s == 0 and y == 0)
         assert tuple(direct) == commutator_subgroup(K).members
