@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
-    automorphism_group,
     build_group,
     default_max_order,
     normal_subgroups,
@@ -25,10 +24,11 @@ from .numutil import divisor_count, divisors, is_square
 from .refsystems import (
     DicyclicIndex,
     ReflectionSystem,
-    _translates,
+    dicyclic_element,
     dicyclic_system,
     enumerate_systems,
     omega_set,
+    stabilizer,
 )
 from .refgroups import (
     ReflectionGroup,
@@ -173,27 +173,11 @@ def lambda_count_formula(n: int) -> int:
 # -- per-K classification ----------------------------------------------------
 
 
-def _stabilizing_automorphisms(L: ReflectionSystem):
-    """Automorphisms that map some member-translate of L back onto L."""
-    K = L.parent
-    target = L.member_set()
-    autos = automorphism_group(K)
-    if L.size == K.order:
-        return autos
-    out = []
-    translates = _translates(K, target)
-    for phi in autos:
-        img = phi.image
-        for _, _, translated in translates:
-            if all(img[t] in target for t in translated):
-                out.append(phi)
-                break
-    return out
-
-
 def _dedup_subgroups(L: ReflectionSystem, subgroups: list[Subgroup]) -> list[Subgroup]:
     """One representative H per orbit under the stabilizer of L's class."""
-    stab = _stabilizing_automorphisms(L)
+    if not subgroups:
+        return []
+    stab = stabilizer(L)
     seen: set[frozenset] = set()
     kept = []
     for H in subgroups:
@@ -287,9 +271,7 @@ def build_index_group(idx: IndexQuadruple) -> ReflectionGroup:
 
 
 def _omega_power(K: FiniteQuaternionGroup, e: int) -> int:
-    from .refsystems import _dicyclic_element
-
-    return _dicyclic_element(K, e % (2 * K.n), 0)
+    return dicyclic_element(K, e % (2 * K.n), 0)
 
 
 def dicyclic_record(idx: IndexQuadruple) -> ClassificationRecord:
@@ -509,8 +491,6 @@ def the_polyhedral_isomorphism():
 
 def the_dicyclic_family_isomorphism(n: int):
     """The verified map G(n,1,n,2) -> G(2n,2,n,1) for odd n."""
-    from .refsystems import _dicyclic_element
-
     if n % 2 == 0:
         raise ValueError("the family needs odd n")
     G1 = build_index_group(IndexQuadruple(n, 1, n, 2))
@@ -520,12 +500,12 @@ def the_dicyclic_family_isomorphism(n: int):
     def refl(K, idx):
         return (idx, K.inv[idx], 1)
 
-    minus1 = _dicyclic_element(K1, n, 0)
+    minus1 = dicyclic_element(K1, n, 0)
     pairs = [
         (refl(K1, 0), refl(K2, 0)),
-        (refl(K1, _dicyclic_element(K1, 1, 0)), refl(K2, _dicyclic_element(K2, 2, 0))),
-        (refl(K1, _dicyclic_element(K1, 0, 1)), refl(K2, _dicyclic_element(K2, 0, 1))),
-        ((0, minus1, 0), refl(K2, _dicyclic_element(K2, n, 1))),
+        (refl(K1, dicyclic_element(K1, 1, 0)), refl(K2, dicyclic_element(K2, 2, 0))),
+        (refl(K1, dicyclic_element(K1, 0, 1)), refl(K2, dicyclic_element(K2, 0, 1))),
+        ((0, minus1, 0), refl(K2, dicyclic_element(K2, n, 1))),
     ]
     return G1, G2, pairs
 

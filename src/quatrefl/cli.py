@@ -30,6 +30,9 @@ SCHEMA_VERSION = 1
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 
+# corollary_pair_search is linear in --max-n: about 8 s at 2 * 10^6 for type (ii)
+MAX_ISO_SEARCH_N = 10**6
+
 
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
@@ -133,6 +136,9 @@ def cmd_classify(args) -> int:
             _print_records([rec])
         return 0
     if args.order is not None:
+        if args.order < 1:
+            print("error: --order must be at least 1", file=sys.stderr)
+            return USAGE_ERROR
         try:
             records = order_scan(args.order)
             isos = find_isomorphisms(records)
@@ -192,6 +198,10 @@ def cmd_iso_search(args) -> int:
     if args.max_n < 2:
         print("error: --max-n must be at least 2", file=sys.stderr)
         return USAGE_ERROR
+    if args.max_n > MAX_ISO_SEARCH_N:
+        print(f"error: --max-n {args.max_n} exceeds the bound {MAX_ISO_SEARCH_N} "
+              "(the search is linear in n)", file=sys.stderr)
+        return DOMAIN_ERROR
     pairs = corollary_pair_search(args.max_n, args.type)
     if args.format == "json":
         _emit_json({"type": args.type, "max_n": args.max_n,

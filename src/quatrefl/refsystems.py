@@ -147,27 +147,24 @@ def orbit_partition(L: ReflectionSystem) -> list[tuple[int, ...]]:
 # -- equivalence ----------------------------------------------------------
 
 
-def _translates(K: FiniteQuaternionGroup, members: frozenset):
-    """All left/right member-translates xL, Lx (each contains the identity)."""
+def _translates(K: FiniteQuaternionGroup, members: frozenset) -> dict[frozenset, int]:
+    """Each distinct member translate xL (it contains 1), mapped to its least x.
+
+    L holds 1 and is closed under a o b = a b^-1 a, hence under inverses
+    (1 o y = y^-1) and under x o y^-1 = x y x.  So x L x = L, and every right
+    translate L x is the left translate x^-1 L.
+    """
     cay = K.cayley
-    seen = set()
-    out = []
-    for x in members:
-        left = frozenset(cay[x][y] for y in members)
-        if left not in seen:
-            seen.add(left)
-            out.append((x, "left", left))
-        right = frozenset(cay[y][x] for y in members)
-        if right not in seen:
-            seen.add(right)
-            out.append((x, "right", right))
+    out: dict[frozenset, int] = {}
+    for x in sorted(members):
+        out.setdefault(frozenset(cay[x][y] for y in members), x)
     return out
 
 
 def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
-    """Equivalence test with witness: L2 == phi(x*L1) or phi(L1*x).
+    """Equivalence test with witness: L2 == phi(x*L1) for a member x of L1.
 
-    Returns (True, (x, side, phi)) or (False, None).
+    Returns (True, (x, phi)) or (False, None).
     """
     if L1.parent is not L2.parent:
         raise ValueError("systems must share a parent group")
@@ -176,19 +173,18 @@ def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
     K = L1.parent
     target = L2.member_set()
     autos = automorphism_group(K)
-    for x, side, translated in _translates(K, L1.member_set()):
+    for translated, x in _translates(K, L1.member_set()).items():
         for phi in autos:
             img = phi.image
             if all(img[t] in target for t in translated):
-                return True, (x, side, phi)
+                return True, (x, phi)
     return False, None
 
 
 def equivalence_class_subsets(L: ReflectionSystem) -> set[frozenset]:
-    """All distinct reflection systems equivalent to L.
+    """All distinct reflection systems equivalent to L: the sets phi(x*L).
 
-    Every equivalent system (a set containing the identity) arises as
-    phi(x*L) or phi(L*x) with x a member, because any identity-containing
+    Here x runs over L's members and phi over Aut(K).  Any identity-containing
     two-sided translate x*L*y equals an inner twist of a member translate.
     """
     return _equivalent_sets(L.parent, L.member_set())
@@ -198,11 +194,28 @@ def _equivalent_sets(K: FiniteQuaternionGroup, members: frozenset) -> set[frozen
     if len(members) == K.order:
         return {members}
     autos = automorphism_group(K)
-    return {
-        frozenset(phi.image[t] for t in translated)
-        for _, _, translated in _translates(K, members)
-        for phi in autos
-    }
+    orbit: set[frozenset] = set()
+    for translated in _translates(K, members):
+        # a translate already in the orbit brings its whole Aut-orbit with it
+        if translated not in orbit:
+            orbit.update(frozenset(phi.image[t] for t in translated) for phi in autos)
+    return orbit
+
+
+def stabilizer(L: ReflectionSystem) -> list:
+    """The automorphisms phi of K with phi(L) a member translate of L.
+
+    These are exactly the phi with phi(xL) = L for a member x: then
+    phi(L) = phi(x^-1) L, and x^-1 = x (x^-1 o 1) lies in xL.  All of Aut(K)
+    when L = K; listed in ``automorphism_group`` order.
+    """
+    K = L.parent
+    autos = automorphism_group(K)
+    if L.size == K.order:
+        return autos
+    translates = _translates(K, L.member_set())
+    return [phi for phi in autos
+            if frozenset(phi.image[t] for t in L.members) in translates]
 
 
 def copy_count(L: ReflectionSystem) -> int:
@@ -313,13 +326,13 @@ def dicyclic_system(idx: DicyclicIndex) -> ReflectionSystem:
     K = build_group("dicyclic", idx.n)
     n = idx.n
     # locate elements by their symbolic role: w = the embedded zeta_2n
-    w = _dicyclic_element(K, idx.a, 0)
-    j = _dicyclic_element(K, 0, 1)
-    wbj = _dicyclic_element(K, idx.b, 1)
+    w = dicyclic_element(K, idx.a, 0)
+    j = dicyclic_element(K, 0, 1)
+    wbj = dicyclic_element(K, idx.b, 1)
     return close_system(K, (0, w, j, wbj))
 
 
-def _dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
+def dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
     """Index of w^e (s = 0) or w^e * j (s = 1) in a dicyclic group."""
     from .exactarith import Quaternion, embedded_circle_element
 

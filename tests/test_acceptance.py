@@ -30,10 +30,10 @@ from quatrefl.groups import (
 )
 from quatrefl.refsystems import (
     DicyclicIndex,
-    _dicyclic_element,
     close_system,
     close_under_circ,
     copy_count,
+    dicyclic_element,
     dicyclic_system,
     enumerate_systems,
     omega_count_formula,
@@ -346,8 +346,8 @@ def test_criterion_12_property_suites():
         D = build_group("dicyclic", n)
         for idx in omega_set(n):
             L = dicyclic_system(DicyclicIndex(n, idx.a, idx.b))
-            for side, seed in ((idx.a, _dicyclic_element(D, idx.a, 0)),
-                               (idx.b, _dicyclic_element(D, idx.b, 1))):
+            for side, seed in ((idx.a, dicyclic_element(D, idx.a, 0)),
+                               (idx.b, dicyclic_element(D, idx.b, 1))):
                 size = len(system_orbit(L, seed))
                 expected = 2 * n // side if (n // side) % 2 else n // side
                 ok &= size == expected

@@ -242,6 +242,36 @@ def test_classify_huge_order_returns_at_once():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("order", ["0", "-8"])
+def test_classify_non_positive_order_is_a_usage_error(order):
+    result = run_cli("classify", "--order", order)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "--order" in result.stderr
+
+
+@pytest.mark.parametrize("max_n", ["1000001", "1000000000000000000"])
+def test_iso_search_beyond_bound_exits_3_at_once(max_n):
+    result = run_cli("iso-search", "--max-n", max_n, "--type", "ii", timeout=10)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "bound 1000000" in result.stderr
+
+
+def test_iso_search_at_the_bound_reaches_the_search(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "corollary_pair_search", reached)
+    with pytest.raises(Reached):
+        main(["iso-search", "--max-n", "1000000", "--type", "i"])
+
+
 def test_systems_beyond_bound_exits_3():
     result = run_cli("systems", "--k", "dicyclic", "--n", "31")
     assert result.returncode == 3

@@ -162,3 +162,60 @@ def test_rendering_named_radicals():
     zeta = Quaternion.from_rationals(4, (Fraction(1, 2),) * 4)
     assert zeta.render() == "1/2 + 1/2*i + 1/2*j + 1/2*k"
     assert Quaternion.zero(4).render() == "0"
+
+
+# conductors with phi(m) <= 16; each lifts into the larger conductor beside it
+SMALL_CONDUCTORS = [(1, 3), (3, 12), (4, 8), (5, 20), (8, 24), (12, 24), (20, 40), (24, 48)]
+
+
+def _scalar(st, m):
+    # any integer combination of zeta_m^0 .. zeta_m^(m-1), so reduction is exercised
+    nums = st.lists(st.integers(-6, 6), min_size=1, max_size=m)
+    return st.builds(lambda ns, d: FieldScalar(m, ns, d), nums, st.integers(1, 6))
+
+
+def test_field_scalar_laws_in_small_conductors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
+    @hypothesis.given(st.data())
+    def laws(data):
+        m, big_m = data.draw(st.sampled_from(SMALL_CONDUCTORS))
+        a, b, c = (data.draw(_scalar(st, m)) for _ in range(3))
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        if not a.is_zero():
+            assert a * a.inverse() == FieldScalar.one(m)
+        assert (a + b).lift(big_m) == a.lift(big_m) + b.lift(big_m)
+        assert (a * b).lift(big_m) == a.lift(big_m) * b.lift(big_m)
+
+    laws()
+
+
+def test_field_scalar_sparse_products_in_conductor_800():
+    # D200's field: phi(800) = 320, elements with a few roots of unity
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    m = 800
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    terms = st.lists(st.tuples(coeffs, st.integers(0, m - 1)), min_size=1, max_size=3)
+
+    def sparse(pairs):
+        total = FieldScalar.zero(m)
+        for coeff, k in pairs:
+            total = total + FieldScalar.from_rational(m, coeff) * FieldScalar.root_of_unity(m, k)
+        return total
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
+    @hypothesis.given(terms, terms, terms)
+    def products(ta, tb, tc):
+        a, b, c = sparse(ta), sparse(tb), sparse(tc)
+        left, right = (a * b) * c, a * (b * c)
+        assert left == right and hash(left) == hash(right)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        again = sparse(ta[::-1])
+        assert again == a and hash(again) == hash(a)
+
+    products()

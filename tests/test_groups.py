@@ -17,7 +17,7 @@ from quatrefl.groups import (
     quotient_automorphisms,
 )
 from quatrefl.numutil import euler_phi
-from quatrefl.refsystems import _dicyclic_element, coset_representatives
+from quatrefl.refsystems import coset_representatives, dicyclic_element
 
 
 def test_constructor_orders():
@@ -104,7 +104,7 @@ def test_symbolic_vs_closure_construction():
                 assert K.cayley[sym[a]][sym[b]] == sym[(a + b) % n]
     for n in (2, 3, 4, 5, 6):
         K = build_group("dicyclic", n)
-        sym = {(e, s): _dicyclic_element(K, e, s) for e in range(2 * n) for s in (0, 1)}
+        sym = {(e, s): dicyclic_element(K, e, s) for e in range(2 * n) for s in (0, 1)}
         assert sorted(sym.values()) == list(range(4 * n))
         for (a, s), x in sym.items():
             assert K.inv[x] == (sym[-a % (2 * n), 0] if s == 0 else sym[(a + n) % (2 * n), 1])
@@ -215,7 +215,7 @@ def test_commutator_subgroups():
         comm = commutator_subgroup(D)
         assert comm.order == n
         # the commutator subgroup is the even rotation part <w^2>
-        w2 = _dicyclic_element(D, 2, 0)
+        w2 = dicyclic_element(D, 2, 0)
         assert set(comm.members) == set(D.subgroup_closure([w2]))
 
 
@@ -288,14 +288,14 @@ def test_rotation_twist_automorphism_swaps_half_subgroups():
         D = build_group("dicyclic", n)
         image = [0] * D.order
         for e in range(2 * n):
-            image[_dicyclic_element(D, e, 0)] = _dicyclic_element(D, e, 0)
-            image[_dicyclic_element(D, e, 1)] = _dicyclic_element(D, e + 1, 1)
+            image[dicyclic_element(D, e, 0)] = dicyclic_element(D, e, 0)
+            image[dicyclic_element(D, e, 1)] = dicyclic_element(D, e + 1, 1)
         image = tuple(image)
         assert image in {a.image for a in automorphism_group(D)}
         first = frozenset(D.subgroup_closure(
-            [_dicyclic_element(D, 2, 0), _dicyclic_element(D, 0, 1)]))
+            [dicyclic_element(D, 2, 0), dicyclic_element(D, 0, 1)]))
         second = frozenset(D.subgroup_closure(
-            [_dicyclic_element(D, 2, 0), _dicyclic_element(D, 1, 1)]))
+            [dicyclic_element(D, 2, 0), dicyclic_element(D, 1, 1)]))
         assert frozenset(image[x] for x in first) == second
 
 

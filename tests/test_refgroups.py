@@ -16,8 +16,8 @@ from quatrefl.groups import (
 )
 from quatrefl.refsystems import (
     DicyclicIndex,
-    _dicyclic_element,
     close_system,
+    dicyclic_element,
     dicyclic_system,
     enumerate_systems,
     omega_set,
@@ -143,7 +143,7 @@ def test_minimal_diagonal_subgroup():
             L = dicyclic_system(DicyclicIndex(n, idx.a, idx.b))
             H = minimal_diagonal_subgroup(D, L)
             assert H.order == n // (idx.a * idx.b)
-            w2ab = _dicyclic_element(D, (2 * idx.a * idx.b) % (2 * n), 0)
+            w2ab = dicyclic_element(D, (2 * idx.a * idx.b) % (2 * n), 0)
             assert set(H.members) == set(D.subgroup_closure([w2ab]))
 
 
@@ -215,7 +215,7 @@ def test_higher_dicyclic_canonical_iff_ab_odd():
             r = 2 * n // (idx.a * idx.b)
             L = dicyclic_system(DicyclicIndex(n, idx.a, idx.b))
             H = Subgroup(D, D.subgroup_closure(
-                [_dicyclic_element(D, (2 * n // r) % (2 * n), 0)]))
+                [dicyclic_element(D, (2 * n // r) % (2 * n), 0)]))
             G = build_reflection_group(D, L, H)
             assert is_canonical(G) == ((idx.a * idx.b) % 2 == 1)
 

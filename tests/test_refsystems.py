@@ -7,19 +7,25 @@ from fractions import Fraction
 import pytest
 
 from quatrefl.exactarith import FieldScalar, Quaternion
-from quatrefl.groups import Subgroup, build_group, normal_subgroups, quotient_automorphisms
+from quatrefl.groups import (
+    Subgroup,
+    automorphism_group,
+    build_group,
+    normal_subgroups,
+    quotient_automorphisms,
+)
 from quatrefl.refsystems import (
     DicyclicIndex,
     NonGeneratingSeedError,
     PreconditionError,
     ReflectionSystem,
-    _dicyclic_element,
     canonical_members,
     check_quotient_involution,
     close_system,
     close_under_circ,
     copy_count,
     coset_representatives,
+    dicyclic_element,
     dicyclic_system,
     enumerate_systems,
     equivalence_class_subsets,
@@ -28,6 +34,7 @@ from quatrefl.refsystems import (
     omega_set,
     orbit_partition,
     power_lemma_check,
+    stabilizer,
     subgroup_copy_count,
     system_from_automorphism,
     system_orbit,
@@ -105,8 +112,9 @@ def test_equivalence_with_witness():
     copy = ReflectionSystem(T, tuple(translated), (0,))
     eq, witness = systems_equivalent(L12, copy)
     assert eq and witness is not None
-    x, side, phi = witness
-    assert side in ("left", "right") and x in L12.member_set()
+    x, phi = witness
+    assert x in L12.member_set()
+    assert {phi.image[T.cayley[x][y]] for y in L12.members} == copy.member_set()
     L24 = close_system(T, (0, t_index("i"), t_index("j"), t_index("zeta")))
     assert systems_equivalent(L12, L24) == (False, None)
 
@@ -152,6 +160,24 @@ def test_enumeration_matches_every_circ_closed_set(tag, n):
                 queue.append(bigger)
     classes = {canonical_members(K, S) for S in closed if len(K.subgroup_closure(S)) == K.order}
     assert sorted(classes, key=lambda m: (len(m), m)) == [L.members for L in enumerate_systems(K)]
+
+
+@pytest.mark.parametrize("tag,n", ORACLE_GROUPS + [("I", None)])
+def test_equivalence_action_matches_two_sided_translates(tag, n):
+    # the unpruned action: left and right member translates under all of Aut(K)
+    K = build_group(tag, n) if n else build_group(tag)
+    autos = automorphism_group(K)
+    cay = K.cayley
+    for L in enumerate_systems(K):
+        mem = L.member_set()
+        assert all({cay[cay[x][y]][x] for y in mem} == mem for x in mem)
+        translates = ({frozenset(cay[x][y] for y in mem) for x in mem}
+                      | {frozenset(cay[y][x] for y in mem) for x in mem})
+        orbit = {frozenset(phi.image[t] for t in T) for T in translates for phi in autos}
+        assert equivalence_class_subsets(L) == orbit
+        fixing = {phi.image for phi in autos
+                  if any(frozenset(phi.image[t] for t in T) == mem for T in translates)}
+        assert {phi.image for phi in stabilizer(L)} == fixing
 
 
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
@@ -208,8 +234,8 @@ def test_dicyclic_system_shape():
         for idx in omega_set(n):
             L = dicyclic_system(DicyclicIndex(n, idx.a, idx.b))
             assert L.size == 2 * n // idx.a + 2 * n // idx.b
-            expected = {_dicyclic_element(D, m * idx.a, 0) for m in range(2 * n // idx.a)}
-            expected |= {_dicyclic_element(D, l * idx.b, 1) for l in range(2 * n // idx.b)}
+            expected = {dicyclic_element(D, m * idx.a, 0) for m in range(2 * n // idx.a)}
+            expected |= {dicyclic_element(D, l * idx.b, 1) for l in range(2 * n // idx.b)}
             assert L.member_set() == expected
 
 
@@ -229,8 +255,8 @@ def test_dicyclic_orbit_criteria_and_sizes():
         D = build_group("dicyclic", n)
         for idx in omega_set(n):
             L = dicyclic_system(DicyclicIndex(n, idx.a, idx.b))
-            one, wa = 0, _dicyclic_element(D, idx.a, 0)
-            jj, wbj = _dicyclic_element(D, 0, 1), _dicyclic_element(D, idx.b, 1)
+            one, wa = 0, dicyclic_element(D, idx.a, 0)
+            jj, wbj = dicyclic_element(D, 0, 1), dicyclic_element(D, idx.b, 1)
             orb_one, orb_wa = system_orbit(L, one), system_orbit(L, wa)
             assert (orb_one == orb_wa) == ((n // idx.a) % 2 == 1)
             expected = 2 * n // idx.a if (n // idx.a) % 2 else n // idx.a
@@ -424,8 +450,8 @@ def test_power_lemma_examples():
     T = T_group()
     assert power_lemma_check(T, t_index("i"), t_index("i"), 5)
     D6 = build_group("dicyclic", 6)
-    j6 = _dicyclic_element(D6, 0, 1)
-    wj6 = _dicyclic_element(D6, 1, 1)
+    j6 = dicyclic_element(D6, 0, 1)
+    wj6 = dicyclic_element(D6, 1, 1)
     assert power_lemma_check(D6, j6, wj6, 3)
     assert power_lemma_check(T, t_index("i"), 0, 2)
 
