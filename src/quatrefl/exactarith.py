@@ -1,10 +1,16 @@
 """Exact arithmetic for cyclotomic field elements and quaternions over them.
 
-A scalar is an element of Q(zeta_m) stored as the reduced residue modulo the
-m-th cyclotomic polynomial: an integer coefficient vector of length phi(m)
-over a single positive denominator, with the gcd of everything divided out.
-Equality of scalars is equality of these normal forms, so all comparisons in
-the package are exact.  No floating point is used anywhere.
+A scalar is an element of Q(zeta_m) stored as its reduced residue modulo the
+m-th cyclotomic polynomial Phi_m, in the power basis 1, zeta_m, ...,
+zeta_m^(phi(m)-1).  Only the nonzero coefficients are stored: a sorted tuple
+of (power, numerator) pairs over a single positive denominator, with the gcd
+of everything divided out.  The elements the package builds have a handful
+of nonzero coefficients out of phi(m) (at most 5 of 320 in D200's field), so
+a product is a sum over pairs of terms of the reduced powers of zeta_m, which
+each conductor tabulates once.  The dense coefficient vector is derived only
+where a full basis listing is asked for.  Equality of scalars is equality of
+these normal forms, so all comparisons in the package are exact.  No
+floating point is used anywhere.
 
 Quaternions are 4-tuples of scalars sharing one conductor, multiplied with
 the Hamilton rules i^2 = j^2 = k^2 = ijk = -1.
@@ -57,38 +63,30 @@ def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 
 class _FieldContext:
-    """Per-conductor reduction data: Phi_m and the reduced powers of zeta_m."""
+    """Per-conductor reduction data: phi(m) and the reduced powers of zeta_m.
 
-    __slots__ = ("m", "poly", "phi", "zeta_pows")
+    ``pows[k]`` is zeta_m^k for 0 <= k < m as the sorted tuple of its nonzero
+    (power, coefficient) pairs in the reduced power basis.
+    """
+
+    __slots__ = ("phi", "pows")
 
     def __init__(self, m: int):
-        self.m = m
-        self.poly = cyclotomic_polynomial(m)
-        self.phi = len(self.poly) - 1
-        pows = []
-        v = [0] * self.phi
-        v[0] = 1
-        for _ in range(m):
-            pows.append(tuple(v))
-            v = [0] + v
-            c = v.pop()
-            if c:
-                for i in range(self.phi):
-                    v[i] -= c * self.poly[i]
-        self.zeta_pows = pows
-
-    def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        """Reduce an integer coefficient list modulo Phi_m (in place)."""
-        for i in range(len(coeffs) - 1, self.phi - 1, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = 0
-                base = i - self.phi
-                for k in range(self.phi):
-                    coeffs[base + k] -= c * self.poly[k]
-        out = coeffs[: self.phi]
-        out.extend([0] * (self.phi - len(out)))
-        return tuple(out)
+        poly = cyclotomic_polynomial(m)
+        self.phi = phi = len(poly) - 1
+        # Phi_m is monic, so zeta^phi = -(poly[0] + poly[1] zeta + ...)
+        top = [(i, -c) for i, c in enumerate(poly[:phi]) if c]
+        pows = [((k, 1),) for k in range(min(phi, m))]
+        for k in range(phi, m):
+            acc: dict[int, int] = {}
+            for i, c in pows[k - 1]:
+                if i + 1 < phi:
+                    acc[i + 1] = acc.get(i + 1, 0) + c
+                else:
+                    for j, t in top:
+                        acc[j] = acc.get(j, 0) + c * t
+            pows.append(tuple(sorted([item for item in acc.items() if item[1]])))
+        self.pows = pows
 
 
 @lru_cache(maxsize=None)
@@ -96,43 +94,52 @@ def _field(m: int) -> _FieldContext:
     return _FieldContext(m)
 
 
-def _normalize(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
-    nums = list(nums)
-    if den < 0:
-        den = -den
-        nums = [-v for v in nums]
-    g = reduce(math.gcd, nums, den)
-    if g > 1:
-        den //= g
-        nums = [v // g for v in nums]
-    return tuple(nums), den
+def _scalar(m: int, acc: dict[int, int], den: int, out: "FieldScalar | None" = None) -> "FieldScalar":
+    """sum(v * zeta_m^p for p, v in acc.items()) / den in normal form.
+
+    ``acc`` maps reduced powers (< phi(m)) to integer numerators and den is
+    positive.  The result is written into ``out`` when given.
+    """
+    terms = sorted([item for item in acc.items() if item[1]])
+    if den > 1:
+        g = math.gcd(den, *[v for _, v in terms])
+        if g > 1:
+            den //= g
+            terms = [(p, v // g) for p, v in terms]
+    s = FieldScalar.__new__(FieldScalar) if out is None else out
+    s.m, s.terms, s.den = m, tuple(terms), den
+    s._hash = hash((m, s.terms, den))
+    return s
 
 
 class FieldScalar:
-    """An element of Q(zeta_m) in reduced normal form."""
+    """An element of Q(zeta_m) in reduced normal form.
 
-    __slots__ = ("m", "nums", "den", "_hash")
+    ``terms`` holds the nonzero (power, numerator) pairs in increasing power
+    and ``den`` the positive common denominator; zero is ``()`` over 1.
+    """
 
-    def __init__(self, m: int, nums: Iterable[int], den: int = 1, _reduced: bool = False):
-        ctx = _field(m)
-        if not _reduced:
-            nums = ctx.reduce(list(nums))
-        nums, den = _normalize(nums, den)
-        if len(nums) != ctx.phi:
-            raise ValueError(f"expected {ctx.phi} coefficients for conductor {m}")
-        self.m = m
-        self.nums = nums
-        self.den = den
-        self._hash = hash((m, nums, den))
+    __slots__ = ("m", "terms", "den", "_hash")
+
+    def __init__(self, m: int, nums: Iterable[int] = (), den: int = 1):
+        """The scalar sum(nums[i] * zeta_m^i) / den; nums may have any length."""
+        if den == 0:
+            raise ZeroDivisionError("field scalar with denominator 0")
+        sign = -1 if den < 0 else 1
+        pows = _field(m).pows
+        acc: dict[int, int] = {}
+        for i, v in enumerate(nums):
+            if v:
+                for p, c in pows[i % m]:
+                    acc[p] = acc.get(p, 0) + sign * v * c
+        _scalar(m, acc, sign * den, self)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, m: int, value) -> "FieldScalar":
         value = Fraction(value)
-        nums = [0] * _field(m).phi
-        nums[0] = value.numerator
-        return cls(m, nums, value.denominator, _reduced=True)
+        return _scalar(m, {0: value.numerator}, value.denominator)
 
     @classmethod
     def zero(cls, m: int) -> "FieldScalar":
@@ -145,7 +152,7 @@ class FieldScalar:
     @classmethod
     def root_of_unity(cls, m: int, k: int) -> "FieldScalar":
         """zeta_m^k as a reduced scalar of conductor m."""
-        return cls(m, _field(m).zeta_pows[k % m], 1, _reduced=True)
+        return _scalar(m, dict(_field(m).pows[k % m]), 1)
 
     @classmethod
     def sqrt2(cls, m: int) -> "FieldScalar":
@@ -180,30 +187,37 @@ class FieldScalar:
     def __add__(self, other: "FieldScalar") -> "FieldScalar":
         self._check(other)
         d1, d2 = self.den, other.den
-        nums = [a * d2 + b * d1 for a, b in zip(self.nums, other.nums)]
-        return FieldScalar(self.m, nums, d1 * d2, _reduced=True)
+        acc = {p: v * d2 for p, v in self.terms}
+        for p, v in other.terms:
+            acc[p] = acc.get(p, 0) + v * d1
+        return _scalar(self.m, acc, d1 * d2)
 
     def __sub__(self, other: "FieldScalar") -> "FieldScalar":
         self._check(other)
         d1, d2 = self.den, other.den
-        nums = [a * d2 - b * d1 for a, b in zip(self.nums, other.nums)]
-        return FieldScalar(self.m, nums, d1 * d2, _reduced=True)
+        acc = {p: v * d2 for p, v in self.terms}
+        for p, v in other.terms:
+            acc[p] = acc.get(p, 0) - v * d1
+        return _scalar(self.m, acc, d1 * d2)
 
     def __neg__(self) -> "FieldScalar":
-        return FieldScalar(self.m, [-v for v in self.nums], self.den, _reduced=True)
+        return _scalar(self.m, {p: -v for p, v in self.terms}, self.den)
 
     def __mul__(self, other: "FieldScalar") -> "FieldScalar":
         self._check(other)
-        a, b = self.nums, other.nums
-        n = len(a)
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        ctx = _field(self.m)
-        return FieldScalar(self.m, list(ctx.reduce(conv)), self.den * other.den, _reduced=True)
+        # sum a*b*zeta^(i+j) over the term pairs, each power of zeta reduced once
+        raw: dict[int, int] = {}
+        for i, a in self.terms:
+            for j, b in other.terms:
+                raw[i + j] = raw.get(i + j, 0) + a * b
+        m, ctx = self.m, _field(self.m)
+        if raw and max(raw) >= ctx.phi:
+            acc: dict[int, int] = {}
+            for k, v in raw.items():
+                for p, c in ctx.pows[k % m]:
+                    acc[p] = acc.get(p, 0) + v * c
+            raw = acc
+        return _scalar(m, raw, self.den * other.den)
 
     def __truediv__(self, other: "FieldScalar") -> "FieldScalar":
         return self * other.inverse()
@@ -224,13 +238,16 @@ class FieldScalar:
         """Multiplicative inverse, by solving x*self = 1 over Q."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        ctx = _field(self.m)
+        m, ctx = self.m, _field(self.m)
         n = ctx.phi
-        # columns of the multiplication-by-self matrix in the zeta-power basis
+        # column i of the multiplication-by-self matrix: self * zeta^i
         cols = []
         for i in range(n):
-            shifted = [0] * i + list(self.nums)
-            cols.append(ctx.reduce(shifted))
+            col = [0] * n
+            for p, v in self.terms:
+                for q, c in ctx.pows[(p + i) % m]:
+                    col[q] += v * c
+            cols.append(col)
         mat = [[Fraction(cols[j][i], self.den) for j in range(n)] for i in range(n)]
         rhs = [Fraction(1 if i == 0 else 0) for i in range(n)]
         sol = _solve_linear(mat, rhs)
@@ -238,16 +255,24 @@ class FieldScalar:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """All phi(m) numerators over ``den``, zeros included."""
+        out = [0] * _field(self.m).phi
+        for p, v in self.terms:
+            out[p] = v
+        return tuple(out)
+
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not self.terms
 
     def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+        return not self.terms or self.terms[-1][0] == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar is not rational")
-        return Fraction(self.nums[0], self.den)
+        return Fraction(self.terms[0][1], self.den) if self.terms else Fraction(0)
 
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficient sequence over the reduced zeta-power basis."""
@@ -258,17 +283,19 @@ class FieldScalar:
         if big_m % self.m:
             raise ValueError(f"cannot lift conductor {self.m} into {big_m}")
         step = big_m // self.m
-        full = [0] * ((len(self.nums) - 1) * step + 1)
-        for i, v in enumerate(self.nums):
-            full[i * step] = v
-        return FieldScalar(big_m, full, self.den)
+        pows = _field(big_m).pows
+        acc: dict[int, int] = {}
+        for p, v in self.terms:
+            for q, c in pows[p * step]:
+                acc[q] = acc.get(q, 0) + v * c
+        return _scalar(big_m, acc, self.den)
 
     # -- protocol -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        return self.m == other.m and self.den == other.den and self.nums == other.nums
+        return self.m == other.m and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
         return self._hash
@@ -293,30 +320,32 @@ class FieldScalar:
                 q0, q1 = split
                 return _format_linear(q0, q1, rad_name)
         terms = []
-        for i, c in enumerate(self.coeffs()):
-            if c == 0:
-                continue
-            sym = "1" if i == 0 else (f"z{self.m}" if i == 1 else f"z{self.m}^{i}")
-            terms.append(_format_term(c, sym, first=not terms))
+        for p, v in self.terms:
+            sym = "1" if p == 0 else (f"z{self.m}" if p == 1 else f"z{self.m}^{p}")
+            terms.append(_format_term(Fraction(v, self.den), sym, first=not terms))
         return "".join(terms)
 
     def _in_quadratic_basis(self, rad: "FieldScalar"):
         """Write self as q0 + q1*rad with rational q0, q1, if possible."""
-        rc = rad.coeffs()
-        idx = next((i for i in range(1, len(rc)) if rc[i] != 0), None)
+        idx, rv = next(((p, v) for p, v in rad.terms if p), (None, None))
         if idx is None:
             return None
-        q1 = self.coeffs()[idx] / rc[idx]
+        q1 = Fraction(dict(self.terms).get(idx, 0), self.den) / Fraction(rv, rad.den)
         residue = self - FieldScalar.from_rational(self.m, q1) * rad
         if residue.is_rational():
             return residue.rational_value(), q1
         return None
 
+    def _json_coeffs(self) -> list[list[int]]:
+        """[numerator, denominator] of every basis coefficient, zeros included."""
+        out = [[0, 1] for _ in range(_field(self.m).phi)]
+        for p, v in self.terms:
+            g = math.gcd(v, self.den)
+            out[p] = [v // g, self.den // g]
+        return out
+
     def to_json(self) -> dict:
-        return {
-            "conductor": self.m,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs()],
-        }
+        return {"conductor": self.m, "coeffs": self._json_coeffs()}
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldScalar":
@@ -493,10 +522,7 @@ class Quaternion:
     def to_json(self) -> dict:
         return {
             "conductor": self.conductor,
-            "coeffs": [
-                [[c.numerator, c.denominator] for c in s.coeffs()]
-                for s in (self.a, self.b, self.c, self.d)
-            ],
+            "coeffs": [s._json_coeffs() for s in (self.a, self.b, self.c, self.d)],
         }
 
     @classmethod

@@ -291,10 +291,21 @@ def _close_generators(name: str, tag: str, n: Optional[int],
             k += 1
         orders.append(k)
     # order by (element order, coefficients); integers over one common
-    # denominator compare exactly as the Fraction coefficients would
+    # denominator compare exactly as the Fraction coefficients would, and a
+    # (component, power) column that is zero in every element never decides
+    # the comparison, so the keys keep only the other columns
     scalars = [(q.a, q.b, q.c, q.d) for q in values]
     den = math.lcm(*(s.den for qs in scalars for s in qs))
-    keys = [tuple(v * (den // s.den) for s in qs for v in s.nums) for qs in scalars]
+    cols = sorted({(c, p) for qs in scalars for c, s in enumerate(qs) for p, _ in s.terms})
+    col = {cp: i for i, cp in enumerate(cols)}
+    keys = []
+    for qs in scalars:
+        key = [0] * len(cols)
+        for c, s in enumerate(qs):
+            scale = den // s.den
+            for p, v in s.terms:
+                key[col[c, p]] = v * scale
+        keys.append(key)
     idx = sorted(range(len(values)), key=lambda i: (orders[i], keys[i]))
     pos = [0] * len(idx)
     for new, old in enumerate(idx):

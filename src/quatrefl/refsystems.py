@@ -219,8 +219,16 @@ def stabilizer(L: ReflectionSystem) -> list:
 
 
 def copy_count(L: ReflectionSystem) -> int:
-    """Number of reflection systems equivalent to L (identity-containing sets)."""
-    return len(equivalence_class_subsets(L))
+    """Number of reflection systems equivalent to L (identity-containing sets).
+
+    By orbit-stabiliser under Aut(K) acting on all |K| left translates xL: the
+    orbit of L has |Aut(K)| |K| / (|stabilizer(L)| |{x : xL = L}|) sets, and
+    the |L| / |K| of them that contain 1 are L's class.  That is |Aut(K)|
+    times the number of distinct member translates over |stabilizer(L)|.
+    """
+    K = L.parent
+    translates = _translates(K, L.member_set())
+    return len(automorphism_group(K)) * len(translates) // len(stabilizer(L))
 
 
 def subgroup_copy_count(L: ReflectionSystem) -> int:
@@ -228,19 +236,21 @@ def subgroup_copy_count(L: ReflectionSystem) -> int:
 
     This counts the occurrences of the groups over L as reflection subgroups
     of the all-of-K reflection group: conjugating by diag(x, y) carries the
-    antidiagonal reflection set L to x*L*y^-1.
+    antidiagonal reflection set L to x*L*y^-1.  By orbit-stabiliser it is
+    |K|^2 over the number of pairs with x L y^-1 = L.  Such a pair has
+    y = x l for a member l (1 lies in x L y^-1), and then the condition is
+    L l^-1 = x^-1 L x; so the pairs number sum_x mult(x L x^-1), where
+    mult(C) counts the members l with L l^-1 = C.
     """
     K = L.parent
-    if L.size == K.order:
-        return 1
-    cay = K.cayley
+    cay, inv = K.cayley, K.inv
     members = L.members
-    lefts = {frozenset(cay[x][t] for t in members) for x in range(K.order)}
-    out = set()
-    for left in lefts:
-        for y in range(K.order):
-            out.add(frozenset(cay[t][y] for t in left))
-    return len(out)
+    mult: dict[frozenset, int] = {}
+    for l in members:
+        C = frozenset(cay[t][inv[l]] for t in members)
+        mult[C] = mult.get(C, 0) + 1
+    pairs = sum(mult.get(frozenset(K.conj(x, t) for t in members), 0) for x in range(K.order))
+    return K.order ** 2 // pairs
 
 
 def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int, ...]:

@@ -219,3 +219,73 @@ def test_field_scalar_sparse_products_in_conductor_800():
         assert again == a and hash(again) == hash(a)
 
     products()
+
+
+# sparse Phi_m (20, 800) and dense Phi_m (148 = 4*37, 236 = 4*59); each
+# lifts into 3m, where zeta_m^i = zeta_3m^(3i) needs reducing mod Phi_3m
+ORACLE_CONDUCTORS = [(20, 60), (800, 2400), (148, 444), (236, 708)]
+
+
+def _dense_reduce(m, coeffs):
+    """Schoolbook reduction of a dense coefficient list by long division by Phi_m."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    nonzero = [(k, c) for k, c in enumerate(poly) if c]
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, phi - 1, -1):
+        top = coeffs[i]
+        if top:
+            for k, c in nonzero:
+                coeffs[i - phi + k] -= top * c
+    return (coeffs + [0] * phi)[:phi]
+
+
+def _dense_fractions(m, coeffs, den):
+    return [Fraction(v, den) for v in _dense_reduce(m, coeffs)]
+
+
+def _sparse_scalar(st, m):
+    # a few roots of unity with small coefficients, as the groups' elements are
+    terms = st.lists(st.tuples(st.integers(0, m - 1), st.integers(-6, 6)), max_size=5)
+    dens = st.integers(-6, 6).filter(bool)
+    return st.tuples(st.just(m), terms, dens)
+
+
+def _raw(m, terms):
+    raw = [0] * m
+    for p, v in terms:
+        raw[p] += v
+    return raw
+
+
+def test_sparse_arithmetic_matches_dense_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
+    @hypothesis.given(st.data())
+    def agrees(data):
+        m, big_m = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+        (_, ta, da), (_, tb, db) = (data.draw(_sparse_scalar(st, m)) for _ in range(2))
+        a, b = FieldScalar(m, _raw(m, ta), da), FieldScalar(m, _raw(m, tb), db)
+        # the constructor reduces any dense input as long division does
+        assert list(a.coeffs()) == _dense_fractions(m, _raw(m, ta), da)
+        # the product: schoolbook convolution of the dense forms, then reduction
+        conv = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
+            for j, y in enumerate(b.nums):
+                conv[i + j] += x * y
+        assert list((a * b).coeffs()) == _dense_fractions(m, conv, a.den * b.den)
+        # the lift: zeta_m^i = zeta_M^(i*M/m), then reduction mod Phi_M
+        step = big_m // m
+        spread = [0] * ((len(a.nums) - 1) * step + 1)
+        for i, x in enumerate(a.nums):
+            spread[i * step] = x
+        assert list(a.lift(big_m).coeffs()) == _dense_fractions(big_m, spread, a.den)
+        # the dense form and JSON round-trip to the same scalar and hash
+        again = FieldScalar(m, a.nums, a.den)
+        assert again == a and hash(again) == hash(a)
+        back = FieldScalar.from_json(json.loads(json.dumps(a.to_json())))
+        assert back == a and hash(back) == hash(a)
+
+    agrees()

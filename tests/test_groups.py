@@ -1,5 +1,7 @@
 """Finite quaternion groups: constructors, subgroups, automorphisms."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -77,7 +79,7 @@ TABLE_GROUPS = ([("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 
 
 
 def test_cayley_matches_quaternion_products():
-    for tag, n in TABLE_GROUPS + [("I", None), ("dicyclic", 60)]:
+    for tag, n in TABLE_GROUPS + [("I", None)] + [("dicyclic", n) for n in (37, 60, 200)]:
         K = build_group(tag, n) if n else build_group(tag)
         # sorted by element order, then by the Fraction coefficients
         keys = [_fraction_key(K, x) for x in range(K.order)]
@@ -89,6 +91,68 @@ def test_cayley_matches_quaternion_products():
             assert K.elements[K.inv[a]] * K.elements[a] == one
             for b in range(K.order):
                 assert K.elements[K.cayley[a][b]] == K.elements[a] * K.elements[b]
+
+
+# SHA-256 of json.dumps({"group": K.to_json(), "inv": K.inv}, separators=(",", ":")),
+# recorded with the dense-vector scalars that the sparse terms replaced: the
+# elements, their order, the Cayley table and the inverses are unchanged
+GROUP_DIGESTS = {
+    "T": "2c02d3f9df36ee022ce70db44bfd80b2eceb01b62fdcb832f6a3b7ec15e61a0a",
+    "O": "6695fdc801e5ff664c732048f668f5ab8fecc08658adc80fcd603a9f266769fc",
+    "I": "5570d9388e19ccd266e32a4e79ee5829059ff302ae1d869e49f0fa16b3d45b66",
+    "C1": "6bef5cd74be3fa998ce5564976efe02d78d29f9cf51da2f41975ee49e5de6146",
+    "C2": "6ad52b6430045df6e313f0cd4b090c22f3791bbe0d3769310fc1114626ff7505",
+    "C3": "9187d80f1bdbee8983324c7faa7102c1879b1d6ce2f96bd1f05b5a9a749769c1",
+    "C4": "83ad1af4b118f930d865b18bcde523a1ab06564361ee447da103712771089351",
+    "C5": "5c1c4f0017bdb36ba6a740b3ae96ddf937270f2d275eab664a3a40cdb0b133bb",
+    "C6": "9c16992581f69790a8c21e9aa679f2bbb724a3ae53f17b42567c39a9a0d61c76",
+    "C7": "51538e41f9a4aa45600dfd6a5d89018952cb3c221cfc4b88ab71eff1ca7fae1e",
+    "C8": "45cad60d9f8323cd0933f7e1b0ae372607fa2aa90fb37f0fbcaa44737a15fbc7",
+    "C9": "0030d4a7d7a03e5bd2148a434f4de31448743244caf19ce6b5ab5ee4cd2f3ae3",
+    "C10": "3bec0b1ad68cdb1130a853df8bc680d245b69aec2b9bad12ca1f615326bbe35e",
+    "C11": "d31f19d7551f55e552345b1b833bc73774d27dc7698dfbf23335e2c4a3784d54",
+    "C12": "10684c4bc4a1114fb8f85fd31e52f67270777cabc03d6aa51c02d831731ac3a4",
+    "D2": "4f46ebf6c66cb4952d6afd0fa786e0b220ed2711cb1a15dc759601e22f8b1811",
+    "D3": "d7e7a4b0edcb6581eb12df8a316de4e3b38dbcbde4fc6c229dba6d7c85ac13ab",
+    "D4": "35f02fa64acf03674e7dd65ad9079448e0a3caa84a21b1532a7ca792ce2d7492",
+    "D5": "3d959155cf56e45fe47ffa92be5c53a9622a3a57fa55afc02dc275861db42b89",
+    "D6": "2b6e85ea2ac8de03e47e3ae2c77af665984b1eaeb368ed8b67fedc95e3ea35c5",
+    "D7": "56adb70fd71f1f0bde74a16ca02d6f1e288ab2352d152f4ca74051a158001b78",
+    "D8": "45c22db107e0603a07c358383f034e7f5126c516a85871114ac1bbe0db55e644",
+    "D9": "9b9e42867e003492ccf2c50cc4ce21806a6c3ea481ce924c294a4b98b7ed2db1",
+    "D10": "e05feb44f18ae9f7a30283cb00100786867eb5375e8aafcd64b0348252cb37fa",
+    "D11": "37595e4872cfa8e38abe968b0badc890cbd27c6ff67234e1496dfff0279d7b00",
+    "D12": "8a4e43610c59b2761fff2b072df8d8ad3f411e4ad88d74c7609e281ebe51ff57",
+    "D13": "c9e22355217fa88db5d7fec80d86fd7bfdd0d58340c071e0a5811f0f1022f780",
+    "D14": "4a6bef0ec949d5405e8ca3f06624f32fc0b04735b6c5120464a05e1b46ed66f6",
+    "D15": "79b8bf1abfcb375b353806d2e7ac88181a56f95f0e60c2074bb9da508dfd2dc4",
+    "D16": "2193be3df039c1de7ee5741d3f7b0ce6c9e9a8e0a06d94f356bad809b046fcc3",
+    "D17": "7b97720ea43a684012f45a34a2c480297d99f715bbd189d0e6099e0e4d645079",
+    "D18": "6687c4664d31fc53fa37c0e7fd03ac5d5fe808f6cc4d47ba43a89f293ef913e6",
+    "D19": "1e0c78f1cd1ca2e630efd2a28d5b44fe64a7825774975e6f8360bcd29dbdeb1b",
+    "D20": "b02f6674c75be521abcf666cb08e7e79d01041a6bf9ba01b22616f4449cddb31",
+    "D21": "43e96d7698f14671f5692dd3cad0c63ab6711fa71db6ca5e2c89b7f98bd0180c",
+    "D22": "ce5bd0b05fda5032e58a4e78caad3cc6db912115d2765d8b51d321069d29752e",
+    "D23": "cc7e4ea554666947e1ff34a5bb0cff37731ddecf7af1634644477afd05f7b4e9",
+    "D24": "1a467a16a338c158547ed61f8b4315cf4ce5af94c309231eaf4f06e1a5a706fe",
+    "D25": "ffb3839f187d30379f61f9fe10f4a16e70e7a54aa12a97965f849763c38b4038",
+    "D26": "d4c778682b7dc25cbf21f62ca4092c7ab491f97d239c95c62dd658f979b1f954",
+    "D27": "8f511f8b0d18db822288f728116a4facc9635952a77ef12bb1072bc5478830ad",
+    "D28": "575857141e78c46f08c8ae802428e77a987deccf0b62861d5be3fb1fa8e11d0b",
+    "D29": "fea480e40f369e503bf8c458c2ffed3019cee33e9cc9f94760af26dcd6512d58",
+    "D30": "97c69375bfa23cd1fb0d07da7c0ccb5a944806ac0eff1f5ba6fb0700e4ebc29e",
+    "D37": "7750c07b3c68d87335c51b7e4b0eb695138e66e65e889203073199512126b7e7",
+    "D200": "b399aee4faa3e452b1c9e9989ca5105ca3c68e95a15bd04d81dd18d111dea943",
+}
+
+
+@pytest.mark.parametrize("name", GROUP_DIGESTS)
+def test_group_construction_pinned(name):
+    tag, n = (name, None) if name in ("T", "O", "I") else (
+        {"C": "cyclic", "D": "dicyclic"}[name[0]], int(name[1:]))
+    K = build_group(tag, n) if n else build_group(tag)
+    blob = json.dumps({"group": K.to_json(), "inv": K.inv}, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == GROUP_DIGESTS[name]
 
 
 def test_symbolic_vs_closure_construction():

@@ -180,6 +180,22 @@ def test_equivalence_action_matches_two_sided_translates(tag, n):
         assert {phi.image for phi in stabilizer(L)} == fixing
 
 
+@pytest.mark.parametrize("tag,n", ORACLE_GROUPS + [("I", None)])
+def test_copy_counts_match_orbit_walks(tag, n):
+    # the orbit-stabiliser counts against the walks they replace: every
+    # phi(xL) for a member x, and every two-sided translate xLy
+    K = build_group(tag, n) if n else build_group(tag)
+    autos = automorphism_group(K)
+    cay = K.cayley
+    for L in enumerate_systems(K):
+        mem = L.members
+        equivalent = {frozenset(phi.image[cay[x][t]] for t in mem) for x in mem for phi in autos}
+        assert copy_count(L) == len(equivalent)
+        lefts = {frozenset(cay[x][t] for t in mem) for x in range(K.order)}
+        two_sided = {frozenset(cay[t][y] for t in S) for S in lefts for y in range(K.order)}
+        assert subgroup_copy_count(L) == len(two_sided)
+
+
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
                          + [("dicyclic", n) for n in range(2, 9)])
 def test_quotient_involutions_pass_the_shared_check(tag, n):
