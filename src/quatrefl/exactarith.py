@@ -121,7 +121,7 @@ class FieldScalar:
 
     __slots__ = ("m", "terms", "den", "_hash")
 
-    def __init__(self, m: int, nums: Iterable[int] = (), den: int = 1):
+    def __init__(self, m: int, nums: Iterable[int], den: int = 1):
         """The scalar sum(nums[i] * zeta_m^i) / den; nums may have any length."""
         if den == 0:
             raise ZeroDivisionError("field scalar with denominator 0")

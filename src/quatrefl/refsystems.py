@@ -227,6 +227,8 @@ def copy_count(L: ReflectionSystem) -> int:
     times the number of distinct member translates over |stabilizer(L)|.
     """
     K = L.parent
+    if L.size == K.order:
+        return 1
     translates = _translates(K, L.member_set())
     return len(automorphism_group(K)) * len(translates) // len(stabilizer(L))
 
@@ -243,6 +245,8 @@ def subgroup_copy_count(L: ReflectionSystem) -> int:
     mult(C) counts the members l with L l^-1 = C.
     """
     K = L.parent
+    if L.size == K.order:
+        return 1
     cay, inv = K.cayley, K.inv
     members = L.members
     mult: dict[frozenset, int] = {}
