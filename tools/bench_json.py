@@ -1,4 +1,4 @@
-"""Run the gated benchmark workloads in one or more checkouts and commit the numbers.
+"""Run the gated benchmark workloads in several checkouts and write the numbers as JSON.
 
     python3 tools/bench_json.py OUT.json NAME=CHECKOUT [NAME=CHECKOUT ...]
         [--pairs N] [--seconds S]
