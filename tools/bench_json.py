@@ -1,21 +1,20 @@
-"""Run the gated benchmark workloads in several checkouts and write the numbers as JSON.
+"""Run the gated benchmark workloads in a parent and a changed checkout and write the numbers as JSON.
 
-    python3 tools/bench_json.py OUT.json NAME=CHECKOUT [NAME=CHECKOUT ...]
-        [--pairs N] [--seconds S]
+    python3 tools/bench_json.py OUT.json PARENT CHANGE
 
-For each of the `dicyclic` and `session` workloads, `perfbench/run.py` runs
-in every checkout (each from its own root, on its own sources): N untraced
-rounds (`--trace 0`, seed k in round k) and one traced round (`--trace 1`).
-The checkouts alternate within a round, and the first checkout of a round
-alternates from round to round, so that a drift of the host touches every
-checkout alike.  Runs are sequential: `run.py` pins itself to one core.
+For each workload that BENCHMARK.json names, `perfbench/run.py` runs in both
+checkouts (each from its own root, on its own sources) for BENCHMARK.json's
+`run_seconds`: ten untraced rounds (`--trace 0`, seed k in round k) and one
+traced round (`--trace 1`).  Each round runs both checkouts, and the one that
+runs first alternates from round to round, so that a drift of the host touches
+both alike.  Runs are sequential: `run.py` pins itself to one core.
 
-OUT.json gets, per run, the checkout name, workload, seed, trace flag, the
-run's result line (end-to-end or per-layer metrics), and its info line (git
-sha, source hash, Python version and nproc under "env"; the per-pass samples
-and host factors) without the per-step raw timings.  A "summary" gives, per
-untraced workload and end-to-end metric, each checkout's values in round
-order, so that pairs can be compared directly.
+OUT.json gets, per run, the checkout ("parent" or "change"), workload, seed,
+trace flag, the run's result line (end-to-end or per-layer metrics), and its
+info line (git sha, source hash, Python version and nproc under "env"; the
+per-pass samples and host factors) without the per-step raw timings.  A
+"summary" gives, per untraced workload and end-to-end metric, each checkout's
+values in round order, so that pairs can be compared directly.
 """
 
 from __future__ import annotations
@@ -26,12 +25,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("dicyclic", "session")
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10  # the fewest untraced pairs that can back a claimed gain
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
@@ -45,25 +47,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int)
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path)
-    ap.add_argument("checkouts", nargs="+", metavar="NAME=CHECKOUT")
-    ap.add_argument("--pairs", type=int, default=1, help="untraced rounds per workload")
-    ap.add_argument("--seconds", type=int, default=45, help="run.py --seconds")
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
     opts = ap.parse_args(argv)
-    checkouts = []
-    for spec in opts.checkouts:
-        name, sep, path = spec.partition("=")
-        if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
-            ap.error(f"{spec!r} is not NAME=CHECKOUT with a perfbench/run.py")
-        checkouts.append((name, Path(path).resolve()))
+    checkouts = [("parent", opts.parent.resolve()), ("change", opts.change.resolve())]
+    for name, path in checkouts:
+        if not (path / "perfbench" / "run.py").is_file():
+            ap.error(f"{name} checkout {str(path)!r} has no perfbench/run.py")
 
     runs = []
     summary: dict = {}
     for workload in WORKLOADS:
-        for trace, rounds in ((0, opts.pairs), (1, 1)):
+        for trace, rounds in ((0, PAIRS), (1, 1)):
             for k in range(rounds):
-                order = checkouts if k % 2 == 0 else checkouts[::-1]
-                for name, path in order:
-                    run = run_once(path, workload, k, opts.seconds, trace)
+                for name, path in checkouts if k % 2 == 0 else checkouts[::-1]:
+                    run = run_once(path, workload, k, trace)
                     result = run["result"]
                     runs.append({"checkout": name, "workload": workload, "seed": k,
                                  "trace": trace, **run})
@@ -76,7 +74,7 @@ def main(argv: list[str]) -> int:
                         summary.setdefault(workload, {}).setdefault(metric, {}) \
                             .setdefault(name, []).append(v["value"])
     opts.out.write_text(json.dumps({"checkouts": [name for name, _ in checkouts],
-                                    "pairs": opts.pairs, "seconds": opts.seconds,
+                                    "pairs": PAIRS, "seconds": SECONDS,
                                     "summary": summary, "runs": runs}, indent=1) + "\n")
     return 0
 
