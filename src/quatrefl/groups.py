@@ -11,10 +11,12 @@ lexicographic coefficients) so tables and golden files are reproducible
 across runs.
 
 Every generator walk of the package goes through one closure routine,
-``_generate``: group construction, subgroup closure, the automorphism
-search, and (in ``refsystems`` and ``refgroups``) closures of reflection
-triples, isomorphism checks and orbits under maps.  Maps given on generators
-are extended to homomorphisms by ``_extend_map`` along the same walk.
+``_generate``: group construction, the automorphism search, and (in
+``refsystems`` and ``refgroups``) isomorphism checks and orbits under maps.
+Maps given on generators are extended to homomorphisms by ``_extend_map``
+along the same walk.  Closures that need no table (subgroups, reflection
+triples, greedy generating sequences) go through ``_closure``, which reruns
+``_generate`` over only the generators that enlarge the closure.
 """
 
 from __future__ import annotations
@@ -107,22 +109,13 @@ class FiniteQuaternionGroup:
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated by ``seed``."""
         cay = self.cayley
-        members = _generate(0, sorted(set(seed) - {0}), lambda x, g: cay[x][g])[0]
-        return tuple(sorted(members))
+        return tuple(sorted(_closure(0, seed, lambda x, g: cay[x][g])[0]))
 
     def generating_sequence(self) -> list[int]:
         """A small generating sequence, preferring high-order elements."""
+        cay = self.cayley
         candidates = sorted(range(self.order), key=lambda x: (-self.element_orders[x], x))
-        gens: list[int] = []
-        current = (0,)
-        for x in candidates:
-            if x in current:
-                continue
-            gens.append(x)
-            current = self.subgroup_closure(gens)
-            if len(current) == self.order:
-                return gens
-        return gens  # order-1 group
+        return _closure(0, candidates, lambda x, g: cay[x][g])[1]
 
     def __repr__(self) -> str:
         return f"FiniteQuaternionGroup({self.name}, order={self.order})"
@@ -198,6 +191,22 @@ def _generate(one, gens: Sequence, mul: Callable, bound: Optional[int] = None):
             row.append(y)
         right.append(row)
     return elements, right, word
+
+
+def _closure(one, gens: Iterable, mul: Callable, bound: Optional[int] = None):
+    """Close ``gens`` under ``mul``, admitting only the generators that enlarge it.
+
+    A generator already in the closure of those admitted before it is
+    skipped; ``_generate`` reruns over the admitted ones (Dimino's method).
+    Each admission at least doubles a group, so the reruns cost under twice
+    the last.  Returns (members as a set, admitted generators in order).
+    """
+    members, admitted = {one}, []
+    for g in gens:
+        if g not in members:
+            admitted.append(g)
+            members = set(_generate(one, admitted, mul, bound)[0])
+    return members, admitted
 
 
 def _extend_map(right: list[list[int]], targets: Sequence, mul: Callable, one) -> Optional[list]:

@@ -25,6 +25,7 @@ from .exactarith import Quaternion
 from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
+    _closure,
     _extend_map,
     _generate,
     commutator_subgroup,
@@ -249,7 +250,7 @@ def minimal_diagonal_subgroup(K: FiniteQuaternionGroup, L: ReflectionSystem) -> 
 
 def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],
                        bound: int = 10 ** 6) -> frozenset:
-    return frozenset(_generate(model_identity(), gens, partial(model_mul, K), bound)[0])
+    return frozenset(_closure(model_identity(), gens, partial(model_mul, K), bound)[0])
 
 
 @dataclass
@@ -466,15 +467,8 @@ def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
     for t in elems2:
         orders2.setdefault(triple_order(G2.K, t), []).append(t)
 
-    gens: list[Triple] = []
-    closure = {model_identity()}
-    for t in sorted(elems1, key=lambda t: (-orders1[t], t)):
-        if t in closure:
-            continue
-        gens.append(t)
-        closure = closure_of_triples(G1.K, gens)
-        if len(closure) == G1.order:
-            break
+    gens = _closure(model_identity(), sorted(elems1, key=lambda t: (-orders1[t], t)),
+                    partial(model_mul, G1.K))[1]
 
     def backtrack(i: int, chosen: list[Triple]) -> Optional[list[tuple[Triple, Triple]]]:
         if i == len(gens):
@@ -500,7 +494,8 @@ class RankNDescriptor:
 
     `reflection_count` carries n(|H|-1) + |K|, which undercounts at every
     rank n >= 3; the true count n(|H|-1) + C(n,2)|K| is the one reported in
-    `explicit_reflection_count` when the group is enumerated.
+    `explicit_reflection_count`, counted from the group's defining shape
+    when its order is within the bound.
     """
 
     rank: int
@@ -519,13 +514,16 @@ def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
     The descriptor carries the formulas order = n! |H| |K|^(n-1) and
     reflections = n(|H|-1) + |K|; the latter undercounts at rank n >= 3,
     where the classical count is n(|H|-1) + C(n,2)|K|.  When the order is
-    within bound the group is enumerated explicitly from its defining matrix
-    shape and the observed order and reflection count (which equals the
-    classical count) are reported alongside.
+    within bound, the order and reflection count (which equals the classical
+    count) are also counted from the defining matrix shape, without a walk
+    over the group: the order from the diagonals whose product lies in H,
+    the reflections from the reflection-shaped candidates.
     """
     bound = default_max_order() if bound is None else bound
     if rank < 3:
         raise ValueError(f"rank_n_group needs rank >= 3, got {rank}")
+    if H.parent is not K:
+        raise PreconditionError("parent mismatch", "H must live in K")
     comm = commutator_subgroup(K).member_set()
     if not comm <= H.member_set():
         raise PreconditionError("H below commutator subgroup",
@@ -539,21 +537,6 @@ def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
                            explicit_order, explicit_refl)
 
 
-def rank_n_elements(rank: int, K: FiniteQuaternionGroup, H: Subgroup):
-    """Iterate (diag entries, permutation) for the whole rank-n group."""
-    perms = list(itertools.permutations(range(rank)))
-    for firsts in itertools.product(range(K.order), repeat=rank - 1):
-        prod = 0
-        for d in firsts:
-            prod = K.cayley[prod][d]
-        inv_prod = K.inv[prod]
-        for h in H.members:
-            last = K.cayley[inv_prod][h]
-            diag = firsts + (last,)
-            for perm in perms:
-                yield diag, perm
-
-
 def rank_n_mul(K: FiniteQuaternionGroup, e1, e2):
     """(B1 P_s1)(B2 P_s2) with P_s row u carrying entry at column s(u)."""
     d1, s1 = e1
@@ -564,21 +547,29 @@ def rank_n_mul(K: FiniteQuaternionGroup, e1, e2):
 
 
 def _rank_n_explicit_counts(rank: int, K: FiniteQuaternionGroup, H: Subgroup):
-    count = 0
-    refl = 0
-    for diag, perm in rank_n_elements(rank, K, H):
-        count += 1
-        moved = [u for u in range(rank) if perm[u] != u]
-        if not moved:
-            if sum(1 for u in range(rank) if diag[u] != 0) == 1:
-                refl += 1
-        elif len(moved) == 2:
-            a, b = moved
-            if all(diag[u] == 0 for u in range(rank) if u not in (a, b)):
-                # fixed block iff the product of the two entries is the identity
-                if K.cayley[diag[b]][diag[a]] == 0:
-                    refl += 1
-    return count, refl
+    """Order and reflection count of the group of n x n monomial matrices
+    over K whose diagonal product lies in H.
+
+    The order is n! times the number of diagonals (k1, ..., kn) in K^n with
+    k1...kn in H; ``ways[x]`` counts the diagonals of each length by their
+    product x, pushed through the Cayley table once per entry.  A reflection
+    is the identity permutation with one non-identity entry d (a member iff
+    d is in H), or a transposition (a b) with entries x, y and the identity
+    elsewhere (a member iff xy is in H, a reflection iff yx = 1).
+    """
+    cay, H_set = K.cayley, H.member_set()
+    ways = [1] + [0] * (K.order - 1)
+    for _ in range(rank):
+        nxt = [0] * K.order
+        for row, w in zip(cay, ways):
+            for y in row:
+                nxt[y] += w
+        ways = nxt
+    diagonal = sum(d in H_set for d in range(1, K.order))
+    swapped = sum(cay[x][y] in H_set and cay[y][x] == 0
+                  for x in range(K.order) for y in range(K.order))
+    return (math.factorial(rank) * sum(ways[h] for h in H.members),
+            rank * diagonal + math.comb(rank, 2) * swapped)
 
 
 def rank_n_closure_spot_check(rank: int, K: FiniteQuaternionGroup, H: Subgroup,

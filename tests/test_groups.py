@@ -10,6 +10,7 @@ import pytest
 from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
     _close_generators,
+    _generate,
     automorphism_group,
     build_group,
     commutator_subgroup,
@@ -179,6 +180,21 @@ def test_symbolic_vs_closure_construction():
 
 BUILDER_GROUPS = [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)]
 
+
+
+def test_subgroup_closure_matches_the_all_generators_walk():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+    @hypothesis.given(st.data())
+    def matches(data):
+        K = build_group(*data.draw(st.sampled_from([("T",), ("O",), ("dicyclic", 6)])))
+        seed = data.draw(st.lists(st.integers(0, K.order - 1), max_size=8))
+        full = _generate(0, seed, lambda x, g: K.cayley[x][g])[0]
+        assert K.subgroup_closure(seed) == tuple(sorted(full))
+
+    matches()
 
 def test_close_generators_matches_subgroup_closure():
     hypothesis = pytest.importorskip("hypothesis")
