@@ -580,12 +580,6 @@ def test_product_rule_matches_matrices_on_drawn_elements():
 # -- closures over the enlarging generators ----------------------------------
 
 
-def _all_generators_closure(K, gens):
-    """The triple closure walked over every generator, as before the
-    enlarging-generator closure."""
-    return frozenset(_generate(model_identity(), gens, lambda t, g: model_mul(K, t, g))[0])
-
-
 def test_closure_of_triples_matches_the_all_generators_walk():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -597,7 +591,7 @@ def test_closure_of_triples_matches_the_all_generators_walk():
         triple = st.tuples(st.integers(0, K.order - 1), st.integers(0, K.order - 1),
                            st.integers(0, 1))
         gens = data.draw(st.lists(triple, max_size=6))
-        full = _all_generators_closure(K, gens)
+        full = frozenset(_generate(model_identity(), gens, lambda t, g: model_mul(K, t, g))[0])
         assert closure_of_triples(K, gens) == full
         # the bound is exceeded exactly when the whole closure exceeds it
         bound = data.draw(st.integers(1, 2 * len(full)))
