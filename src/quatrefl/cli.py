@@ -2,7 +2,8 @@
 
 Subcommands: group, systems, classify, verify, iso-search.  Output goes to
 stdout (JSON carries "schema_version": 1); diagnostics go to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 domain error.
+codes: 0 success, 1 verification failure (or stdout closed by its reader),
+2 usage error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -27,6 +29,9 @@ from .refsystems import copy_count, enumerate_systems, orbit_partition, subgroup
 
 SCHEMA_VERSION = 1
 
+# the C string encoder behind json.dumps' default ensure_ascii=True
+_encode_str = json.encoder.encode_basestring_ascii
+
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 
@@ -36,7 +41,60 @@ MAX_ISO_SEARCH_N = 10**6
 
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=1, sort_keys=False))
+    print(_indented_json(payload))
+
+
+def _indented_json(value) -> str:
+    """``json.dumps(value, indent=1)``, byte for byte.
+
+    With an indent, ``json`` falls back to its pure-Python encoder.  This
+    writes the same layout directly and joins each list of plain ints in one
+    ``str.join``, formatting each such list once per (depth, contents).  Dict
+    keys must be strings, as in every payload of the package; any other key
+    raises TypeError.
+    """
+    chunks: list[str] = []
+    emit = chunks.append
+    int_lists: dict[tuple, str] = {}
+
+    def write(v, depth: int) -> None:
+        if isinstance(v, str):
+            emit(_encode_str(v))
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                emit("[]")
+                return
+            inner = "\n" + " " * (depth + 1)
+            if set(map(type, v)) == {int}:
+                key = (depth, *v)
+                text = int_lists.get(key)
+                if text is None:
+                    text = int_lists[key] = ("[" + inner + ("," + inner).join(map(int.__repr__, v))
+                                             + "\n" + " " * depth + "]")
+                emit(text)
+                return
+            sep = "["
+            for item in v:
+                emit(sep + inner)
+                write(item, depth + 1)
+                sep = ","
+            emit("\n" + " " * depth + "]")
+        elif isinstance(v, dict):
+            if not v:
+                emit("{}")
+                return
+            inner = "\n" + " " * (depth + 1)
+            sep = "{"
+            for key, item in v.items():
+                emit(sep + inner + _encode_str(key) + ": ")
+                write(item, depth + 1)
+                sep = ","
+            emit("\n" + " " * depth + "}")
+        else:  # int, float, bool, None; anything else raises TypeError as json does
+            emit(json.dumps(v))
+
+    write(value, 0)
+    return "".join(chunks)
 
 
 class SizeBoundError(Exception):
@@ -267,10 +325,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
     except SizeBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
+    except BrokenPipeError:
+        # the reader went away (`| head`): send the rest of stdout, flushed
+        # again at exit, to devnull and fail without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

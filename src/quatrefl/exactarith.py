@@ -13,7 +13,12 @@ these normal forms, so all comparisons in the package are exact.  No
 floating point is used anywhere.
 
 Quaternions are 4-tuples of scalars sharing one conductor, multiplied with
-the Hamilton rules i^2 = j^2 = k^2 = ijk = -1.
+the Hamilton rules i^2 = j^2 = k^2 = ijk = -1.  Every product goes through
+one kernel, ``_products``, which forms a signed sum of scalar products in one
+pass: each component of a quaternion product (four signed scalar products)
+and the reduced norm are each summed over one common denominator, reduced
+mod Phi_m once and put in normal form once; a scalar product is its
+one-pair case.
 """
 
 from __future__ import annotations
@@ -112,6 +117,40 @@ def _scalar(m: int, acc: dict[int, int], den: int, out: "FieldScalar | None" = N
     return s
 
 
+def _products(m: int, pairs) -> "FieldScalar":
+    """sum(sign * x * y for sign, x, y in pairs) in normal form, all of conductor m.
+
+    Every term pair of every product goes into one dict of raw powers of zeta_m
+    over one common denominator, zero operands are skipped, the powers >= phi(m)
+    are reduced once through the tabulated powers, and ``_scalar`` runs once.
+    """
+    pairs = [(sign, x, y) for sign, x, y in pairs if x.terms and y.terms]
+    if not pairs:
+        return _scalar(m, {}, 1)
+    den = math.lcm(*[x.den * y.den for _, x, y in pairs])
+    raw: dict[int, int] = {}
+    get = raw.get
+    for sign, x, y in pairs:
+        f = sign * (den // (x.den * y.den))
+        yt = y.terms
+        for i, a in x.terms:
+            a *= f
+            for j, b in yt:
+                k = i + j
+                raw[k] = get(k, 0) + a * b
+    ctx = _field(m)
+    phi = ctx.phi
+    high = [(k, v) for k, v in raw.items() if k >= phi]
+    if high:
+        pows = ctx.pows
+        for k, v in high:
+            del raw[k]
+            if v:
+                for p, c in pows[k % m]:
+                    raw[p] = get(p, 0) + v * c
+    return _scalar(m, raw, den)
+
+
 class FieldScalar:
     """An element of Q(zeta_m) in reduced normal form.
 
@@ -205,19 +244,7 @@ class FieldScalar:
 
     def __mul__(self, other: "FieldScalar") -> "FieldScalar":
         self._check(other)
-        # sum a*b*zeta^(i+j) over the term pairs, each power of zeta reduced once
-        raw: dict[int, int] = {}
-        for i, a in self.terms:
-            for j, b in other.terms:
-                raw[i + j] = raw.get(i + j, 0) + a * b
-        m, ctx = self.m, _field(self.m)
-        if raw and max(raw) >= ctx.phi:
-            acc: dict[int, int] = {}
-            for k, v in raw.items():
-                for p, c in ctx.pows[k % m]:
-                    acc[p] = acc.get(p, 0) + v * c
-            raw = acc
-        return _scalar(m, raw, self.den * other.den)
+        return _products(self.m, ((1, self, other),))
 
     def __truediv__(self, other: "FieldScalar") -> "FieldScalar":
         return self * other.inverse()
@@ -440,11 +467,14 @@ class Quaternion:
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        m = a1.m
+        if a2.m != m:
+            raise ValueError(f"conductor mismatch: {m} vs {a2.m}")
         return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            _products(m, ((1, a1, a2), (-1, b1, b2), (-1, c1, c2), (-1, d1, d2))),
+            _products(m, ((1, a1, b2), (1, b1, a2), (1, c1, d2), (-1, d1, c2))),
+            _products(m, ((1, a1, c2), (-1, b1, d2), (1, c1, a2), (1, d1, b2))),
+            _products(m, ((1, a1, d2), (1, b1, c2), (-1, c1, b2), (1, d1, a2))),
         )
 
     def __pow__(self, exp: int) -> "Quaternion":
@@ -467,7 +497,8 @@ class Quaternion:
 
     def norm(self) -> FieldScalar:
         """Reduced norm a^2 + b^2 + c^2 + d^2 (a field scalar)."""
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _products(a.m, ((1, a, a), (1, b, b), (1, c, c), (1, d, d)))
 
     def inverse(self) -> "Quaternion":
         n = self.norm()

@@ -16,12 +16,16 @@ from quatrefl.cli import SizeBoundError, _build_from_args, main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env=None, timeout=None):
+def cli_env(env=None):
     # the child imports quatrefl from this checkout's src, as the tests do
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **(env or {})}
+
+
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "quatrefl.cli", *args], capture_output=True, text=True,
-        timeout=timeout, env={**os.environ, "PYTHONPATH": path, **(env or {})})
+        timeout=timeout, env=cli_env(env))
 
 
 def test_group_summary():
@@ -286,3 +290,48 @@ def test_classify_order_includes_isomorphisms():
     partners = {r["label"]: r["iso_partner"] for r in data["records"]}
     assert partners["G_O(L14,1)"] == "G_T(L12,C2)"
     assert partners["G_T(L12,C2)"] == "G_O(L14,1)"
+
+
+@pytest.mark.parametrize("emit", ["elements", "cayley"])
+@pytest.mark.parametrize("k", [("cyclic", "1"), ("T",), ("dicyclic", "6")])
+def test_emitted_json_is_json_dumps_indent_1(capsys, k, emit):
+    argv = ["group", "--k", k[0], *(["--n", k[1]] if len(k) > 1 else []), "--emit", emit]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+def test_indented_json_writer_on_nested_payloads():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                          | st.lists(st.integers(), max_size=4).map(tuple)
+                          | st.dictionaries(st.text(), inner, max_size=4), max_leaves=30)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+    @hypothesis.given(values)
+    def identical(payload):
+        assert cli._indented_json(payload) == json.dumps(payload, indent=1)
+
+    identical()
+    # one int list at two depths, repeated at one depth, and next to a bool list
+    fixed = {"π": ["ζ₈", [], {}, [1, 2], [[1, 2], [1, 2]], (True, 1)], "": None}
+    assert cli._indented_json(fixed) == json.dumps(fixed, indent=1)
+    with pytest.raises(TypeError):
+        cli._indented_json({1: 0})
+    with pytest.raises(TypeError):
+        cli._indented_json([object()])
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the Cayley JSON of D60 is about 2.4 MB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quatrefl.cli", "group", "--k", "dicyclic", "--n", "60",
+         "--emit", "cayley"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""

@@ -221,9 +221,10 @@ def test_field_scalar_sparse_products_in_conductor_800():
     products()
 
 
-# sparse Phi_m (20, 800) and dense Phi_m (148 = 4*37, 236 = 4*59); each
-# lifts into 3m, where zeta_m^i = zeta_3m^(3i) needs reducing mod Phi_3m
-ORACLE_CONDUCTORS = [(20, 60), (800, 2400), (148, 444), (236, 708)]
+# sparse Phi_m (20, 800) and dense Phi_m (148 = 4*37, 236 = 4*59, and the
+# 33 terms of Phi_420 = Phi_(4*105)); each lifts into 3m, where
+# zeta_m^i = zeta_3m^(3i) needs reducing mod Phi_3m
+ORACLE_CONDUCTORS = [(20, 60), (800, 2400), (148, 444), (236, 708), (420, 1260)]
 
 
 def _dense_reduce(m, coeffs):
@@ -287,5 +288,50 @@ def test_sparse_arithmetic_matches_dense_oracle():
         assert again == a and hash(again) == hash(a)
         back = FieldScalar.from_json(json.loads(json.dumps(a.to_json())))
         assert back == a and hash(back) == hash(a)
+
+    agrees()
+
+
+def _hamilton(p, q):
+    """The Hamilton product as 16 scalar products and 12 sums, one operation at a time."""
+    a1, b1, c1, d1 = p.a, p.b, p.c, p.d
+    a2, b2, c2, d2 = q.a, q.b, q.c, q.d
+    return Quaternion(
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+# sparse Phi_m (4, 8, 20, 800) and dense Phi_m (116 = 4*29, 420 = 4*105)
+PRODUCT_CONDUCTORS = [4, 8, 20, 800, 116, 420]
+
+
+def test_quaternion_product_matches_hamilton_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=120)
+    @hypothesis.given(st.data())
+    def agrees(data):
+        m = data.draw(st.sampled_from(PRODUCT_CONDUCTORS))
+        # each component has its own denominator, and an empty term list is zero
+        p, q = (Quaternion(*(FieldScalar(m, _raw(m, terms), den)
+                             for _, terms, den in (data.draw(_sparse_scalar(st, m))
+                                                   for _ in range(4))))
+                for _ in range(2))
+        for x, y in ((p, q), (q, p), (p, p), (p, Quaternion.zero(m))):
+            fused, oracle = x * y, _hamilton(x, y)
+            assert fused == oracle and hash(fused) == hash(oracle)
+        norm = p.a * p.a + p.b * p.b + p.c * p.c + p.d * p.d
+        assert p.norm() == norm and hash(p.norm()) == hash(norm)
+        other = p.lift(2 * m)
+        with pytest.raises(ValueError):
+            p * other
+        with pytest.raises(ValueError):
+            other * p
+        with pytest.raises(ValueError):
+            p.a * other.a
 
     agrees()

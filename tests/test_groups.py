@@ -143,6 +143,8 @@ GROUP_DIGESTS = {
     "D29": "fea480e40f369e503bf8c458c2ffed3019cee33e9cc9f94760af26dcd6512d58",
     "D30": "97c69375bfa23cd1fb0d07da7c0ccb5a944806ac0eff1f5ba6fb0700e4ebc29e",
     "D37": "7750c07b3c68d87335c51b7e4b0eb695138e66e65e889203073199512126b7e7",
+    "D105": "955938006470ae7445194a7df7661a757dfd4a385057fa989493a45e72e39f70",
+    "D127": "47e35c32375710e58fdb9fa346105c74194f04804b165715c16947ca02cf20aa",
     "D200": "b399aee4faa3e452b1c9e9989ca5105ca3c68e95a15bd04d81dd18d111dea943",
 }
 
