@@ -308,6 +308,12 @@ def _hamilton(p, q):
 PRODUCT_CONDUCTORS = [4, 8, 20, 800, 116, 420]
 
 
+def _sparse_quaternion(data, st, m):
+    # each component has its own denominator, and an empty term list is zero
+    parts = [data.draw(_sparse_scalar(st, m)) for _ in range(4)]
+    return Quaternion(*(FieldScalar(m, _raw(m, terms), den) for _, terms, den in parts))
+
+
 def test_quaternion_product_matches_hamilton_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -316,11 +322,7 @@ def test_quaternion_product_matches_hamilton_oracle():
     @hypothesis.given(st.data())
     def agrees(data):
         m = data.draw(st.sampled_from(PRODUCT_CONDUCTORS))
-        # each component has its own denominator, and an empty term list is zero
-        p, q = (Quaternion(*(FieldScalar(m, _raw(m, terms), den)
-                             for _, terms, den in (data.draw(_sparse_scalar(st, m))
-                                                   for _ in range(4))))
-                for _ in range(2))
+        p, q = _sparse_quaternion(data, st, m), _sparse_quaternion(data, st, m)
         for x, y in ((p, q), (q, p), (p, p), (p, Quaternion.zero(m))):
             fused, oracle = x * y, _hamilton(x, y)
             assert fused == oracle and hash(fused) == hash(oracle)
