@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
+    _automorphism_search,
+    _generate,
     build_group,
     default_max_order,
     normal_subgroups,
@@ -28,7 +30,6 @@ from .refsystems import (
     dicyclic_system,
     enumerate_systems,
     omega_set,
-    stabilizer,
 )
 from .refgroups import (
     ReflectionGroup,
@@ -174,20 +175,31 @@ def lambda_count_formula(n: int) -> int:
 
 
 def _dedup_subgroups(L: ReflectionSystem, subgroups: list[Subgroup]) -> list[Subgroup]:
-    """One representative H per orbit under the stabilizer of L's class."""
-    if not subgroups:
-        return []
-    stab = stabilizer(L)
+    """One representative H per orbit of the pairs (L, H) under K x| Aut(K)."""
     seen: set[frozenset] = set()
     kept = []
     for H in subgroups:
-        mem = H.member_set()
-        if mem in seen:
-            continue
-        kept.append(H)
-        for phi in stab:
-            seen.add(frozenset(phi.image[h] for h in mem))
+        if H.member_set() not in seen:
+            kept.append(H)
+            seen |= _paired_images(L, H)
     return kept
+
+
+def _paired_images(L: ReflectionSystem, H: Subgroup) -> set[frozenset]:
+    """The H' with (L, H') in the orbit of (L, H) under K x| Aut(K).
+
+    Translations move only L, automorphisms move both, so these are the
+    phi(H) for the phi that carry L to a member translate of L.
+    """
+    K, L_set = L.parent, L.member_set()
+    maps = [(phi, phi) for phi in _automorphism_search(K)[1]]
+    maps += [(K.cayley[x], None) for x in K.generating_sequence()]
+
+    def act(pair, f):
+        (S, T), (on_S, on_T) = pair, f
+        return frozenset(on_S[t] for t in S), T if on_T is None else frozenset(on_T[t] for t in T)
+
+    return {T for S, T in _generate((L_set, H.member_set()), maps, act)[0] if S == L_set}
 
 
 def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:

@@ -15,8 +15,14 @@ Every generator walk of the package goes through one closure routine,
 ``refsystems`` and ``refgroups``) isomorphism checks and orbits under maps.
 Maps given on generators are extended to homomorphisms by ``_extend_map``
 along the same walk.  Closures that need no table (subgroups, reflection
-triples, greedy generating sequences) go through ``_closure``, which reruns
-``_generate`` over only the generators that enlarge the closure.
+triples, greedy generating sequences, the keys of the automorphisms the
+search has found) go through ``_closure``, which admits only the generators
+that enlarge the closure and resumes its walk at each admission.
+
+The automorphisms of K/H come from one search, ``_quotient_search``, which
+returns the involutions of K/H and a generating set of Aut(K/H);
+``quotient_automorphisms`` and ``automorphism_group`` are the closure of the
+search's generators.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ class FiniteQuaternionGroup:
         self._conj_classes: Optional[list[tuple[int, ...]]] = None
         self._normal: Optional[list["Subgroup"]] = None
         self._automorphisms: Optional[list["GroupAutomorphism"]] = None
+        self._aut_search: Optional[tuple[list, list]] = None
         self._systems = None
 
     @property
@@ -196,17 +203,41 @@ def _generate(one, gens: Sequence, mul: Callable, bound: Optional[int] = None):
 def _closure(one, gens: Iterable, mul: Callable, bound: Optional[int] = None):
     """Close ``gens`` under ``mul``, admitting only the generators that enlarge it.
 
-    A generator already in the closure of those admitted before it is
-    skipped; ``_generate`` reruns over the admitted ones (Dimino's method).
-    Each admission at least doubles a group, so the reruns cost under twice
-    the last.  Returns (members as a set, admitted generators in order).
+    Returns (members as a set, admitted generators in order); each admission
+    is one ``_enlarge`` step (Dimino's method).
     """
     members, admitted = {one}, []
     for g in gens:
-        if g not in members:
-            admitted.append(g)
-            members = set(_generate(one, admitted, mul, bound)[0])
+        _enlarge(members, admitted, g, mul, bound)
     return members, admitted
+
+
+def _enlarge(members: set, admitted: list, g, mul: Callable, bound: Optional[int] = None) -> None:
+    """Close ``members``, the closure of ``admitted``, over g as well, in place.
+
+    Nothing changes when g is already a member.  Otherwise g is admitted and
+    the walk resumes: the old members are multiplied by g only and the new
+    ones by every admitted generator, so no product is formed twice and a
+    closure costs at most |closure| * |admitted| products.  Raises ValueError
+    once more than ``bound`` members are found.
+    """
+    if g in members:
+        return
+    admitted.append(g)
+    new: list = []
+
+    def reach(v) -> None:
+        if v not in members:
+            members.add(v)
+            new.append(v)
+            if bound is not None and len(members) > bound:
+                raise ValueError(f"closure exceeded bound {bound}")
+
+    for u in list(members):
+        reach(mul(u, g))
+    for u in new:  # new grows while it is walked
+        for h in admitted:
+            reach(mul(u, h))
 
 
 def _extend_map(right: list[list[int]], targets: Sequence, mul: Callable, one) -> Optional[list]:
@@ -376,23 +407,51 @@ def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
 
 
 def automorphism_group(K: FiniteQuaternionGroup, bound: int = 120) -> list[GroupAutomorphism]:
-    """All automorphisms of K: the quotient search with H = 1."""
-    if K.order > bound:
-        raise ValueError(f"automorphism search bound {bound} exceeded by |K| = {K.order}")
+    """All automorphisms of K: the closure of the search's generators."""
+    generators = _automorphism_search(K, bound)[1]
     if K._automorphisms is None:
         K._automorphisms = [GroupAutomorphism(K, img)
-                            for img in quotient_automorphisms(K, range(K.order))]
+                            for img in _generated_automorphisms(range(K.order), generators)]
     return K._automorphisms
+
+
+def _automorphism_search(K: FiniteQuaternionGroup, bound: int = 120):
+    """``_quotient_search`` with H = 1, cached on K: (involutions, generators) of Aut(K)."""
+    if K.order > bound:
+        raise ValueError(f"automorphism search bound {bound} exceeded by |K| = {K.order}")
+    if K._aut_search is None:
+        K._aut_search = _quotient_search(K, range(K.order))
+    return K._aut_search
 
 
 def quotient_automorphisms(K: FiniteQuaternionGroup, rep: Sequence[int]) -> list[tuple[int, ...]]:
     """All automorphisms of K/H, for H given by its coset table rep[x] (the
     least index in xH).
 
-    Every same-order choice of images of a generating sequence of K/H that
-    extends to a bijective homomorphism; each automorphism is returned as
-    ``image[x]``, the representative of the image of the coset xH, and the
-    list is sorted.
+    Each automorphism is returned as ``image[x]``, the representative of the
+    image of the coset xH, and the list is sorted; it is the closure of the
+    generators that ``_quotient_search`` finds.
+    """
+    return _generated_automorphisms(rep, _quotient_search(K, rep)[1])
+
+
+def _generated_automorphisms(rep: Sequence[int], generators: list) -> list[tuple[int, ...]]:
+    """The sorted closure of coset automorphisms, composed as (g o phi)[x] = g[phi[x]]."""
+    return sorted(_generate(tuple(rep), generators, lambda phi, g: tuple(g[c] for c in phi))[0])
+
+
+def _quotient_search(K: FiniteQuaternionGroup, rep: Sequence[int]):
+    """The involutive automorphisms of K/H and a generating set of Aut(K/H).
+
+    The candidates are the same-order images of a generating sequence of K/H,
+    in ``itertools.product`` order; a candidate's key is that tuple of images.
+    The keys of the automorphisms found so far are kept closed (``_enlarge``;
+    g o phi has key g[key]), so a candidate whose key is in that closure is an
+    automorphism without a walk.  Only the others, which are new generators
+    or rejects, and the involutions are extended by ``_extend_map``; gamma is
+    an involution when gamma(gamma(g)) = g for each generator g, evaluated
+    along the words that first reached the images.  Returns (the sorted
+    involutions, the generators in the order found), each as ``image[x]``.
     """
     cay = K.cayley
     cosets = sorted(set(rep))
@@ -408,15 +467,37 @@ def quotient_automorphisms(K: FiniteQuaternionGroup, rep: Sequence[int]) -> list
             k += 1
         orders[c] = k
     gens = [c for c in dict.fromkeys(rep[g] for g in K.generating_sequence()) if c != 0]
-    elements, right, _ = _generate(0, gens, mul)
-    images = []
-    for targets in itertools.product(*([c for c in cosets if orders[c] == orders[g]]
-                                       for g in gens)):
-        image = _extend_map(right, targets, mul, 0)
-        if image is not None and len(set(image)) == len(cosets):
-            on_cosets = dict(zip(elements, image))
-            images.append(tuple(on_cosets[c] for c in rep))
-    return sorted(images)
+    elements, right, word = _generate(0, gens, mul)
+    words: dict[int, tuple[int, ...]] = {0: ()}
+    for c, w in zip(elements[1:], word[1:]):
+        words[c] = words[elements[w[0]]] + (w[1],)
+
+    def involutive(key: tuple[int, ...]) -> bool:
+        for g, c in zip(gens, key):
+            v = 0
+            for k in words[c]:
+                v = mul(v, key[k])
+            if v != g:
+                return False
+        return True
+
+    members, admitted, full = {tuple(gens)}, [], {}
+    involutions = []
+    for key in itertools.product(*([c for c in cosets if orders[c] == orders[g]] for g in gens)):
+        known, inv = key in members, involutive(key)
+        if known and not inv:
+            continue
+        image = _extend_map(right, key, mul, 0)
+        if image is None or len(set(image)) < len(cosets):
+            continue
+        on_cosets = dict(zip(elements, image))
+        phi = tuple(on_cosets[c] for c in rep)
+        if not known:
+            full[key] = phi
+            _enlarge(members, admitted, key, lambda k, g: tuple(full[g][c] for c in k))
+        if inv:
+            involutions.append(phi)
+    return sorted(involutions), [full[key] for key in admitted]
 
 
 def element_order_census(K: FiniteQuaternionGroup) -> dict[int, int]:

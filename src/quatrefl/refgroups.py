@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from .exactarith import Quaternion
@@ -88,20 +88,25 @@ class ReflectionGroup:
 
     def __init__(self, K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
                  gamma: dict[int, int], coset_rep: list[int],
-                 coset_members: dict[int, tuple[int, ...]], elements: frozenset,
-                 label=None):
+                 coset_members: dict[int, tuple[int, ...]], label=None):
         self.K = K
         self.L = L
         self.H = H
         self.gamma = gamma
         self.coset_rep = coset_rep
         self.coset_members = coset_members
-        self.elements = elements
         self.label = label
+
+    @cached_property
+    def elements(self) -> frozenset:
+        """Every (b, y, s) with y in gamma(bH), built on first use."""
+        K, gamma, rep = self.K, self.gamma, self.coset_rep
+        return frozenset((b, y, s) for b in range(K.order)
+                         for y in self.coset_members[gamma[rep[b]]] for s in (0, 1))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return 2 * self.H.order * self.K.order
 
     def reflections(self) -> list[Triple]:
         out = []
@@ -150,8 +155,9 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
                                 H_members: Sequence[int]):
     """The coset map gamma(bH) = b^-1 H seeded on L and extended along products.
 
-    K/H is walked from L's cosets by ``_generate`` and the seed is extended
-    by ``_extend_map``; a homomorphism that inverts a generating set is its
+    K/H is walked from the cosets of L that ``_closure`` admits, the seed is
+    extended from them by ``_extend_map``, and the extension must agree with
+    the rest of the seed; a homomorphism that inverts a generating set is its
     own inverse, so the result is an involutive automorphism of K/H.
     Returns (gamma, coset_rep, coset_members).  Raises PreconditionError when
     the seed is inconsistent, L does not generate K/H, or the seed does not
@@ -173,15 +179,17 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
     def mul(c1: int, c2: int) -> int:
         return rep[K.cayley[c1][c2]]
 
-    cosets, right, _ = _generate(0, list(seed), mul)
-    if len(cosets) < len(coset_members):
+    reached, admitted = _closure(0, seed, mul)
+    if len(reached) < len(coset_members):
         raise PreconditionError("quotient map incomplete",
                                 "L does not generate K modulo H")
-    image = _extend_map(right, list(seed.values()), mul, 0)
-    if image is None:
+    cosets, right, _ = _generate(0, admitted, mul)
+    image = _extend_map(right, [seed[c] for c in admitted], mul, 0)
+    gamma = None if image is None else dict(zip(cosets, image))
+    if gamma is None or any(gamma[c] != t for c, t in seed.items()):
         raise PreconditionError("quotient map not multiplicative",
                                 "the seed on L does not extend to a homomorphism of K/H")
-    return dict(zip(cosets, image)), rep, coset_members
+    return gamma, rep, coset_members
 
 
 def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
@@ -190,8 +198,8 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
 
     The group generated by the reflections over (L, H) consists of the
     monomial elements diag(b, y) * swap^s with y running over the coset
-    gamma(bH); building that set directly keeps the largest cases cheap,
-    and the generated-closure path is cross-checked against it in tests.
+    gamma(bH); that set is built only when first used, and the
+    generated-closure path is cross-checked against it in tests.
     """
     if L.parent is not K or H.parent is not K:
         raise PreconditionError("parent mismatch", "L and H must live in K")
@@ -204,13 +212,7 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
     if any(K.cayley[x][h] not in L_set for x in L.members for h in H.members):
         raise PreconditionError("LH != L", "L is not a union of H-cosets")
     gamma, rep, coset_members = induced_quotient_involution(K, L.members, H.members)
-    elements = frozenset(
-        (b, y, s)
-        for b in range(K.order)
-        for y in coset_members[gamma[rep[b]]]
-        for s in (0, 1)
-    )
-    return ReflectionGroup(K, L, H, gamma, rep, coset_members, elements, label=label)
+    return ReflectionGroup(K, L, H, gamma, rep, coset_members, label=label)
 
 
 def nondiagonal_reflections(G: ReflectionGroup) -> tuple[int, ...]:
@@ -318,9 +320,11 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
         entries.append((2, G.H.name))
     circ, cay = K.circ_table(), K.cayley
     L_G = nondiagonal_reflections(G)
-    # x -> a o x for a in L_G, and the left and right H-translations
-    maps = [circ[a] for a in L_G] + [cay[h] for h in G.H.members]
-    maps += [[row[h] for row in cay] for h in G.H.members]
+    # x -> a o x for a in L_G, and the left and right translations by
+    # generators of H
+    H_gens = _closure(0, G.H.members, lambda x, h: cay[x][h])[1]
+    maps = [circ[a] for a in L_G] + [cay[h] for h in H_gens]
+    maps += [[row[h] for row in cay] for h in H_gens]
     remaining = set(L_G)
     nondiag = []
     while remaining:

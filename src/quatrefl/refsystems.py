@@ -14,12 +14,13 @@ from typing import Iterable, Mapping, Sequence
 from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
+    _automorphism_search,
     _generate,
+    _quotient_search,
     automorphism_group,
     build_group,
     is_normal,
     normal_subgroups,
-    quotient_automorphisms,
 )
 from .numutil import divisors, prime_factorization
 
@@ -191,46 +192,22 @@ def equivalence_class_subsets(L: ReflectionSystem) -> set[frozenset]:
 
 
 def _equivalent_sets(K: FiniteQuaternionGroup, members: frozenset) -> set[frozenset]:
+    """One walk from L under K x| Aut(K), kept to the sets that contain 1.
+
+    The maps are the generators of Aut(K) and left multiplication by a
+    generating sequence of K, so the walk reaches every phi(xL) with x in K;
+    phi(xL) contains 1 exactly when x^-1, hence x, lies in L.
+    """
     if len(members) == K.order:
         return {members}
-    autos = automorphism_group(K)
-    orbit: set[frozenset] = set()
-    for translated in _translates(K, members):
-        # a translate already in the orbit brings its whole Aut-orbit with it
-        if translated not in orbit:
-            orbit.update(frozenset(phi.image[t] for t in translated) for phi in autos)
-    return orbit
-
-
-def stabilizer(L: ReflectionSystem) -> list:
-    """The automorphisms phi of K with phi(L) a member translate of L.
-
-    These are exactly the phi with phi(xL) = L for a member x: then
-    phi(L) = phi(x^-1) L, and x^-1 = x (x^-1 o 1) lies in xL.  All of Aut(K)
-    when L = K; listed in ``automorphism_group`` order.
-    """
-    K = L.parent
-    autos = automorphism_group(K)
-    if L.size == K.order:
-        return autos
-    translates = _translates(K, L.member_set())
-    return [phi for phi in autos
-            if frozenset(phi.image[t] for t in L.members) in translates]
+    maps = _automorphism_search(K)[1] + [K.cayley[x] for x in K.generating_sequence()]
+    orbit = _generate(members, maps, lambda S, f: frozenset(f[t] for t in S))[0]
+    return {S for S in orbit if 0 in S}
 
 
 def copy_count(L: ReflectionSystem) -> int:
-    """Number of reflection systems equivalent to L (identity-containing sets).
-
-    By orbit-stabiliser under Aut(K) acting on all |K| left translates xL: the
-    orbit of L has |Aut(K)| |K| / (|stabilizer(L)| |{x : xL = L}|) sets, and
-    the |L| / |K| of them that contain 1 are L's class.  That is |Aut(K)|
-    times the number of distinct member translates over |stabilizer(L)|.
-    """
-    K = L.parent
-    if L.size == K.order:
-        return 1
-    translates = _translates(K, L.member_set())
-    return len(automorphism_group(K)) * len(translates) // len(stabilizer(L))
+    """Number of reflection systems equivalent to L: the size of its class."""
+    return len(_equivalent_sets(L.parent, L.member_set()))
 
 
 def subgroup_copy_count(L: ReflectionSystem) -> int:
@@ -279,8 +256,9 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
     """All reflection systems of K, one canonical representative per class.
 
     Every reflection system is some L_gamma = {x : gamma(xH) = x^-1 H} for a
-    normal subgroup H and an involutive automorphism gamma of K/H; the
-    L_gamma that generate K are canonicalised once per equivalence class.
+    normal subgroup H and an involutive automorphism gamma of K/H, which the
+    quotient search lists without listing Aut(K/H); the L_gamma that
+    generate K are canonicalised once per equivalence class.
     """
     if K.order > bound:
         raise ValueError(f"enumeration bound {bound} exceeded by |K| = {K.order}")
@@ -291,12 +269,9 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
     systems = []
     for H in normal_subgroups(K):
         rep = coset_representatives(K, H.members)
-        # for H = 1, the search that automorphism_group caches on K
-        autos = ([phi.image for phi in automorphism_group(K)] if H.order == 1
-                 else quotient_automorphisms(K, rep))
-        for gamma in autos:
-            if any(gamma[gamma[c]] != c for c in rep):
-                continue
+        # for H = 1, the search whose generators _equivalent_sets uses, cached on K
+        search = _automorphism_search(K) if H.order == 1 else _quotient_search(K, rep)
+        for gamma in search[0]:
             members = frozenset(l_gamma(K, rep, gamma))
             if members in seen or len(K.subgroup_closure(members)) != K.order:
                 continue

@@ -1,14 +1,18 @@
 """Classification pipeline: index sets, records, scans, isomorphisms."""
 
 import dataclasses
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
-from quatrefl.groups import build_group
+from quatrefl.groups import automorphism_group, build_group
 from quatrefl.numutil import is_square
 from quatrefl.classify import (
     IndexQuadruple,
+    _dedup_subgroups,
+    _paired_images,
     classify_K,
     cohen_covered_indices,
     cohen_index,
@@ -26,7 +30,9 @@ from quatrefl.classify import (
     the_dicyclic_family_isomorphism,
     the_polyhedral_isomorphism,
 )
+from quatrefl.refsystems import copy_count, enumerate_systems, subgroup_copy_count
 from quatrefl.refgroups import (
+    diagonal_subgroups,
     iso_prescreen,
     model_inv,
     model_mul,
@@ -124,6 +130,110 @@ def test_classify_matches_formula_records():
         specials = [r for r in recs if r.family == "dicyclic-special"]
         expected_specials = 1 + (1 if n % 2 == 0 and n > 2 else 0)
         assert len(specials) == expected_specials
+
+
+def _group(name):
+    if name in ("T", "O", "I"):
+        return build_group(name)
+    return build_group({"C": "cyclic", "D": "dicyclic"}[name[0]], int(name[1:]))
+
+
+# sha256 of every system's members, generators and both copy counts, and of
+# the classify_K records, as the enumeration over all of Aut(K) produced them
+ENUMERATION_DIGESTS = {
+    "T": "b7dd702f64047ba0961574b118cc99b5873345a990e12a09610960094dc69724",
+    "O": "d6ef4a98c12c37bdd601e8b4659be28ccbb91cf58ce1cdaeb7bfa36ee7f3583e",
+    "I": "4b24a95a020f17cd48f786d0c5c3554bff99a66bae6d48016c4a07a6e8f3fcbd",
+    "D2": "fab085b6b5f69676de59b2af8a8ee6fce108226b98215d35b3d7d7c626741249",
+    "D3": "7e08521c61b04a30a34fd8245f755fc058bbc77bb7cce9fea48e1dd843ef39d6",
+    "D4": "b958d24afa76dc7446d6f415c04166b3e1a5a3f4b01768d74b53a76e87352ba4",
+    "D5": "1068c8c23d9942b1dfacac82a11bcb9f6bcd00bec1b9b78bd86c9263f18a58c8",
+    "D6": "a4e4b183aac78b5badc8464ee1581a0a6fb3d9609567d82a03878697ff45002d",
+    "D7": "9843b24bad0689517e9079a4a4d3f4467977e326bc4244eca0ee1c6e32a867a4",
+    "D8": "f6471c21a128efc65f36abb495d4a467b0aedaa3327ca677991574010d766b45",
+    "D9": "a9bfc55ccdb1e0521631f96aaca8729378ca0965f9176b0d3eb82890d9bb03f2",
+    "D10": "e4528a22a485841aa8faba9a88bf582c0f068f19170806f0b3f95f8bdb5891fc",
+    "D11": "e58cee34f02bb5e745afa2619565b0fa402f3909d6ef67f8fa0fcc5da779fbda",
+    "D12": "dcac065c62e4cb04d2463ac229a5950cbdff38a645683d55de339c9f7c95ffcc",
+    "D13": "dbebc378d7a6e394ec35bd050e2be46f91220c1e6eb7af78c24694f7b5a257c3",
+    "D14": "bb5e12139a49f2cffe58c5903236f69d958da8f650e4ad9a3af452ece7786d65",
+    "D15": "d61a4c1074f7716682ddf19a7aa4a2c023247a8f4f22b05e12bc78847ef68bea",
+    "D16": "271a838dca57d171f45d2cd75a6ec1d44bd090f7036af08afe688b67c78e4f55",
+    "D17": "7833aee182e135823097c7b1152c4fadfc80b75949fe2e3bc266dd9b1b988786",
+    "D18": "3dfa27de93868e22d5e7205b8fd8d8ccc7fb845512cd477b35025cf87237b28f",
+    "D19": "e18b1aaddce17a878b2176df1006d9e95e2635ca03b1a6b4b018b0273ac6e275",
+    "D20": "a260ead49ff79323c10ab38b98672e97445a033e03ea9fa854d56bffb36aef3c",
+    "D21": "cff3b2ec808be2bf79582c2a794c87651361b3b8fd43eae7f1c710a399832deb",
+    "D22": "bc40daae9a61cb29064ac69d22d30111385227a341c35a8a0261d6185e129dc9",
+    "D23": "3f47431437b2d03977a4f1ca0be858f6224e5d68e67b0b16ec88b35eebdab930",
+    "D24": "5de02b37659213e31cd725492e025a56a16cb9b321a00121790eb07e14a3ec6d",
+    "D25": "3cc4cb16e87972582f746275c41a8e76b062e3157c06282dcbc482bd01ff7e16",
+    "D26": "10434964f71a93efeed6455c59d307a9b3671dd52313edc574ca861ea6229775",
+    "D27": "88d4451bce6c9c5f93d6285dcdb0746c1a8a943a346c5934b6964e4323c601e6",
+    "D28": "9ab3d6fb0a9f42fd5841584b5f9aee90c74cc581e372140750b6db1655f852bb",
+    "D29": "bb96bba6c491b8398dcbf81023589c986a99cff920a62b61f5180d2bbe2dd493",
+    "D30": "7ce720f3fbd3912c0cdd7d010c155f3e1b78fca10ff9abd86bb68fa88e00fdee",
+    "C1": "8fb7ba1bfbafe80aadcc47aa27274916a0012196fa9ab8f55eb5fae1601f566b",
+    "C2": "24e0f3b924b65baf5edb5f7606ae0657c1217af4620819c71b53e0160fe3b0c6",
+    "C3": "833c8a52173f847ae11c496b84142b52f744f83f5ebe00710812e7f012a7412d",
+    "C4": "c475293782c2b94c11947949a0b5fa6e85a2b9e61b60febe8fe33e954accb566",
+    "C5": "6386cc1f721efba6ccbf1367fe4511e6d1fab510d0980d8224c8cd8ab71ed6a3",
+    "C6": "ba80bece024a2564779eba8f36b4de652951156770407297f026b91ddad04064",
+    "C7": "3313c0795b872efeab312fc775523016ae50bd86e1034d5cfec2fa936974eb4e",
+    "C8": "4fc7b93774a9471403c8f7709feac3b7c6a40e34fa7c36f457fda7e992596a0f",
+    "C9": "d1ace5c0f03d2a4c38851eeb0f7dcf4aaa880e68b4aaeff37d6296a2a3c56078",
+    "C10": "0d0bfb4dc5f9884c1091d657fb528bd91a6e233401919b4501d4ca619c289481",
+    "C11": "570cdc499ccd84cec85aa97fc41c89f69eae5f8a7f23390e07ec915103798a1e",
+    "C12": "5f288405be7448ecfae340e02cb22f2f70ee11814eee5c3ba6300ecd11205593",
+    "C13": "02375ec941648358b759a346d03fecdaf979b02c2942fb2c83972438105a98cc",
+    "C14": "76439cea9c575b1930e0b4d1f687ae7b1a12b2105b4ea63af70230124c8502bc",
+    "C15": "4cc4bef000438435528733616d5aeb9928e9e8241b6479d0d8219aa87a0e932c",
+    "C16": "a5b73f2c37482c18c54720c80f728aed4d4334162eb698b4e4e6c0f3473a44c3",
+    "C17": "d33020c8ff95f0d25509cc1a3543b8cb8d324601a36281b3b040cf021e7de4ca",
+    "C18": "3a458df27b9a362dc51e61e1f8ed7e7a79ced2b2d5641e92ed9baff310697d32",
+    "C19": "b48cf3ecbe42bff53ebcb3745221dff5c57f93ad9c407ed09e61ea84677dc457",
+    "C20": "db2c543eb6cf5acc25cfda94202489396a403e46482b9cf50f1965d350936c00",
+    "C21": "513822b2f7f03562851baf95b9eed7fee406e1a0c57079e0014c34d2d7842a10",
+    "C22": "9641cadf7573ce73181c4a8ae481a425af822ac30784d40f778134137eb65560",
+    "C23": "12c77196b281bbc454d9402598ffdf7dabba041dfa7baf93377b969c0e929c25",
+    "C24": "3b88014e01211f39b64aecd761b8a7f33e1afe89d62dbdd63a4740cca8a6a202",
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
+def test_enumeration_and_records_pinned(name):
+    K = _group(name)
+    payload = {
+        "systems": [[list(L.members), list(L.generators), copy_count(L), subgroup_copy_count(L)]
+                    for L in enumerate_systems(K)],
+        "records": [rec.to_json() for rec in classify_K(K)],
+    }
+    blob = json.dumps(payload, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == ENUMERATION_DIGESTS[name]
+
+
+def _stabilizer_images(L, H):
+    """phi(H) for every automorphism phi that carries L to a member
+    translate of L, listed from all of Aut(K)."""
+    K = L.parent
+    translates = {frozenset(K.cayley[x][y] for y in L.members) for x in L.members}
+    return {frozenset(phi.image[h] for h in H.members) for phi in automorphism_group(K)
+            if L.size == K.order or frozenset(phi.image[t] for t in L.members) in translates}
+
+
+@pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
+def test_subgroup_dedup_matches_the_stabilizer_oracle(name):
+    K = _group(name)
+    for L in enumerate_systems(K):
+        subgroups = diagonal_subgroups(K, L)
+        seen, kept = set(), []
+        for H in subgroups:
+            images = _stabilizer_images(L, H)
+            assert _paired_images(L, H) == images
+            if H.member_set() not in seen:
+                kept.append(H)
+                seen |= images
+        assert _dedup_subgroups(L, subgroups) == kept
 
 
 def test_special_rows_orders_and_counts():

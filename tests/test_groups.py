@@ -1,16 +1,21 @@
 """Finite quaternion groups: constructors, subgroups, automorphisms."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
 
 import pytest
 
+import quatrefl.groups
 from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
     _close_generators,
+    _closure,
+    _extend_map,
     _generate,
+    _quotient_search,
     automorphism_group,
     build_group,
     commutator_subgroup,
@@ -195,6 +200,16 @@ def test_subgroup_closure_matches_the_all_generators_walk():
         seed = data.draw(st.lists(st.integers(0, K.order - 1), max_size=8))
         full = _generate(0, seed, lambda x, g: K.cayley[x][g])[0]
         assert K.subgroup_closure(seed) == tuple(sorted(full))
+        # the resumed walk forms each (member, admitted generator) product at most once
+        calls = []
+
+        def mul(x, g):
+            calls.append(None)
+            return K.cayley[x][g]
+
+        members, admitted = _closure(0, seed, mul)
+        assert members == set(full)
+        assert len(calls) <= len(members) * len(admitted)
 
     matches()
 
@@ -311,6 +326,81 @@ def test_automorphism_counts():
     # Aut(D_n) = Hol(C_2n) for n >= 3
     for n in range(3, 13):
         assert len(automorphism_group(build_group("dicyclic", n))) == 2 * n * euler_phi(2 * n)
+
+
+def _quotient_automorphisms_oracle(K, rep):
+    """Every same-order choice of generator images that extends to a
+    bijective homomorphism of K/H, each extended on its own (the search
+    before it walked from generators)."""
+    cay = K.cayley
+    cosets = sorted(set(rep))
+
+    def mul(c1, c2):
+        return rep[cay[c1][c2]]
+
+    orders = {}
+    for c in cosets:
+        k, y = 1, c
+        while y != 0:
+            y = mul(y, c)
+            k += 1
+        orders[c] = k
+    gens = [c for c in dict.fromkeys(rep[g] for g in K.generating_sequence()) if c != 0]
+    elements, right, _ = _generate(0, gens, mul)
+    images = []
+    for targets in itertools.product(*([c for c in cosets if orders[c] == orders[g]]
+                                       for g in gens)):
+        image = _extend_map(right, targets, mul, 0)
+        if image is not None and len(set(image)) == len(cosets):
+            on_cosets = dict(zip(elements, image))
+            images.append(tuple(on_cosets[c] for c in rep))
+    return sorted(images)
+
+
+def _automorphism_count(K):
+    """|Aut(K)|, as test_automorphism_counts states it."""
+    if K.tag == "cyclic":
+        return euler_phi(K.n)
+    if K.tag == "dicyclic":
+        return 24 if K.n == 2 else 2 * K.n * euler_phi(2 * K.n)
+    return {"T": 24, "O": 48, "I": 120}[K.tag]
+
+
+SEARCH_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                 + [("cyclic", n) for n in range(1, 13)]
+                 + [("dicyclic", n) for n in range(2, 31)])
+
+
+@pytest.mark.parametrize("tag,n", SEARCH_GROUPS)
+def test_quotient_search_matches_the_extend_every_candidate_oracle(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    for H in normal_subgroups(K):
+        rep = coset_representatives(K, H.members)
+        oracle = _quotient_automorphisms_oracle(K, rep)
+        assert quotient_automorphisms(K, rep) == oracle
+        involutions, generators = _quotient_search(K, rep)
+        assert involutions == [g for g in oracle if all(g[g[c]] == c for c in rep)]
+        closed = _generate(tuple(rep), generators, lambda phi, g: tuple(g[c] for c in phi))[0]
+        assert len(closed) == len(oracle)
+        if H.order == 1:
+            assert len(closed) == _automorphism_count(K)
+
+
+@pytest.mark.parametrize("n", [24, 30])
+def test_classification_never_lists_the_automorphism_group(monkeypatch, n):
+    import quatrefl.refsystems
+    from quatrefl.classify import classify_K
+
+    expected = [rec.to_json() for rec in classify_K(build_group("dicyclic", n))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphism_group called")
+
+    monkeypatch.setattr(quatrefl.groups, "automorphism_group", refuse)
+    monkeypatch.setattr(quatrefl.refsystems, "automorphism_group", refuse)
+    K = build_group.__wrapped__("dicyclic", n)  # uncached, so nothing is reused
+    assert [rec.to_json() for rec in classify_K(K)] == expected
+    assert K._automorphisms is None
 
 
 def _quotient_automorphisms(K, H_name):

@@ -10,6 +10,7 @@ import pytest
 from quatrefl.exactarith import Quaternion
 from quatrefl.groups import (
     Subgroup,
+    _extend_map,
     _generate,
     build_group,
     commutator_subgroup,
@@ -18,6 +19,7 @@ from quatrefl.groups import (
 from quatrefl.refsystems import (
     DicyclicIndex,
     close_system,
+    coset_representatives,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
@@ -277,6 +279,55 @@ def test_generate_from_reflections_observables():
     assert gc.order == 64 and gc.reflection_count() == 14
     gc = generate_from_reflections(T, [], [0])
     assert gc.order == 2
+
+
+def _induced_quotient_involution_oracle(K, L_members, H_members):
+    """gamma extended from every seed coset at once, or the name of the
+    PreconditionError (the walk before the seed was cut to generators)."""
+    rep = coset_representatives(K, H_members)
+    seed = {}
+    for x in L_members:
+        if seed.setdefault(rep[x], rep[K.inv[x]]) != rep[K.inv[x]]:
+            return "quotient map ill-defined"
+
+    def mul(c1, c2):
+        return rep[K.cayley[c1][c2]]
+
+    cosets, right, _ = _generate(0, list(seed), mul)
+    if len(cosets) < len(set(rep)):
+        return "quotient map incomplete"
+    image = _extend_map(right, list(seed.values()), mul, 0)
+    if image is None:
+        return "quotient map not multiplicative"
+    return dict(zip(cosets, image))
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
+                         + [("dicyclic", n) for n in range(2, 13)])
+def test_induced_quotient_involution_matches_the_all_seeds_oracle(tag, n):
+    # every system, and every member translate xL (a seed that need not be
+    # circ-closed), against every normal H
+    K = build_group(tag, n) if n else build_group(tag)
+    seeds = {L.members for L in enumerate_systems(K)}
+    seeds |= {tuple(sorted(K.cayley[x][y] for y in L)) for L in list(seeds) for x in L}
+    for seed in sorted(seeds):
+        for H in normal_subgroups(K):
+            try:
+                got = induced_quotient_involution(K, seed, H.members)[0]
+            except PreconditionError as exc:
+                got = exc.name
+            assert got == _induced_quotient_involution_oracle(K, seed, H.members)
+
+
+def test_reflection_group_elements_are_built_on_first_use():
+    for K in (build_group("T"), build_group("dicyclic", 6)):
+        for L in enumerate_systems(K):
+            for H in diagonal_subgroups(K, L):
+                G = build_reflection_group(K, L, H)
+                assert G.order == 2 * H.order * K.order
+                assert "elements" not in vars(G)
+                assert reflection_orbit_types(G) and "elements" not in vars(G)
+                assert len(G.elements) == G.order
 
 
 def test_orbit_type_strings():

@@ -16,6 +16,7 @@ from quatrefl.groups import (
 )
 from quatrefl.refsystems import (
     DicyclicIndex,
+    _equivalent_sets,
     NonGeneratingSeedError,
     PreconditionError,
     ReflectionSystem,
@@ -34,12 +35,33 @@ from quatrefl.refsystems import (
     omega_set,
     orbit_partition,
     power_lemma_check,
-    stabilizer,
     subgroup_copy_count,
     system_from_automorphism,
     system_orbit,
     systems_equivalent,
 )
+
+
+def _translates(K, members):
+    return {frozenset(K.cayley[x][y] for y in members) for x in members}
+
+
+def _equivalent_sets_oracle(K, members):
+    """Every phi(xL) for a member x and phi in Aut(K): one pass over Aut(K)
+    per member translate (the walk before the orbit went over generators)."""
+    if len(members) == K.order:
+        return {members}
+    return {frozenset(phi.image[t] for t in T)
+            for T in _translates(K, members) for phi in automorphism_group(K)}
+
+
+def stabilizer(L):
+    """The automorphisms phi of K with phi(L) a member translate of L, in
+    ``automorphism_group`` order."""
+    K = L.parent
+    translates = _translates(K, L.members)
+    return [phi for phi in automorphism_group(K)
+            if L.size == K.order or frozenset(phi.image[t] for t in L.members) in translates]
 
 
 def T_group():
@@ -144,11 +166,9 @@ ORACLE_GROUPS = ([("T", None), ("O", None)] + [("dicyclic", n) for n in range(2,
                  + [("cyclic", n) for n in range(1, 13)])
 
 
-@pytest.mark.parametrize("tag,n", ORACLE_GROUPS)
-def test_enumeration_matches_every_circ_closed_set(tag, n):
-    # every circ-closed set containing 1, reached by adjoining one element at
-    # a time with no equivalence pruning (O has 123 of them)
-    K = build_group(tag, n) if n else build_group(tag)
+def _circ_closed_sets(K):
+    """Every circ-closed set containing 1, reached by adjoining one element
+    at a time with no equivalence pruning (O has 123 of them)."""
     start = close_under_circ(K, (0,))
     closed, queue = {start}, [start]
     while queue:
@@ -158,8 +178,19 @@ def test_enumeration_matches_every_circ_closed_set(tag, n):
             if bigger not in closed:
                 closed.add(bigger)
                 queue.append(bigger)
+    return closed
+
+
+@pytest.mark.parametrize("tag,n", ORACLE_GROUPS)
+def test_enumeration_matches_every_circ_closed_set(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    closed = _circ_closed_sets(K)
     classes = {canonical_members(K, S) for S in closed if len(K.subgroup_closure(S)) == K.order}
     assert sorted(classes, key=lambda m: (len(m), m)) == [L.members for L in enumerate_systems(K)]
+    # the non-generating sets too: for them (a subgroup <j> of D_n, say) the
+    # automorphisms reach sets that no translate does
+    for S in closed:
+        assert _equivalent_sets(K, S) == _equivalent_sets_oracle(K, S)
 
 
 @pytest.mark.parametrize("tag,n", ORACLE_GROUPS + [("I", None)])
@@ -194,6 +225,22 @@ def test_copy_counts_match_orbit_walks(tag, n):
         lefts = {frozenset(cay[x][t] for t in mem) for x in range(K.order)}
         two_sided = {frozenset(cay[t][y] for t in S) for S in lefts for y in range(K.order)}
         assert subgroup_copy_count(L) == len(two_sided)
+
+
+ORBIT_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                + [("dicyclic", n) for n in range(2, 31)] + [("cyclic", n) for n in range(1, 25)])
+
+
+@pytest.mark.parametrize("tag,n", ORBIT_GROUPS)
+def test_orbits_and_copy_counts_match_the_aut_pass_oracle(tag, n):
+    # the class walked from generators of K x| Aut(K) against one pass over
+    # all of Aut(K) per member translate, and copy_count against its size
+    K = build_group(tag, n) if n else build_group(tag)
+    for L in enumerate_systems(K):
+        oracle = _equivalent_sets_oracle(K, L.member_set())
+        assert equivalence_class_subsets(L) == oracle
+        assert copy_count(L) == len(oracle)
+        assert L.members == min(tuple(sorted(S)) for S in oracle)
 
 
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
