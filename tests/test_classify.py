@@ -212,13 +212,13 @@ def test_enumeration_and_records_pinned(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == ENUMERATION_DIGESTS[name]
 
 
-def _stabilizer_images(L, H):
-    """phi(H) for every automorphism phi that carries L to a member
-    translate of L, listed from all of Aut(K)."""
+def _stabilizer(L):
+    """The automorphisms that carry L to a member translate of L, listed
+    from all of Aut(K)."""
     K = L.parent
     translates = {frozenset(K.cayley[x][y] for y in L.members) for x in L.members}
-    return {frozenset(phi.image[h] for h in H.members) for phi in automorphism_group(K)
-            if L.size == K.order or frozenset(phi.image[t] for t in L.members) in translates}
+    return [phi for phi in automorphism_group(K)
+            if L.size == K.order or frozenset(phi.image[t] for t in L.members) in translates]
 
 
 @pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
@@ -226,9 +226,10 @@ def test_subgroup_dedup_matches_the_stabilizer_oracle(name):
     K = _group(name)
     for L in enumerate_systems(K):
         subgroups = diagonal_subgroups(K, L)
+        stab = _stabilizer(L)
         seen, kept = set(), []
         for H in subgroups:
-            images = _stabilizer_images(L, H)
+            images = {frozenset(phi.image[h] for h in H.members) for phi in stab}
             assert _paired_images(L, H) == images
             if H.member_set() not in seen:
                 kept.append(H)

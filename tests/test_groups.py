@@ -330,8 +330,9 @@ def test_automorphism_counts():
 
 def _quotient_automorphisms_oracle(K, rep):
     """Every same-order choice of generator images that extends to a
-    bijective homomorphism of K/H, each extended on its own (the search
-    before it walked from generators)."""
+    bijective homomorphism of K/H, each candidate extended on its own: the
+    reference for the search that extends only involutions and new
+    generators."""
     cay = K.cayley
     cosets = sorted(set(rep))
 

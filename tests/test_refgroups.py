@@ -283,7 +283,8 @@ def test_generate_from_reflections_observables():
 
 def _induced_quotient_involution_oracle(K, L_members, H_members):
     """gamma extended from every seed coset at once, or the name of the
-    PreconditionError (the walk before the seed was cut to generators)."""
+    PreconditionError: the reference for the extension from the admitted
+    seed cosets."""
     rep = coset_representatives(K, H_members)
     seed = {}
     for x in L_members:

@@ -47,12 +47,16 @@ def _translates(K, members):
 
 
 def _equivalent_sets_oracle(K, members):
-    """Every phi(xL) for a member x and phi in Aut(K): one pass over Aut(K)
-    per member translate (the walk before the orbit went over generators)."""
+    """Every phi(xL) for a member x and phi in Aut(K): one pass over all of
+    Aut(K) per member translate, the reference for the walk from generators."""
     if len(members) == K.order:
         return {members}
-    return {frozenset(phi.image[t] for t in T)
-            for T in _translates(K, members) for phi in automorphism_group(K)}
+    orbit = set()
+    for T in _translates(K, members):
+        # a translate already in the orbit brings its whole Aut-orbit with it
+        if T not in orbit:
+            orbit.update(frozenset(phi.image[t] for t in T) for phi in automorphism_group(K))
+    return orbit
 
 
 def stabilizer(L):
