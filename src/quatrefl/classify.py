@@ -26,6 +26,7 @@ from .numutil import divisor_count, divisors, is_square
 from .refsystems import (
     DicyclicIndex,
     ReflectionSystem,
+    check_index_pair,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
@@ -53,13 +54,10 @@ class IndexQuadruple:
     r: int
 
     def __post_init__(self):
-        DicyclicIndex(self.n, self.a, self.b)  # validates the pair
-        prod = self.a * self.b * self.r
-        if prod == self.n:
-            return
-        if prod == 2 * self.n and (self.a * self.b) % 2 == 1:
-            return
-        raise ValueError(f"[{self.n},{self.a},{self.b},{self.r}] is not a valid index")
+        n, a, b, r = self.n, self.a, self.b, self.r
+        check_index_pair(n, a, b)
+        if a * b * r != n and not (a * b * r == 2 * n and a * b % 2 == 1):
+            raise ValueError(f"[{n},{a},{b},{r}] is not a valid index")
 
     @property
     def is_higher(self) -> bool:
@@ -156,13 +154,14 @@ def lambda_set(n: int) -> list[IndexQuadruple]:
     """Base indices [n,a,b,n/ab] plus higher indices [n,a,b,2n/ab] for ab odd."""
     if n < 2:
         raise ValueError(f"lambda_set needs n >= 2, got {n}")
+    divs = divisors(n)
     out = []
-    for idx in omega_set(n):
-        a, b = idx.a, idx.b
-        out.append(IndexQuadruple(n, a, b, n // (a * b)))
-        if (a * b) % 2 == 1:
-            out.append(IndexQuadruple(n, a, b, 2 * n // (a * b)))
-    out.sort(key=lambda q: (q.n, q.a, q.b, q.r))
+    for i, a in enumerate(divs):
+        for b in divs[i:]:
+            if math.gcd(a, b) == 1:
+                out.append(IndexQuadruple(n, a, b, n // (a * b)))
+                if (a * b) % 2 == 1:
+                    out.append(IndexQuadruple(n, a, b, 2 * n // (a * b)))
     return out
 
 

@@ -66,6 +66,7 @@ class FiniteQuaternionGroup:
         self._normal: Optional[list["Subgroup"]] = None
         self._automorphisms: Optional[list["GroupAutomorphism"]] = None
         self._aut_search: Optional[tuple[list, list]] = None
+        self._gens: Optional[list[int]] = None
         self._systems = None
 
     @property
@@ -119,10 +120,12 @@ class FiniteQuaternionGroup:
         return tuple(sorted(_closure(0, seed, lambda x, g: cay[x][g])[0]))
 
     def generating_sequence(self) -> list[int]:
-        """A small generating sequence, preferring high-order elements."""
-        cay = self.cayley
-        candidates = sorted(range(self.order), key=lambda x: (-self.element_orders[x], x))
-        return _closure(0, candidates, lambda x, g: cay[x][g])[1]
+        """A small generating sequence, preferring high-order elements (a fresh list)."""
+        if self._gens is None:
+            cay = self.cayley
+            candidates = sorted(range(self.order), key=lambda x: (-self.element_orders[x], x))
+            self._gens = _closure(0, candidates, lambda x, g: cay[x][g])[1]
+        return list(self._gens)
 
     def __repr__(self) -> str:
         return f"FiniteQuaternionGroup({self.name}, order={self.order})"
@@ -381,8 +384,11 @@ def subgroup_name(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> str:
 
 
 def is_normal(K: FiniteQuaternionGroup, members: Iterable[int]) -> bool:
+    """g S g^-1 = S for every g in K, tested on generators: conjugation is
+    injective and S finite, so g S g^-1 within S gives equality."""
     mset = frozenset(members)
-    return all(K.conj(g, x) in mset for x in mset for g in range(K.order))
+    gens = K.generating_sequence()
+    return all(K.conj(g, x) in mset for x in mset for g in gens)
 
 
 def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:

@@ -312,7 +312,9 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
 
     The two diagonal root subgroups form one orbit of size 2 (type H); the
     antidiagonal reflections decompose into circ-orbits merged by left and
-    right H-translation.
+    right H-translation.  G is generated by the antidiagonal reflections over
+    L's generators and the diagonal ones over H's, and s_(a o b) = s_a s_b s_a,
+    so conjugating by those generators walks every orbit.
     """
     K = G.K
     entries: list[tuple[int, str]] = []
@@ -320,10 +322,10 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
         entries.append((2, G.H.name))
     circ, cay = K.circ_table(), K.cayley
     L_G = nondiagonal_reflections(G)
-    # x -> a o x for a in L_G, and the left and right translations by
+    # x -> a o x for a generating L, and the left and right translations by
     # generators of H
     H_gens = _closure(0, G.H.members, lambda x, h: cay[x][h])[1]
-    maps = [circ[a] for a in L_G] + [cay[h] for h in H_gens]
+    maps = [circ[a] for a in G.L.generators] + [cay[h] for h in H_gens]
     maps += [[row[h] for row in cay] for h in H_gens]
     remaining = set(L_G)
     nondiag = []

@@ -70,6 +70,12 @@ class ReflectionSystem:
         }
 
 
+def check_index_pair(n: int, a: int, b: int) -> None:
+    """Raise ValueError unless (a, b) lies in Omega_n."""
+    if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
+        raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
+
+
 @dataclass(frozen=True)
 class DicyclicIndex:
     """A pair (a, b) in Omega_n: coprime divisors of n with a <= b."""
@@ -79,9 +85,7 @@ class DicyclicIndex:
     b: int
 
     def __post_init__(self):
-        n, a, b = self.n, self.a, self.b
-        if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
-            raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
+        check_index_pair(self.n, self.a, self.b)
 
     @property
     def size(self) -> int:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -30,7 +32,13 @@ from quatrefl.classify import (
     the_dicyclic_family_isomorphism,
     the_polyhedral_isomorphism,
 )
-from quatrefl.refsystems import copy_count, enumerate_systems, subgroup_copy_count
+from quatrefl.refsystems import (
+    DicyclicIndex,
+    copy_count,
+    enumerate_systems,
+    omega_set,
+    subgroup_copy_count,
+)
 from quatrefl.refgroups import (
     diagonal_subgroups,
     iso_prescreen,
@@ -67,6 +75,68 @@ def test_index_quadruple_validation():
         IndexQuadruple(6, 1, 2, 6)  # higher with even ab
     with pytest.raises(ValueError):
         IndexQuadruple(6, 2, 4, 1)  # gcd != 1
+
+
+def _lambda_set_oracle(n):
+    """Lambda_n through the Omega_n pairs, sorted afterwards."""
+    out = []
+    for idx in omega_set(n):
+        a, b = idx.a, idx.b
+        out.append(IndexQuadruple(n, a, b, n // (a * b)))
+        if (a * b) % 2 == 1:
+            out.append(IndexQuadruple(n, a, b, 2 * n // (a * b)))
+    out.sort(key=lambda q: (q.n, q.a, q.b, q.r))
+    return out
+
+
+def test_lambda_set_matches_the_omega_oracle():
+    for n in range(2, 2001):
+        assert lambda_set(n) == _lambda_set_oracle(n)
+    for n in (0, 1, -3):
+        with pytest.raises(ValueError, match=f"lambda_set needs n >= 2, got {n}"):
+            lambda_set(n)
+
+
+def _pair_error(n, a, b):
+    if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
+        return f"({a},{b}) is not a valid index pair for n={n}"
+    return None
+
+
+def _quadruple_error(n, a, b, r):
+    """The message IndexQuadruple(n, a, b, r) raises, or None if it is valid."""
+    pair = _pair_error(n, a, b)
+    if pair is not None:
+        return pair
+    prod = a * b * r
+    if prod == n or (prod == 2 * n and (a * b) % 2 == 1):
+        return None
+    return f"[{n},{a},{b},{r}] is not a valid index"
+
+
+def _raised(make, *args):
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_index_validation_matches_the_stated_rules():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-2, 40)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+    @hypothesis.given(small, small, small, small)
+    def check(n, a, b, r):
+        assert _raised(DicyclicIndex, n, a, b) == _pair_error(n, a, b)
+        assert _raised(IndexQuadruple, n, a, b, r) == _quadruple_error(n, a, b, r)
+
+    check()
+    # and exhaustively on a small box that holds every valid index with n <= 12
+    for n, a, b, r in itertools.product(range(13), range(13), range(13), range(25)):
+        assert _raised(IndexQuadruple, n, a, b, r) == _quadruple_error(n, a, b, r)
 
 
 def test_index_formulas():

@@ -21,6 +21,7 @@ from quatrefl.groups import (
     commutator_subgroup,
     element_order_census,
     group_contains,
+    is_normal,
     normal_subgroups,
     quotient_automorphisms,
 )
@@ -301,6 +302,57 @@ def test_normality_direct_check():
             members = set(s.members)
             for g in range(K.order):
                 assert {K.conj(g, x) for x in members} == members
+
+
+def _is_normal_oracle(K, members):
+    """Conjugation by every element of K keeps the set."""
+    S = set(members)
+    return all(K.conj(g, x) in S for g in range(K.order) for x in S)
+
+
+NORMALITY_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                    + [("dicyclic", n) for n in range(2, 13)]
+                    + [("cyclic", n) for n in range(1, 13)])
+
+
+@pytest.mark.parametrize("tag,n", NORMALITY_GROUPS)
+def test_is_normal_matches_the_all_elements_oracle(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    cyclic = {K.subgroup_closure([x]) for x in range(K.order)}
+    subgroups = cyclic | {K.subgroup_closure(c1 + c2) for c1, c2 in itertools.combinations(cyclic, 2)}
+    for members in subgroups:
+        assert is_normal(K, members) == _is_normal_oracle(K, members)
+    # sets that are not subgroups: conjugacy classes, a class with one member
+    # dropped, pairs {1, x} and a subgroup with one coset member added
+    rng = random.Random(13)
+    sets = list(K.conjugacy_classes())
+    sets += [cls[1:] for cls in K.conjugacy_classes() if len(cls) > 1]
+    sets += [(0, x) for x in rng.sample(range(K.order), min(K.order, 8))]
+    sets += [members + (K.cayley[x][members[-1]],)
+             for members in rng.sample(sorted(subgroups), min(len(subgroups), 8))
+             for x in rng.sample(range(K.order), 1)]
+    for members in sets:
+        assert is_normal(K, members) == _is_normal_oracle(K, members)
+    # both verdicts occur wherever K is not abelian
+    verdicts = {_is_normal_oracle(K, members) for members in sets + sorted(subgroups)}
+    assert verdicts == ({True} if tag == "cyclic" else {True, False})
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_j_axis_is_not_normal_in_dicyclic_groups(n):
+    K = build_group("dicyclic", n)
+    j_axis = K.subgroup_closure([dicyclic_element(K, 0, 1)])
+    assert len(j_axis) == 4
+    assert not is_normal(K, j_axis) and not _is_normal_oracle(K, j_axis)
+
+
+def test_generating_sequence_is_a_fresh_list():
+    for K in (build_group("T"), build_group("dicyclic", 6), build_group("cyclic", 1)):
+        first, second = K.generating_sequence(), K.generating_sequence()
+        assert first == second and first is not second
+        first.append(0)
+        assert K.generating_sequence() == second
+        assert len(K.subgroup_closure(second)) == K.order
 
 
 def test_commutator_subgroups():

@@ -16,9 +16,11 @@ from quatrefl.groups import (
     commutator_subgroup,
     normal_subgroups,
 )
+from quatrefl.classify import _dedup_subgroups, build_index_group, lambda_set
 from quatrefl.refsystems import (
     DicyclicIndex,
     close_system,
+    close_under_circ,
     coset_representatives,
     dicyclic_element,
     dicyclic_system,
@@ -27,6 +29,7 @@ from quatrefl.refsystems import (
 )
 from quatrefl.refgroups import (
     PreconditionError,
+    ReflectionOrbitType,
     build_reflection_group,
     closure_of_triples,
     diagonal_subgroups,
@@ -343,6 +346,51 @@ def test_orbit_type_strings():
     L30 = next(S for S in enumerate_systems(I) if S.size == 30)
     G = build_reflection_group(I, L30, normal_of_order(I, 1))
     assert reflection_orbit_types(G).render() == "30C2"
+
+
+def _reflection_orbit_types_oracle(G):
+    """Orbit types walked under the circ-map of every reflection of L_G."""
+    K = G.K
+    entries = [(2, G.H.name)] if G.H.order > 1 else []
+    circ, cay = K.circ_table(), K.cayley
+    L_G = nondiagonal_reflections(G)
+    maps = [circ[a] for a in L_G] + [cay[h] for h in G.H.members]
+    maps += [[row[h] for row in cay] for h in G.H.members]
+    remaining = set(L_G)
+    nondiag = []
+    while remaining:
+        orbit = _generate(min(remaining), maps, lambda x, f: f[x])[0]
+        nondiag.append(len(orbit))
+        remaining.difference_update(orbit)
+    entries.extend((size, "C2") for size in sorted(nondiag))
+    return ReflectionOrbitType(tuple(entries))
+
+
+def _assert_orbit_types_match_the_oracle(G):
+    # the generator walk needs L to be the circ-closure of its generators
+    assert close_under_circ(G.K, G.L.generators) == G.L.member_set()
+    assert reflection_orbit_types(G) == _reflection_orbit_types_oracle(G)
+
+
+ORBIT_ORACLE_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                       + [("dicyclic", n) for n in range(2, 31)]
+                       + [("cyclic", n) for n in range(1, 25)])
+
+
+@pytest.mark.parametrize("tag,n", ORBIT_ORACLE_GROUPS)
+def test_reflection_orbit_types_match_the_all_reflections_oracle(tag, n):
+    # every (L, H) that classify_K forms
+    K = build_group(tag, n) if n else build_group(tag)
+    for L in enumerate_systems(K):
+        H_L, *higher = diagonal_subgroups(K, L)
+        for H in [H_L] + _dedup_subgroups(L, higher):
+            _assert_orbit_types_match_the_oracle(build_reflection_group(K, L, H))
+
+
+def test_index_group_orbit_types_match_the_all_reflections_oracle():
+    for n in range(2, 13):
+        for idx in lambda_set(n):
+            _assert_orbit_types_match_the_oracle(build_index_group(idx))
 
 
 def test_realize_matrices_identity_and_roots():
