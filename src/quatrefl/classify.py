@@ -26,7 +26,7 @@ from .numutil import divisor_count, divisors, is_square
 from .refsystems import (
     DicyclicIndex,
     ReflectionSystem,
-    check_index_pair,
+    _check_index_pair,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
@@ -55,7 +55,7 @@ class IndexQuadruple:
 
     def __post_init__(self):
         n, a, b, r = self.n, self.a, self.b, self.r
-        check_index_pair(n, a, b)
+        _check_index_pair(n, a, b)
         if a * b * r != n and not (a * b * r == 2 * n and a * b % 2 == 1):
             raise ValueError(f"[{n},{a},{b},{r}] is not a valid index")
 

@@ -70,7 +70,7 @@ class ReflectionSystem:
         }
 
 
-def check_index_pair(n: int, a: int, b: int) -> None:
+def _check_index_pair(n: int, a: int, b: int) -> None:
     """Raise ValueError unless (a, b) lies in Omega_n."""
     if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
         raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
@@ -85,7 +85,7 @@ class DicyclicIndex:
     b: int
 
     def __post_init__(self):
-        check_index_pair(self.n, self.a, self.b)
+        _check_index_pair(self.n, self.a, self.b)
 
     @property
     def size(self) -> int:
