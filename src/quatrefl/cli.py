@@ -48,14 +48,27 @@ def _indented_json(value) -> str:
     """``json.dumps(value, indent=1)``, byte for byte.
 
     With an indent, ``json`` falls back to its pure-Python encoder.  This
-    writes the same layout directly and joins each list of plain ints in one
-    ``str.join``, formatting each such list once per (depth, contents).  Dict
-    keys must be strings, as in every payload of the package; any other key
-    raises TypeError.
+    writes the same layout directly; a non-empty list of plain ints, or of such
+    lists (a Cayley table, a scalar's coefficients), is formed in one
+    ``str.join`` once per (depth, contents).  Dict keys must be strings, as in
+    every payload of the package; any other key raises TypeError.
     """
     chunks: list[str] = []
     emit = chunks.append
     int_lists: dict[tuple, str] = {}
+
+    def ints(v) -> bool:
+        return isinstance(v, (list, tuple)) and bool(v) and set(map(type, v)) == {int}
+
+    def int_text(v, depth: int) -> str:
+        rows = type(v[0]) is not int
+        key = (depth, *(map(tuple, v) if rows else v))
+        text = int_lists.get(key)
+        if text is None:
+            inner = "\n" + " " * (depth + 1)
+            items = [int_text(row, depth + 1) for row in v] if rows else map(int.__repr__, v)
+            text = int_lists[key] = "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+        return text
 
     def write(v, depth: int) -> None:
         if isinstance(v, str):
@@ -64,15 +77,10 @@ def _indented_json(value) -> str:
             if not v:
                 emit("[]")
                 return
-            inner = "\n" + " " * (depth + 1)
-            if set(map(type, v)) == {int}:
-                key = (depth, *v)
-                text = int_lists.get(key)
-                if text is None:
-                    text = int_lists[key] = ("[" + inner + ("," + inner).join(map(int.__repr__, v))
-                                             + "\n" + " " * depth + "]")
-                emit(text)
+            if ints(v) or all(map(ints, v)):
+                emit(int_text(v, depth))
                 return
+            inner = "\n" + " " * (depth + 1)
             sep = "["
             for item in v:
                 emit(sep + inner)

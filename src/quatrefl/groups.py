@@ -4,11 +4,11 @@
 order 4n, and the binary tetrahedral / octahedral / icosahedral groups of
 orders 24 / 48 / 120.  Every group takes one construction path: its
 generators (zeta_n; zeta_2n and j; or ``polyhedral_generators``) are closed
-under right multiplication in |K|*|gens| exact quaternion products, and the
-Cayley table is filled from those products by integer lookups.  Elements are
-exact quaternions; indices are stable (sorted by element order, then
-lexicographic coefficients) so tables and golden files are reproducible
-across runs.
+under right multiplication modulo a prime, which is injective on K; the
+Cayley table is filled from that walk by integer lookups, and each element is
+formed once, along the word that first reached it (|K| - 1 exact quaternion
+products).  Elements are exact quaternions; indices are stable (sorted by
+element order, then lexicographic coefficients) so tables are reproducible.
 
 Every generator walk of the package goes through one closure routine,
 ``_generate``: group construction, the automorphism search, and (in
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,20 +36,23 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
+from .numutil import prime_root_of_unity
 
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
+POLYHEDRAL_ORDER = {"T": 24, "O": 48, "I": 120}
 
 
 class FiniteQuaternionGroup:
     """A finite subgroup of the unit quaternions with full multiplication data.
 
-    elements[0] is the identity; ``cayley[x][y]`` is the index of the product
-    and ``inv[x]`` the index of the inverse.  Instances are immutable after
-    construction and safe to share.
+    elements[0] is the identity; ``cayley[x][y]`` is the index of the product,
+    ``inv[x]`` that of the inverse and ``build_gens`` those of the generators
+    it was closed from.  Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, name: str, tag: str, n: Optional[int], elements: list[Quaternion],
-                 cayley: list[list[int]], inv: list[int], element_orders: list[int]):
+                 cayley: list[list[int]], inv: list[int], element_orders: list[int],
+                 build_gens: tuple[int, ...]):
         self.name = name
         self.tag = tag
         self.n = n
@@ -60,6 +62,7 @@ class FiniteQuaternionGroup:
         self.conductor = elements[0].conductor
         self.index = {q: i for i, q in enumerate(elements)}
         self.element_orders = element_orders
+        self.build_gens = build_gens
         # lazily built caches
         self._circ: Optional[list[list[int]]] = None
         self._conj_classes: Optional[list[tuple[int, ...]]] = None
@@ -282,16 +285,16 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     if tag == "cyclic":
         if n is None or n < 1:
             raise ValueError(f"cyclic group needs n >= 1, got {n}")
-        return _close_generators(f"C{n}", tag, n, [embedded_circle_element(math.lcm(4, n), n, 1)])
+        return _close_generators(f"C{n}", tag, n, [embedded_circle_element(math.lcm(4, n), n, 1)], n)
     if tag == "dicyclic":
         if n is None or n < 2:
             raise ValueError(f"dicyclic group needs n >= 2, got {n}")
         gens = [embedded_circle_element(4 * n, 2 * n, 1), Quaternion.unit(4 * n, "j")]
-        return _close_generators(f"D{n}", tag, n, gens)
+        return _close_generators(f"D{n}", tag, n, gens, 4 * n)
     if tag in POLYHEDRAL_CONDUCTOR:
         if n is not None:
             raise ValueError(f"group {tag} takes no parameter")
-        return _close_generators(tag, tag, None, polyhedral_generators(tag))
+        return _close_generators(tag, tag, None, polyhedral_generators(tag), POLYHEDRAL_ORDER[tag])
     raise ValueError(f"unsupported group tag {tag!r}")
 
 
@@ -311,15 +314,42 @@ def polyhedral_generators(tag: str) -> list[Quaternion]:
     return [Quaternion.unit(m, "i"), zeta, w]
 
 
-def _close_generators(name: str, tag: str, n: Optional[int],
-                      gens: list[Quaternion]) -> FiniteQuaternionGroup:
-    """Close ``gens`` under multiplication and tabulate the group.
+def _reduced_walk(gens: list[Quaternion], order: int):
+    """``_generate(Quaternion.one(m), gens, operator.mul)`` for a group of ``order`` elements.
 
-    ``_generate`` forms x*g for every element x and generator g (|K|*|gens|
-    exact products); the Cayley table then needs integer lookups only:
+    The walk runs mod the least odd prime p = 1 (mod m), zeta_m -> a primitive
+    m-th root r (denominators are powers of 2), a ring map injective on finite
+    groups (Minkowski); a count other than ``order`` raises ArithmeticError.
+    Each element is then formed once, along the word that first reached it.
+    """
+    m = gens[0].conductor
+    p, r = prime_root_of_unity(m)
+
+    def mul(x: tuple, y: tuple) -> tuple:
+        (a, b, c, d), (e, f, g, h) = x, y
+        return ((a * e - b * f - c * g - d * h) % p, (a * f + b * e + c * h - d * g) % p,
+                (a * g - b * h + c * e + d * f) % p, (a * h + b * g - c * f + d * e) % p)
+
+    images = [tuple(sum(v * pow(r, k, p) for k, v in s.terms) * pow(s.den, -1, p) % p
+                    for s in (q.a, q.b, q.c, q.d)) for q in gens]
+    _, right, word = _generate((1, 0, 0, 0), images, mul)
+    if len(word) != order:
+        raise ArithmeticError(f"generators close to {len(word)} elements mod {p}, not {order}")
+    values = [Quaternion.one(m)]
+    for parent, k in word[1:]:
+        values.append(values[parent] * gens[k])
+    return values, right, word
+
+
+def _close_generators(name: str, tag: str, n: Optional[int],
+                      gens: list[Quaternion], order: int) -> FiniteQuaternionGroup:
+    """Close ``gens``, which generate a group of ``order`` elements, and tabulate it.
+
+    ``_reduced_walk`` gives the elements with ``_generate``'s ``right`` and
+    ``word``; the Cayley table then needs integer lookups only:
     x*y = right[x*parent(y)][k] for the word (parent, k) that first reached y.
     """
-    values, right, word = _generate(Quaternion.one(gens[0].conductor), gens, operator.mul)
+    values, right, word = _reduced_walk(gens, order)
     cayley = []
     for x in range(len(values)):
         row = [x]
@@ -355,7 +385,8 @@ def _close_generators(name: str, tag: str, n: Optional[int],
         pos[old] = new
     cayley = [[pos[row[j]] for j in idx] for row in (cayley[i] for i in idx)]
     return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
-                                 [row.index(0) for row in cayley], [orders[i] for i in idx])
+                                 [row.index(0) for row in cayley], [orders[i] for i in idx],
+                                 tuple(pos[y] for y in right[0]))
 
 
 # -- subgroup machinery --------------------------------------------------

@@ -56,3 +56,13 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
+
+
+def prime_root_of_unity(m: int) -> tuple[int, int]:
+    """The least odd prime p = 1 (mod m) and a primitive m-th root of unity r mod p."""
+    p = m + 1
+    while p == 2 or prime_factorization(p) != {p: 1}:
+        p += m
+    # x^((p-1)/m) has order dividing m, and exactly m for a generator x of F_p^*
+    roots = (pow(x, (p - 1) // m, p) for x in range(2, p))
+    return p, next(r for r in roots if all(pow(r, m // q, p) != 1 for q in prime_factorization(m)))

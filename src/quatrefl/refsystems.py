@@ -326,14 +326,10 @@ def dicyclic_system(idx: DicyclicIndex) -> ReflectionSystem:
 
 
 def dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
-    """Index of w^e (s = 0) or w^e * j (s = 1) in a dicyclic group."""
-    from .exactarith import Quaternion, embedded_circle_element
-
-    n = K.n
-    q = embedded_circle_element(4 * n, 2 * n, e)
-    if s:
-        q = q * Quaternion.unit(4 * n, "j")
-    return K.index[q]
+    """Index of w^e (s = 0) or w^e * j (s = 1) in D_n, from its build generators (w, j)."""
+    w, j = K.build_gens
+    x = K.power(w, e)
+    return K.cayley[x][j] if s else x
 
 
 # -- systems from quotient automorphisms -----------------------------------

@@ -318,6 +318,10 @@ def test_indented_json_writer_on_nested_payloads():
     # one int list at two depths, repeated at one depth, and next to a bool list
     fixed = {"π": ["ζ₈", [], {}, [1, 2], [[1, 2], [1, 2]], (True, 1)], "": None}
     assert cli._indented_json(fixed) == json.dumps(fixed, indent=1)
+    # lists of int lists beside an empty inner list, a bool in an int list, and tuples
+    for rows in ([[1, 2], []], [[1, 2], [3, True]], [[1], 2], ((1, 2), [3]), [(4,), (4,)],
+                 [[[1, 2], [1, 2]], [[1, 2]]], [[1, 2], [1, 2], [[1, 2]]]):
+        assert cli._indented_json({"rows": rows}) == json.dumps({"rows": rows}, indent=1), rows
     with pytest.raises(TypeError):
         cli._indented_json({1: 0})
     with pytest.raises(TypeError):

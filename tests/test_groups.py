@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -16,16 +17,19 @@ from quatrefl.groups import (
     _extend_map,
     _generate,
     _quotient_search,
+    _reduced_walk,
     automorphism_group,
     build_group,
     commutator_subgroup,
     element_order_census,
     group_contains,
     is_normal,
+    POLYHEDRAL_ORDER,
     normal_subgroups,
+    polyhedral_generators,
     quotient_automorphisms,
 )
-from quatrefl.numutil import euler_phi
+from quatrefl.numutil import euler_phi, prime_factorization, prime_root_of_unity
 from quatrefl.refsystems import coset_representatives, dicyclic_element
 
 
@@ -152,6 +156,7 @@ GROUP_DIGESTS = {
     "D105": "955938006470ae7445194a7df7661a757dfd4a385057fa989493a45e72e39f70",
     "D127": "47e35c32375710e58fdb9fa346105c74194f04804b165715c16947ca02cf20aa",
     "D200": "b399aee4faa3e452b1c9e9989ca5105ca3c68e95a15bd04d81dd18d111dea943",
+    "D273": "9db573d788118a9312d100cb152b14039b625b17f66e343cd79228080866f6d8",
 }
 
 
@@ -230,7 +235,7 @@ def test_close_generators_matches_subgroup_closure():
         while (grown := members | {K.cayley[a][b] for a in members for b in members}) != members:
             members = grown
         hypothesis.assume(len(members) <= 24)  # the check below forms every product
-        H = _close_generators("H", tag, n, [K.elements[x] for x in idx])
+        H = _close_generators("H", tag, n, [K.elements[x] for x in idx], len(members))
         assert set(H.elements) == {K.elements[x] for x in members}
         for a, qa in enumerate(H.elements):
             for b, qb in enumerate(H.elements):
@@ -240,8 +245,8 @@ def test_close_generators_matches_subgroup_closure():
 
 
 @pytest.mark.parametrize("tag,n,products", [
-    ("T", None, 48), ("O", None, 96), ("I", None, 360), ("dicyclic", 5, 40)])
-def test_build_takes_order_times_generators_products(monkeypatch, tag, n, products):
+    ("T", None, 23), ("O", None, 47), ("I", None, 119), ("dicyclic", 5, 19)])
+def test_build_takes_one_product_per_element_but_the_identity(monkeypatch, tag, n, products):
     calls = []
     mul = Quaternion.__mul__
 
@@ -252,6 +257,60 @@ def test_build_takes_order_times_generators_products(monkeypatch, tag, n, produc
     monkeypatch.setattr(Quaternion, "__mul__", counting)
     build_group.__wrapped__(tag, n)  # uncached, without emptying the shared cache
     assert len(calls) == products
+
+
+def _build_generators(tag, n):
+    """The generators and order that ``build_group`` closes."""
+    if tag == "cyclic":
+        return [embedded_circle_element(math.lcm(4, n), n, 1)], n
+    if tag == "dicyclic":
+        return [embedded_circle_element(4 * n, 2 * n, 1), Quaternion.unit(4 * n, "j")], 4 * n
+    return polyhedral_generators(tag), POLYHEDRAL_ORDER[tag]
+
+
+@pytest.mark.parametrize("tag,ns", [
+    ("cyclic", range(1, 49)), ("dicyclic", range(2, 61)), ("T", [None]), ("O", [None]), ("I", [None])],
+    ids=["C1-C48", "D2-D60", "T", "O", "I"])
+def test_reduced_walk_matches_the_exact_walk(tag, ns):
+    for n in ns:
+        gens, order = _build_generators(tag, n)
+        exact = _generate(Quaternion.one(gens[0].conductor), gens, operator.mul)
+        assert _reduced_walk(gens, order) == exact, (tag, n)
+
+
+@pytest.mark.parametrize("tag,n", [("cyclic", 6), ("dicyclic", 5), ("T", None), ("I", None)])
+def test_reduced_walk_of_the_wrong_order_raises(tag, n):
+    gens, order = _build_generators(tag, n)
+    for wrong in (order - 1, order + 1, 2 * order):
+        with pytest.raises(ArithmeticError):
+            _reduced_walk(gens, wrong)
+
+
+def test_prime_root_of_unity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(st.integers(1, 2000))
+    def primitive(m):
+        p, r = prime_root_of_unity(m)
+        assert p > 2 and prime_factorization(p) == {p: 1} and p % m == 1 % m
+        assert all(prime_factorization(q) != {q: 1} for q in range(m + 1, p, m) if q % 2)
+        assert pow(r, m, p) == 1
+        assert all(pow(r, m // q, p) != 1 for q in prime_factorization(m))
+
+    primitive()
+    assert prime_root_of_unity(1) == (3, 1) and prime_root_of_unity(4) == (5, 2)
+
+
+def test_dicyclic_element_matches_the_exact_lookup():
+    for n in range(2, 31):
+        K = build_group("dicyclic", n)
+        j = Quaternion.unit(4 * n, "j")
+        for e in range(-2 * n, 4 * n):
+            w_e = embedded_circle_element(4 * n, 2 * n, e)
+            assert dicyclic_element(K, e, 0) == K.index[w_e], (n, e)
+            assert dicyclic_element(K, e, 1) == K.index[w_e * j], (n, e)
 
 
 def test_element_order_census():
