@@ -12,6 +12,7 @@ import pytest
 import quatrefl.groups
 from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
+    POLYHEDRAL_ORDER,
     _close_generators,
     _closure,
     _extend_map,
@@ -24,7 +25,6 @@ from quatrefl.groups import (
     element_order_census,
     group_contains,
     is_normal,
-    POLYHEDRAL_ORDER,
     normal_subgroups,
     polyhedral_generators,
     quotient_automorphisms,
