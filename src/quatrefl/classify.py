@@ -672,16 +672,3 @@ def _pair_search_certificate(idx1: IndexQuadruple, idx2: IndexQuadruple) -> str:
         raise AssertionError(f"corollary pair {idx1.render()} ~ {idx2.render()} is isomorphic")
     return "exhausted generator-map search"
 
-
-def equal_invariant_cross_pairs(max_n: int) -> list[tuple[IndexQuadruple, IndexQuadruple]]:
-    """Brute-force oracle: all index pairs at (n, 2n) with only order-2
-    reflections sharing order and reflection count."""
-    out = []
-    for n in range(2, max_n + 1):
-        small = [idx for idx in lambda_set(n) if idx.r == 2]
-        large = [idx for idx in lambda_set(2 * n) if idx.r == 1]
-        for i1 in small:
-            for i2 in large:
-                if i1.order == i2.order and i1.reflections == i2.reflections:
-                    out.append((i1, i2))
-    return out

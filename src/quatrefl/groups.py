@@ -14,10 +14,12 @@ Every generator walk of the package goes through one closure routine,
 ``_generate``: group construction, the automorphism search, and (in
 ``refsystems`` and ``refgroups``) isomorphism checks and orbits under maps.
 Maps given on generators are extended to homomorphisms by ``_extend_map``
-along the same walk.  Closures that need no table (subgroups, reflection
-triples, greedy generating sequences, the keys of the automorphisms the
-search has found) go through ``_closure``, which admits only the generators
-that enlarge the closure and resumes its walk at each admission.
+along the same walk, and ``_orbits`` runs one walk per orbit of index
+permutations: conjugacy classes, circ-closures, system orbits and reflection
+orbit types.  Closures that need no table (subgroups, reflection triples,
+greedy generating sequences, the keys of the automorphisms the search has
+found) go through ``_closure``, which admits only the generators that enlarge
+the closure and resumes its walk at each admission.
 
 The automorphisms of K/H come from one search, ``_quotient_search``, which
 returns the involutions of K/H and a generating set of Aut(K/H);
@@ -104,17 +106,10 @@ class FiniteQuaternionGroup:
         return self._circ
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        """Orbits under conjugation by ``generating_sequence()``, by least member."""
         if self._conj_classes is None:
-            seen = [False] * self.order
-            classes = []
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                cls = sorted({self.conj(g, x) for g in range(self.order)})
-                for y in cls:
-                    seen[y] = True
-                classes.append(tuple(cls))
-            self._conj_classes = classes
+            maps = [[self.conj(g, x) for x in range(self.order)] for g in self.generating_sequence()]
+            self._conj_classes = _orbits(range(self.order), maps)
         return self._conj_classes
 
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
@@ -204,6 +199,19 @@ def _generate(one, gens: Sequence, mul: Callable, bound: Optional[int] = None):
             row.append(y)
         right.append(row)
     return elements, right, word
+
+
+def _orbits(points: Iterable[int], maps: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The orbits that meet ``points`` under the index permutations ``maps``,
+    each sorted, in order of least member; each is one ``_generate`` walk
+    (forward images suffice, as the maps permute a finite set)."""
+    orbits, seen = [], set()
+    for p in points:
+        if p not in seen:
+            orbit = _generate(p, maps, lambda x, f: f[x])[0]
+            seen.update(orbit)
+            orbits.append(tuple(sorted(orbit)))
+    return sorted(orbits)
 
 
 def _closure(one, gens: Iterable, mul: Callable, bound: Optional[int] = None):
@@ -543,9 +551,3 @@ def element_order_census(K: FiniteQuaternionGroup) -> dict[int, int]:
         census[o] = census.get(o, 0) + 1
     return dict(sorted(census.items()))
 
-
-def group_contains(outer: FiniteQuaternionGroup, inner: FiniteQuaternionGroup) -> bool:
-    """True if inner's element set lies in outer's, after lifting conductors."""
-    m = math.lcm(outer.conductor, inner.conductor)
-    outer_set = {q.lift(m) for q in outer.elements}
-    return all(q.lift(m) in outer_set for q in inner.elements)

@@ -14,9 +14,7 @@ constructions (order 28800) cheap.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
@@ -28,6 +26,7 @@ from .groups import (
     _closure,
     _extend_map,
     _generate,
+    _orbits,
     commutator_subgroup,
     default_max_order,
     is_normal,
@@ -321,20 +320,12 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
     if G.H.order > 1:
         entries.append((2, G.H.name))
     circ, cay = K.circ_table(), K.cayley
-    L_G = nondiagonal_reflections(G)
     # x -> a o x for a generating L, and the left and right translations by
     # generators of H
     H_gens = _closure(0, G.H.members, lambda x, h: cay[x][h])[1]
     maps = [circ[a] for a in G.L.generators] + [cay[h] for h in H_gens]
     maps += [[row[h] for row in cay] for h in H_gens]
-    remaining = set(L_G)
-    nondiag = []
-    while remaining:
-        orbit = _generate(min(remaining), maps, lambda x, f: f[x])[0]
-        nondiag.append(len(orbit))
-        remaining.difference_update(orbit)
-    nondiag.sort()
-    entries.extend((size, "C2") for size in nondiag)
+    entries.extend((size, "C2") for size in sorted(map(len, _orbits(nondiagonal_reflections(G), maps))))
     return ReflectionOrbitType(tuple(entries))
 
 
@@ -577,28 +568,3 @@ def _rank_n_explicit_counts(rank: int, K: FiniteQuaternionGroup, H: Subgroup):
     return (math.factorial(rank) * sum(ways[h] for h in H.members),
             rank * diagonal + math.comb(rank, 2) * swapped)
 
-
-def rank_n_closure_spot_check(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
-                              samples: int = 200, seed: int = 7) -> bool:
-    """Products of random element pairs stay in the set (group closure)."""
-    rng = random.Random(seed)
-    perms = list(itertools.permutations(range(rank)))
-    Hset = H.member_set()
-
-    def random_element():
-        firsts = tuple(rng.randrange(K.order) for _ in range(rank - 1))
-        prod = 0
-        for d in firsts:
-            prod = K.cayley[prod][d]
-        h = rng.choice(H.members)
-        return firsts + (K.cayley[K.inv[prod]][h],), rng.choice(perms)
-
-    for _ in range(samples):
-        e1, e2 = random_element(), random_element()
-        diag, perm = rank_n_mul(K, e1, e2)
-        prod = 0
-        for d in diag[:-1]:
-            prod = K.cayley[prod][d]
-        if K.cayley[prod][diag[-1]] not in Hset:
-            return False
-    return True

@@ -16,6 +16,7 @@ from .groups import (
     Subgroup,
     _automorphism_search,
     _generate,
+    _orbits,
     _quotient_search,
     automorphism_group,
     build_group,
@@ -46,9 +47,15 @@ class NonGeneratingSeedError(ValueError):
 
 @dataclass(frozen=True)
 class ReflectionSystem:
+    """A reflection system and a seed that circ-generates it (checked: orbits walk the seed)."""
+
     parent: FiniteQuaternionGroup
     members: tuple[int, ...]
     generators: tuple[int, ...]
+
+    def __post_init__(self):
+        if close_under_circ(self.parent, self.generators) != frozenset(self.members):
+            raise ValueError(f"generators {self.generators} do not circ-generate the members")
 
     @property
     def size(self) -> int:
@@ -95,26 +102,16 @@ class DicyclicIndex:
 # -- closure -------------------------------------------------------------
 
 
-def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int],
-                     closed: frozenset = frozenset()) -> frozenset:
-    """Least circ-closed superset of closed | seed (no generation requirement).
+def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int]) -> frozenset:
+    """Least circ-closed superset of the seed (no generation requirement).
 
-    ``closed`` must already be circ-closed: only the seed elements outside it
-    are queued, so extending a closed set costs no more than the new elements.
+    The maps s_a: x -> a o x are involutions with s_(a o b) = s_a s_b s_a, so
+    s_a lies in the group generated by the s_s (s in the seed) whenever a lies
+    in the seed's orbits under that group; those orbits are the closure.
     """
+    seed = set(seed)
     circ = K.circ_table()
-    current = set(closed)
-    queue = [x for x in set(seed) if x not in current]
-    current.update(queue)
-    while queue:
-        u = queue.pop()
-        row_u = circ[u]
-        for v in list(current):
-            for w in (row_u[v], circ[v][u]):
-                if w not in current:
-                    current.add(w)
-                    queue.append(w)
-    return frozenset(current)
+    return frozenset().union(*_orbits(seed, [circ[s] for s in seed]))
 
 
 def close_system(K: FiniteQuaternionGroup, seed: Iterable[int]) -> ReflectionSystem:
@@ -133,20 +130,14 @@ def system_orbit(L: ReflectionSystem, b: int) -> tuple[int, ...]:
     """Closure of {b} under x -> a o x for a in L."""
     if b not in L.member_set():
         raise ValueError(f"element {b} is not in the system")
-    circ = L.parent.circ_table()
-    return tuple(sorted(_generate(b, [circ[a] for a in L.members], lambda x, f: f[x])[0]))
+    return next(orbit for orbit in orbit_partition(L) if b in orbit)
 
 
 def orbit_partition(L: ReflectionSystem) -> list[tuple[int, ...]]:
-    remaining = set(L.members)
-    parts = []
-    while remaining:
-        b = min(remaining)
-        orb = system_orbit(L, b)
-        parts.append(orb)
-        remaining -= set(orb)
-    parts.sort(key=lambda o: (len(o), o))
-    return parts
+    """The orbits of x -> a o x (a in L), by size, then members; they are walked
+    under L's generators, as s_(a o c) = s_a s_c s_a."""
+    circ = L.parent.circ_table()
+    return sorted(_orbits(L.members, [circ[a] for a in L.generators]), key=lambda o: (len(o), o))
 
 
 # -- equivalence ----------------------------------------------------------
@@ -184,15 +175,6 @@ def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
             if all(img[t] in target for t in translated):
                 return True, (x, phi)
     return False, None
-
-
-def equivalence_class_subsets(L: ReflectionSystem) -> set[frozenset]:
-    """All distinct reflection systems equivalent to L: the sets phi(x*L).
-
-    Here x runs over L's members and phi over Aut(K).  Any identity-containing
-    two-sided translate x*L*y equals an inner twist of a member translate.
-    """
-    return _equivalent_sets(L.parent, L.member_set())
 
 
 def _equivalent_sets(K: FiniteQuaternionGroup, members: frozenset) -> set[frozenset]:
@@ -245,14 +227,11 @@ def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int
 
 def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tuple[int, ...]:
     """A small seed whose circ-closure is the given closed set."""
-    gens = [0]
-    closed = close_under_circ(K, gens)
+    gens, closed = [0], {0}
     for x in members:
         if x not in closed:
             gens.append(x)
-            closed = close_under_circ(K, (x,), closed)
-            if len(closed) == len(members):
-                break
+            closed = close_under_circ(K, gens)
     return tuple(gens)
 
 
@@ -393,9 +372,3 @@ def coset_representatives(K: FiniteQuaternionGroup, H: Iterable[int]) -> list[in
                 rep[y] = least
     return rep
 
-
-def power_lemma_check(K: FiniteQuaternionGroup, x: int, y: int, n: int) -> bool:
-    """(x y^-1)^n x lies in the circ-closure of {x, y}."""
-    closure = close_under_circ(K, (x, y))
-    xy = K.cayley[x][K.inv[y]]
-    return K.cayley[K.power(xy, n)][x] in closure

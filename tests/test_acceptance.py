@@ -53,7 +53,6 @@ from quatrefl.classify import (
     IndexQuadruple,
     classify_K,
     corollary_pair_search,
-    equal_invariant_cross_pairs,
     group_for_record,
     lambda_count_formula,
     lambda_set,
@@ -65,6 +64,7 @@ from quatrefl.classify import (
 )
 from quatrefl.refgroups import iso_prescreen
 from quatrefl.golden import appendix_elements, load_fixture
+from test_classify import equal_invariant_cross_pairs
 
 
 def report(num, desc, ok):

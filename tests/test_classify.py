@@ -21,7 +21,6 @@ from quatrefl.classify import (
     corollary_pair_search,
     dicyclic_record,
     dicyclic_special_record,
-    equal_invariant_cross_pairs,
     find_isomorphisms,
     group_for_record,
     lambda_count_formula,
@@ -537,6 +536,20 @@ def test_corollary_type_ii_matches_family_formula():
         assert partner == [2 * n, min(2 * m - 1, 4 * m), max(2 * m - 1, 4 * m), 1]
     # the family is not all of type (ii): a non-family hit exists at n = 60
     assert (60, 5, 6, 2) in pairs
+
+
+def equal_invariant_cross_pairs(max_n):
+    """Brute-force oracle: all index pairs at (n, 2n) with only order-2
+    reflections sharing order and reflection count."""
+    out = []
+    for n in range(2, max_n + 1):
+        small = [idx for idx in lambda_set(n) if idx.r == 2]
+        large = [idx for idx in lambda_set(2 * n) if idx.r == 1]
+        for i1 in small:
+            for i2 in large:
+                if i1.order == i2.order and i1.reflections == i2.reflections:
+                    out.append((i1, i2))
+    return out
 
 
 def test_minus_16_discriminant_validated_by_oracle():

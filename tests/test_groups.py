@@ -23,7 +23,6 @@ from quatrefl.groups import (
     build_group,
     commutator_subgroup,
     element_order_census,
-    group_contains,
     is_normal,
     normal_subgroups,
     polyhedral_generators,
@@ -320,6 +319,13 @@ def test_element_order_census():
     assert element_order_census(build_group("cyclic", 1)) == {1: 1}
 
 
+def group_contains(outer, inner):
+    """True if inner's element set lies in outer's, after lifting conductors."""
+    m = math.lcm(outer.conductor, inner.conductor)
+    outer_set = {q.lift(m) for q in outer.elements}
+    return all(q.lift(m) in outer_set for q in inner.elements)
+
+
 def test_polyhedral_inclusions():
     T, O, I = build_group("T"), build_group("O"), build_group("I")
     assert group_contains(O, T)
@@ -361,6 +367,33 @@ def test_normality_direct_check():
             members = set(s.members)
             for g in range(K.order):
                 assert {K.conj(g, x) for x in members} == members
+
+
+def _conjugacy_classes_oracle(K):
+    """Each class conjugated by every element of K, from its least member."""
+    seen = [False] * K.order
+    classes = []
+    for x in range(K.order):
+        if seen[x]:
+            continue
+        cls = sorted({K.conj(g, x) for g in range(K.order)})
+        for y in cls:
+            seen[y] = True
+        classes.append(tuple(cls))
+    return classes
+
+
+CONJUGACY_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                    + [("dicyclic", n) for n in range(2, 31)]
+                    + [("cyclic", n) for n in range(1, 25)])
+
+
+@pytest.mark.parametrize("tag,n", CONJUGACY_GROUPS)
+def test_conjugacy_classes_match_the_all_elements_oracle(tag, n):
+    # the orbits under conjugation by K.generating_sequence() against the
+    # |K|^2 walk they replace
+    K = build_group(tag, n) if n else build_group(tag)
+    assert K.conjugacy_classes() == _conjugacy_classes_oracle(K)
 
 
 def _is_normal_oracle(K, members):

@@ -44,7 +44,6 @@ from quatrefl.refgroups import (
     model_inv,
     model_mul,
     nondiagonal_reflections,
-    rank_n_closure_spot_check,
     rank_n_group,
     rank_n_mul,
     realize_matrices,
@@ -545,6 +544,31 @@ def test_rank3_hyperoctahedral_oracle():
     d = rank_n_group(3, C2, H)
     assert d.order == 48 and d.explicit_order == 48
     assert d.explicit_reflection_count == 9
+
+
+def rank_n_closure_spot_check(rank, K, H, samples=200, seed=7):
+    """Products of random element pairs stay in the set (group closure)."""
+    rng = random.Random(seed)
+    perms = list(itertools.permutations(range(rank)))
+    Hset = H.member_set()
+
+    def random_element():
+        firsts = tuple(rng.randrange(K.order) for _ in range(rank - 1))
+        prod = 0
+        for d in firsts:
+            prod = K.cayley[prod][d]
+        h = rng.choice(H.members)
+        return firsts + (K.cayley[K.inv[prod]][h],), rng.choice(perms)
+
+    for _ in range(samples):
+        e1, e2 = random_element(), random_element()
+        diag, perm = rank_n_mul(K, e1, e2)
+        prod = 0
+        for d in diag[:-1]:
+            prod = K.cayley[prod][d]
+        if K.cayley[prod][diag[-1]] not in Hset:
+            return False
+    return True
 
 
 def test_rank3_explicit_counts():

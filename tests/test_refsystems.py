@@ -29,12 +29,11 @@ from quatrefl.refsystems import (
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
-    equivalence_class_subsets,
     l_gamma,
+    minimal_generators,
     omega_count_formula,
     omega_set,
     orbit_partition,
-    power_lemma_check,
     subgroup_copy_count,
     system_from_automorphism,
     system_orbit,
@@ -66,6 +65,39 @@ def stabilizer(L):
     translates = _translates(K, L.members)
     return [phi for phi in automorphism_group(K)
             if L.size == K.order or frozenset(phi.image[t] for t in L.members) in translates]
+
+
+def equivalence_class_subsets(L):
+    """All distinct reflection systems equivalent to L: the sets phi(x*L).
+
+    Here x runs over L's members and phi over Aut(K).  Any identity-containing
+    two-sided translate x*L*y equals an inner twist of a member translate.
+    """
+    return _equivalent_sets(L.parent, L.member_set())
+
+
+def power_lemma_check(K, x, y, n):
+    """(x y^-1)^n x lies in the circ-closure of {x, y}."""
+    closure = close_under_circ(K, (x, y))
+    xy = K.cayley[x][K.inv[y]]
+    return K.cayley[K.power(xy, n)][x] in closure
+
+
+def _close_under_circ_oracle(K, seed):
+    """Least circ-closed superset of the seed: each new element is combined
+    with every element found so far, both ways round."""
+    circ = K.circ_table()
+    current = set(seed)
+    queue = list(current)
+    while queue:
+        u = queue.pop()
+        row_u = circ[u]
+        for v in list(current):
+            for w in (row_u[v], circ[v][u]):
+                if w not in current:
+                    current.add(w)
+                    queue.append(w)
+    return frozenset(current)
 
 
 def T_group():
@@ -135,7 +167,7 @@ def test_equivalence_with_witness():
     T = T_group()
     L12 = close_system(T, (0, t_index("i"), t_index("zeta")))
     translated = sorted(T.cayley[t_index("i")][y] for y in L12.members)
-    copy = ReflectionSystem(T, tuple(translated), (0,))
+    copy = ReflectionSystem(T, tuple(translated), minimal_generators(T, translated))
     eq, witness = systems_equivalent(L12, copy)
     assert eq and witness is not None
     x, phi = witness
@@ -172,16 +204,16 @@ ORACLE_GROUPS = ([("T", None), ("O", None)] + [("dicyclic", n) for n in range(2,
 
 def _circ_closed_sets(K):
     """Every circ-closed set containing 1, reached by adjoining one element
-    at a time with no equivalence pruning (O has 123 of them)."""
+    at a time to a seed with no equivalence pruning (O has 123 of them)."""
     start = close_under_circ(K, (0,))
-    closed, queue = {start}, [start]
+    closed, queue = {start}, [(start, (0,))]
     while queue:
-        S = queue.pop()
+        S, gens = queue.pop()
         for x in range(K.order):
-            bigger = close_under_circ(K, (x,), S)
+            bigger = close_under_circ(K, gens + (x,))
             if bigger not in closed:
                 closed.add(bigger)
-                queue.append(bigger)
+                queue.append((bigger, gens + (x,)))
     return closed
 
 
@@ -440,7 +472,7 @@ def test_system_from_automorphism_conjugation_example():
     members = system_from_automorphism(T, H, gamma)
     assert len(members) == 12
     L12 = close_system(T, (0, t_index("i"), t_index("zeta")))
-    got = ReflectionSystem(T, tuple(sorted(members)), (0,))
+    got = ReflectionSystem(T, tuple(sorted(members)), minimal_generators(T, sorted(members)))
     assert systems_equivalent(L12, got)[0]
 
 
@@ -453,24 +485,37 @@ def test_system_from_automorphism_rejects_non_involution():
         system_from_automorphism(C5, H, shift)
 
 
-CLOSURE_GROUPS = [("T", None), ("O", None)] + [("dicyclic", n) for n in range(2, 9)]
+CLOSURE_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                  + [("dicyclic", n) for n in range(2, 13)] + [("cyclic", n) for n in range(1, 13)])
 
 
-def test_close_under_circ_extends_a_closed_part():
+def test_close_under_circ_matches_the_pairwise_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
     @hypothesis.given(st.data())
-    def extends(data):
+    def matches(data):
         tag, n = data.draw(st.sampled_from(CLOSURE_GROUPS))
         K = build_group(tag, n) if n else build_group(tag)
-        subsets = st.frozensets(st.integers(0, K.order - 1), max_size=4)
-        base, seed = data.draw(subsets), data.draw(subsets)
-        closed = close_under_circ(K, base)
-        assert close_under_circ(K, seed, closed) == close_under_circ(K, base | seed)
+        seed = data.draw(st.frozensets(st.integers(0, K.order - 1), max_size=4))
+        assert close_under_circ(K, seed) == _close_under_circ_oracle(K, seed)
 
-    extends()
+    matches()
+
+
+def test_system_generators_must_circ_generate_the_members():
+    # orbits are walked from the generators, so a seed that closes to less
+    # than the members, or to other elements, is refused
+    T = T_group()
+    L24 = next(L for L in enumerate_systems(T) if L.size == 24)
+    with pytest.raises(ValueError, match="circ-generate"):
+        ReflectionSystem(T, L24.members, (0,))
+    L12 = next(L for L in enumerate_systems(T) if L.size == 12)
+    outside = next(x for x in range(T.order) if x not in L12.member_set())
+    with pytest.raises(ValueError, match="circ-generate"):
+        ReflectionSystem(T, L12.members, L12.generators + (outside,))
+    assert ReflectionSystem(T, L24.members, L24.generators) == L24
 
 
 def _c5_quotient():
