@@ -508,9 +508,6 @@ class Quaternion:
             return self.conjugate()
         return self.conjugate().scale(n.inverse())
 
-    def is_unit(self) -> bool:
-        return self.norm() == FieldScalar.one(self.conductor)
-
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero() and self.d.is_zero()
 

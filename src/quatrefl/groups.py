@@ -5,21 +5,23 @@ order 4n, and the binary tetrahedral / octahedral / icosahedral groups of
 orders 24 / 48 / 120.  Every group takes one construction path: its
 generators (zeta_n; zeta_2n and j; or ``polyhedral_generators``) are closed
 under right multiplication modulo a prime, which is injective on K; the
-Cayley table is filled from that walk by integer lookups, and each element is
-formed once, along the word that first reached it (|K| - 1 exact quaternion
-products).  Elements are exact quaternions; indices are stable (sorted by
-element order, then lexicographic coefficients) so tables are reproducible.
+Cayley table is filled from that walk a column at a time by integer gathers,
+and each element is formed once, along the word that first reached it
+(|K| - 1 exact quaternion products).  Elements are exact quaternions; indices
+are stable (sorted by element order, then lexicographic coefficients) so
+tables are reproducible.
 
-Every generator walk of the package goes through one closure routine,
+Every generator walk that needs words goes through one closure routine,
 ``_generate``: group construction, the automorphism search, and (in
-``refsystems`` and ``refgroups``) isomorphism checks and orbits under maps.
-Maps given on generators are extended to homomorphisms by ``_extend_map``
-along the same walk, and ``_orbits`` runs one walk per orbit of index
-permutations: conjugacy classes, circ-closures, system orbits and reflection
+``refsystems`` and ``refgroups``) isomorphism checks.  Maps given on
+generators are extended to homomorphisms by ``_extend_map`` along the same
+walk.  ``_orbits`` walks the orbits of index permutations a layer at a time,
+without words: conjugacy classes, circ-closures, system orbits and reflection
 orbit types.  Closures that need no table (subgroups, reflection triples,
 greedy generating sequences, the keys of the automorphisms the search has
 found) go through ``_closure``, which admits only the generators that enlarge
-the closure and resumes its walk at each admission.
+the closure and grows it a coset at a time at each admission (Dimino's
+method).
 
 The automorphisms of K/H come from one search, ``_quotient_search``, which
 returns the involutions of K/H and a generating set of Aut(K/H);
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,14 +98,14 @@ class FiniteQuaternionGroup:
         return self.cayley[self.cayley[g][x]][self.inv[g]]
 
     def circ_table(self) -> list[list[int]]:
-        """Table of a o b = a * b^-1 * a, the reflection-system operation."""
+        """Table of a o b = a * b^-1 * a, the reflection-system operation.
+
+        Row a is column a of the Cayley table gathered at a * b^-1 for every
+        b, which is row a gathered at ``inv``: two ``_gather`` calls a row."""
         if self._circ is None:
-            inv = self.inv
-            cay = self.cayley
-            self._circ = [
-                [cay[cay[a][inv[b]]][a] for b in range(self.order)]
-                for a in range(self.order)
-            ]
+            cols = list(zip(*self.cayley))
+            self._circ = [list(_gather(_gather(self.inv, row), col))
+                          for row, col in zip(self.cayley, cols)]
         return self._circ
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
@@ -203,13 +206,20 @@ def _generate(one, gens: Sequence, mul: Callable, bound: Optional[int] = None):
 
 def _orbits(points: Iterable[int], maps: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The orbits that meet ``points`` under the index permutations ``maps``,
-    each sorted, in order of least member; each is one ``_generate`` walk
-    (forward images suffice, as the maps permute a finite set)."""
+    each sorted, in order of least member.  Each orbit is walked a layer at a
+    time, the images of the last layer under every map, until a layer adds
+    nothing (forward images suffice, as the maps permute a finite set)."""
     orbits, seen = [], set()
     for p in points:
         if p not in seen:
-            orbit = _generate(p, maps, lambda x, f: f[x])[0]
-            seen.update(orbit)
+            orbit, layer = {p}, {p}
+            while layer:
+                reached = set()
+                for f in maps:
+                    reached.update(map(f.__getitem__, layer))
+                layer = reached - orbit
+                orbit |= layer
+            seen |= orbit
             orbits.append(tuple(sorted(orbit)))
     return sorted(orbits)
 
@@ -218,7 +228,7 @@ def _closure(one, gens: Iterable, mul: Callable, bound: Optional[int] = None):
     """Close ``gens`` under ``mul``, admitting only the generators that enlarge it.
 
     Returns (members as a set, admitted generators in order); each admission
-    is one ``_enlarge`` step (Dimino's method).
+    is one ``_enlarge`` step.
     """
     members, admitted = {one}, []
     for g in gens:
@@ -227,31 +237,42 @@ def _closure(one, gens: Iterable, mul: Callable, bound: Optional[int] = None):
 
 
 def _enlarge(members: set, admitted: list, g, mul: Callable, bound: Optional[int] = None) -> None:
-    """Close ``members``, the closure of ``admitted``, over g as well, in place.
+    """Close ``members``, the closure H of ``admitted``, over g as well, in place.
 
     Nothing changes when g is already a member.  Otherwise g is admitted and
-    the walk resumes: the old members are multiplied by g only and the new
-    ones by every admitted generator, so no product is formed twice and a
-    closure costs at most |closure| * |admitted| products.  Raises ValueError
-    once more than ``bound`` members are found.
+    the closure grows a right coset of H at a time (Dimino's method; Butler,
+    LNCS 559, 1991): the first is H g, and each coset c is multiplied by
+    every admitted h through its first member only.  The closure is a union
+    of right cosets of H, so c h lies in it or misses it whole; when that
+    product t is new, c h, formed from t and the rest of c, is the next
+    coset.  Growing H to G costs at most (|G| - |H|) + [G : H] * len(admitted)
+    products.  Raises ValueError when the closure has more than ``bound``
+    members.
     """
     if g in members:
         return
     admitted.append(g)
-    new: list = []
+    cosets: list[list] = []
 
-    def reach(v) -> None:
-        if v not in members:
-            members.add(v)
-            new.append(v)
-            if bound is not None and len(members) > bound:
-                raise ValueError(f"closure exceeded bound {bound}")
+    def add(coset: list) -> None:
+        members.update(coset)
+        cosets.append(coset)
+        if bound is not None and len(members) > bound:
+            raise ValueError(f"closure exceeded bound {bound}")
 
-    for u in list(members):
-        reach(mul(u, g))
-    for u in new:  # new grows while it is walked
+    add([mul(u, g) for u in members])
+    for c in cosets:  # cosets grows while it is walked
         for h in admitted:
-            reach(mul(u, h))
+            t = mul(c[0], h)
+            if t not in members:
+                add([t] + [mul(u, h) for u in c[1:]])
+
+
+def _gather(idx: Sequence[int], seq: Sequence) -> Sequence:
+    """``[seq[i] for i in idx]``, as a tuple from one ``operator.itemgetter`` call."""
+    if len(idx) < 2:  # itemgetter of one index returns the bare item
+        return [seq[i] for i in idx]
+    return operator.itemgetter(*idx)(seq)
 
 
 def _extend_map(right: list[list[int]], targets: Sequence, mul: Callable, one) -> Optional[list]:
@@ -354,16 +375,16 @@ def _close_generators(name: str, tag: str, n: Optional[int],
     """Close ``gens``, which generate a group of ``order`` elements, and tabulate it.
 
     ``_reduced_walk`` gives the elements with ``_generate``'s ``right`` and
-    ``word``; the Cayley table then needs integer lookups only:
-    x*y = right[x*parent(y)][k] for the word (parent, k) that first reached y.
+    ``word``; the Cayley table then needs integer lookups only, a column at a
+    time: x*y = right[x*parent(y)][k] for the word (parent, k) that first
+    reached y, so column y gathers column k of ``right`` at column parent(y).
     """
     values, right, word = _reduced_walk(gens, order)
-    cayley = []
-    for x in range(len(values)):
-        row = [x]
-        for p, k in word[1:]:
-            row.append(right[row[p]][k])
-        cayley.append(row)
+    right_cols = list(zip(*right))
+    cols = [range(len(values))]
+    for p, k in word[1:]:
+        cols.append(_gather(cols[p], right_cols[k]))
+    cayley = list(zip(*cols))
     orders = []
     for x, row in enumerate(cayley):
         k, y = 1, x
@@ -391,7 +412,7 @@ def _close_generators(name: str, tag: str, n: Optional[int],
     pos = [0] * len(idx)
     for new, old in enumerate(idx):
         pos[old] = new
-    cayley = [[pos[row[j]] for j in idx] for row in (cayley[i] for i in idx)]
+    cayley = [list(_gather(_gather(idx, cayley[i]), pos)) for i in idx]
     return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
                                  [row.index(0) for row in cayley], [orders[i] for i in idx],
                                  tuple(pos[y] for y in right[0]))

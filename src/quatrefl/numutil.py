@@ -44,13 +44,6 @@ def prime_factorization(n: int) -> dict[int, int]:
     return factors
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    for p in prime_factorization(n):
-        result = result // p * (p - 1)
-    return result
-
-
 def is_square(n: int) -> bool:
     if n < 0:
         return False

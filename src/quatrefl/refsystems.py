@@ -13,14 +13,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .groups import (
     FiniteQuaternionGroup,
-    Subgroup,
     _automorphism_search,
     _generate,
     _orbits,
     _quotient_search,
     automorphism_group,
     build_group,
-    is_normal,
     normal_subgroups,
 )
 from .numutil import divisors, prime_factorization
@@ -220,11 +218,6 @@ def subgroup_copy_count(L: ReflectionSystem) -> int:
     return K.order ** 2 // pairs
 
 
-def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int, ...]:
-    """Lexicographically least image over all translations and automorphisms."""
-    return min(tuple(sorted(s)) for s in _equivalent_sets(K, frozenset(members)))
-
-
 def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tuple[int, ...]:
     """A small seed whose circ-closure is the given closed set."""
     gens, closed = [0], {0}
@@ -312,27 +305,6 @@ def dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
 
 
 # -- systems from quotient automorphisms -----------------------------------
-
-
-def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: dict[int, int]) -> tuple[int, ...]:
-    """L_gamma = {x : gamma(xH) = x^-1 H} for an involution gamma of K/H.
-
-    ``gamma`` maps coset representatives (least member index) to coset
-    representatives.  The result is verified to be closed under circ.
-    """
-    if not is_normal(K, H.members):
-        raise PreconditionError("H not normal", f"{H.name} is not normal in {K.name}")
-    rep = coset_representatives(K, H.members)
-    cosets = sorted(set(rep))
-    for c in cosets:
-        if gamma.get(c) not in rep:
-            raise PreconditionError("quotient map ill-defined",
-                                    "gamma must map coset representatives to coset representatives")
-    check_quotient_involution(K, rep, gamma)
-    members = l_gamma(K, rep, gamma)
-    if close_under_circ(K, members) != frozenset(members):
-        raise AssertionError("L_gamma failed to be circ-closed")
-    return members
 
 
 def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],

@@ -15,8 +15,10 @@ from quatrefl.groups import (
     POLYHEDRAL_ORDER,
     _close_generators,
     _closure,
+    _enlarge,
     _extend_map,
     _generate,
+    _orbits,
     _quotient_search,
     _reduced_walk,
     automorphism_group,
@@ -28,8 +30,15 @@ from quatrefl.groups import (
     polyhedral_generators,
     quotient_automorphisms,
 )
-from quatrefl.numutil import euler_phi, prime_factorization, prime_root_of_unity
+from quatrefl.numutil import prime_factorization, prime_root_of_unity
 from quatrefl.refsystems import coset_representatives, dicyclic_element
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    for p in prime_factorization(n):
+        result = result // p * (p - 1)
+    return result
 
 
 def test_constructor_orders():
@@ -205,16 +214,31 @@ def test_subgroup_closure_matches_the_all_generators_walk():
         seed = data.draw(st.lists(st.integers(0, K.order - 1), max_size=8))
         full = _generate(0, seed, lambda x, g: K.cayley[x][g])[0]
         assert K.subgroup_closure(seed) == tuple(sorted(full))
-        # the resumed walk forms each (member, admitted generator) product at most once
         calls = []
 
         def mul(x, g):
             calls.append(None)
             return K.cayley[x][g]
 
-        members, admitted = _closure(0, seed, mul)
+        members, admitted, counts = {0}, [], []
+        for g in seed:
+            before = len(calls)
+            _enlarge(members, admitted, g, mul)
+            if len(admitted) > len(counts):
+                counts.append(len(calls) - before)
+            else:
+                assert len(calls) == before
         assert members == set(full)
-        assert len(calls) <= len(members) * len(admitted)
+        assert (members, admitted) == _closure(0, seed, lambda x, g: K.cayley[x][g], len(full))
+        if len(full) > 1:  # the bound is on the whole closure
+            with pytest.raises(ValueError, match="exceeded bound"):
+                _closure(0, seed, lambda x, g: K.cayley[x][g], len(full) - 1)
+        # the i-th admission grows H_{i-1} to H_i a right coset of H_{i-1} at
+        # a time: at most (|H_i| - |H_{i-1}|) + [H_i : H_{i-1}] * i products
+        sizes = [len(_generate(0, admitted[:i], lambda x, g: K.cayley[x][g])[0])
+                 for i in range(len(admitted) + 1)]
+        for i, count in enumerate(counts, 1):
+            assert count <= sizes[i] - sizes[i - 1] + sizes[i] // sizes[i - 1] * i
 
     matches()
 
@@ -394,6 +418,48 @@ def test_conjugacy_classes_match_the_all_elements_oracle(tag, n):
     # |K|^2 walk they replace
     K = build_group(tag, n) if n else build_group(tag)
     assert K.conjugacy_classes() == _conjugacy_classes_oracle(K)
+
+
+def _orbits_oracle(points, maps):
+    """Each orbit as the fixpoint of adding every map's images, from each point."""
+    orbits = set()
+    for p in points:
+        orbit = {p}
+        while (grown := orbit | {f[x] for f in maps for x in orbit}) != orbit:
+            orbit = grown
+        orbits.add(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
+def test_orbits_match_the_fixpoint_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+    @hypothesis.given(st.data())
+    def matches(data):
+        n = data.draw(st.integers(1, 12))
+        maps = data.draw(st.lists(st.permutations(range(n)), max_size=4))
+        if data.draw(st.booleans()):
+            maps.insert(data.draw(st.integers(0, len(maps))), list(range(n)))
+        points = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+        assert _orbits(points, maps) == _orbits_oracle(points, maps)
+
+    matches()
+    assert _orbits(range(3), []) == [(0,), (1,), (2,)]
+    assert _orbits([2, 0], [[0, 1, 2]]) == [(0,), (2,)]
+    assert _orbits([], [[1, 0]]) == []
+
+
+CIRC_GROUPS = [("cyclic", 1), ("cyclic", 2), ("T", None), ("O", None), ("I", None)] + [
+    ("dicyclic", n) for n in range(2, 31)]
+
+
+@pytest.mark.parametrize("tag,n", CIRC_GROUPS)
+def test_circ_table_matches_the_cayley_oracle(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    cay, inv = K.cayley, K.inv
+    assert K.circ_table() == [[cay[cay[a][inv[b]]][a] for b in range(K.order)] for a in range(K.order)]
 
 
 def _is_normal_oracle(K, members):

