@@ -233,12 +233,16 @@ def test_subgroup_closure_matches_the_all_generators_walk():
         if len(full) > 1:  # the bound is on the whole closure
             with pytest.raises(ValueError, match="exceeded bound"):
                 _closure(0, seed, lambda x, g: K.cayley[x][g], len(full) - 1)
-        # the i-th admission grows H_{i-1} to H_i a right coset of H_{i-1} at
-        # a time: at most (|H_i| - |H_{i-1}|) + [H_i : H_{i-1}] * i products
+        # each (member, admitted generator) product is formed at most once
+        assert len(calls) <= len(members) * len(admitted)
+        # the i-th admission grows H_{i-1} to H_i a right coset of H_{i-1} at a
+        # time: |H_{i-1}| products for the first coset, then one per (coset,
+        # admitted generator) and |H_{i-1}| - 1 more for each later new coset
         sizes = [len(_generate(0, admitted[:i], lambda x, g: K.cayley[x][g])[0])
                  for i in range(len(admitted) + 1)]
         for i, count in enumerate(counts, 1):
-            assert count <= sizes[i] - sizes[i - 1] + sizes[i] // sizes[i - 1] * i
+            index = sizes[i] // sizes[i - 1]
+            assert count == sizes[i] - sizes[i - 1] + (index - 1) * (i - 1) + 1
 
     matches()
 
