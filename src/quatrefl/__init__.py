@@ -13,6 +13,7 @@ from .groups import (
     commutator_subgroup,
     element_order_census,
     normal_subgroups,
+    quotient_automorphisms,
 )
 from .refsystems import (
     DicyclicIndex,

@@ -37,7 +37,6 @@ from .refgroups import (
     build_reflection_group,
     diagonal_subgroups,
     is_canonical,
-    iso_prescreen,
     isomorphism_search,
     reflection_orbit_types,
     verify_isomorphism,
@@ -526,9 +525,13 @@ def find_isomorphisms(records: Sequence[ClassificationRecord],
                       search_bound: int = 4608) -> list[IsomorphismResult]:
     """Verified isomorphic pairs among the given records.
 
-    Invariant-distinct pairs are dropped without building anything; the two
-    known patterns get their explicit maps; any other surviving candidate is
-    settled by exhaustive generator-image search (bounded).
+    Pairs with different reflection-orbit types are dropped without building
+    anything; the two known patterns get their explicit maps; any other pair
+    is settled by ``isomorphism_search`` (bounded), which drops pairs with
+    different element-order censuses first.  The orbit-type pre-filter is a
+    formula-level invariant of the reflection groups, not of the abstract
+    groups; it stays until the printed output changes to give every pair a
+    verdict.
     """
     build_bound = default_max_order() if build_bound is None else build_bound
     buckets: dict[tuple[int, int], list[ClassificationRecord]] = {}
@@ -562,9 +565,6 @@ def _settle_pair(r1: ClassificationRecord, r2: ClassificationRecord, order: int,
     if order > build_bound:
         return None
     G1, G2 = group_for_record(r1), group_for_record(r2)
-    verdict, _ = iso_prescreen(G1, G2)
-    if verdict == "distinct":
-        return None
     found = isomorphism_search(G1, G2, max_order=search_bound)
     if found is None:
         return None

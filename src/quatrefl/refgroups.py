@@ -10,10 +10,17 @@ the antidiagonal permutation matrix.  The product rule
 is the monomial matrix product; it is unit-tested against exact 2x2
 quaternion matrices.  Keeping elements as index triples makes the largest
 constructions (order 28800) cheap.
+
+Isomorphism rests on one invariant of the abstract group and one walk.  The
+element-order census is counted per coset in closed form: (b, y, 0) has order
+lcm(o(b), o(y)) and (b, y, 1) squares to (by, yb, 0), so it has order
+2 o(by).  Pairs with different orders or censuses are distinct; the others
+are settled by extending candidate generator images along one walk of G1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -63,11 +70,12 @@ def model_identity() -> Triple:
 
 
 def triple_order(K: FiniteQuaternionGroup, t: Triple) -> int:
-    k, cur = 1, t
-    while cur != (0, 0, 0):
-        cur = model_mul(K, cur, t)
-        k += 1
-    return k
+    """lcm(o(x), o(y)) for diag(x, y), and 2 o(xy) for diag(x, y) * swap."""
+    x, y, s = t
+    orders = K.element_orders
+    if s:
+        return 2 * orders[K.cayley[x][y]]
+    return math.lcm(orders[x], orders[y])
 
 
 def is_reflection_triple(K: FiniteQuaternionGroup, t: Triple) -> bool:
@@ -120,16 +128,18 @@ class ReflectionGroup:
     def reflection_count(self) -> int:
         return len(self.reflections())
 
-    def reflection_order_multiset(self) -> tuple[tuple[int, int], ...]:
-        counts: dict[int, int] = {}
-        for h in self.H.members:
-            if h != 0:
-                o = self.K.element_orders[h]
-                counts[o] = counts.get(o, 0) + 2
-        n_l = len(nondiagonal_reflections(self))
-        if n_l:
-            counts[2] = counts.get(2, 0) + n_l
-        return tuple(sorted(counts.items()))
+    def element_order_census(self) -> dict[int, int]:
+        """The number of elements of each order, ascending: the closed-form
+        ``triple_order`` of (b, y, 0) and (b, y, 1) for b in K and y in
+        gamma(bH), 2|K||H| orders and no walk."""
+        K, gamma, rep = self.K, self.gamma, self.coset_rep
+        census: dict[int, int] = {}
+        for b in range(K.order):
+            for y in self.coset_members[gamma[rep[b]]]:
+                for s in (0, 1):
+                    o = triple_order(K, (b, y, s))
+                    census[o] = census.get(o, 0) + 1
+        return dict(sorted(census.items()))
 
     def __repr__(self) -> str:
         return (f"ReflectionGroup(G_{self.K.name}(|L|={self.L.size}, "
@@ -299,9 +309,6 @@ class ReflectionOrbitType:
 
     entries: tuple[tuple[int, str], ...]
 
-    def multiset(self) -> tuple:
-        return tuple(sorted(self.entries))
-
     def render(self) -> str:
         return ",".join(f"{size}{name}" for size, name in self.entries)
 
@@ -361,65 +368,16 @@ def mat_mul(a, b):
 
 
 def iso_prescreen(G1: ReflectionGroup, G2: ReflectionGroup):
-    """Cheap-invariant screen; returns ('distinct', reasons) or ('candidate', [])."""
-    reasons = []
+    """Abstract-invariant screen; returns ('distinct', reasons) or ('candidate', []).
+
+    The order and the element-order census are invariants of the abstract
+    group, so 'distinct' is a certificate of non-isomorphism.
+    """
     if G1.order != G2.order:
-        reasons.append(f"order {G1.order} != {G2.order}")
-    if G1.reflection_count() != G2.reflection_count():
-        reasons.append(f"reflection count {G1.reflection_count()} != {G2.reflection_count()}")
-    if not reasons and G1.reflection_order_multiset() != G2.reflection_order_multiset():
-        reasons.append("reflection-order multisets differ")
-    if not reasons and reflection_orbit_types(G1).multiset() != reflection_orbit_types(G2).multiset():
-        reasons.append("orbit-type multisets differ")
-    if reasons:
-        return "distinct", reasons
-    k1, k2 = G1.K.order, G2.K.order
-    if k1 != k2:
-        small, large = (G1, G2) if k1 < k2 else (G2, G1)
-        if large.K.order != 2 * small.K.order:
-            return "distinct", ["|K| orders are not in ratio 2"]
-        if not (small.H.order == 2 and large.H.order == 1):
-            return "distinct", ["H pattern is not (C2, 1)"]
-        if large.L.size != small.L.size + 2:
-            return "distinct", ["|L| sizes do not differ by 2"]
-        if not embeds_as_subsystem(small.L, large.L):
-            return "distinct", ["smaller system does not embed as a subsystem"]
+        return "distinct", [f"order {G1.order} != {G2.order}"]
+    if G1.element_order_census() != G2.element_order_census():
+        return "distinct", ["element-order censuses differ"]
     return "candidate", []
-
-
-def embeds_as_subsystem(L1: ReflectionSystem, L2: ReflectionSystem, bound: int = 32) -> bool:
-    """Backtracking search for an injection L1 -> L2 preserving a o b."""
-    if L1.size > L2.size or L1.size > bound:
-        return L1.size <= L2.size  # too large to decide; do not rule out
-    K1, K2 = L1.parent, L2.parent
-    c1, c2 = K1.circ_table(), K2.circ_table()
-    src = list(L1.members)
-    tgt = list(L2.members)
-    pos = {x: i for i, x in enumerate(src)}
-    n = len(src)
-
-    def consistent(assign: list[int], i: int) -> bool:
-        for j in range(i + 1):
-            for a, b in ((i, j), (j, i)):
-                w = c1[src[a]][src[b]]
-                img = c2[assign[a]][assign[b]]
-                if pos.get(w) is not None and pos[w] <= i and assign[pos[w]] != img:
-                    return False
-        return True
-
-    def search(i: int, assign: list[int], used: set) -> bool:
-        if i == n:
-            return True
-        for cand in tgt:
-            if cand in used:
-                continue
-            assign.append(cand)
-            if consistent(assign, i) and search(i + 1, assign, used | {cand}):
-                return True
-            assign.pop()
-        return False
-
-    return search(0, [], set())
 
 
 def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
@@ -451,35 +409,28 @@ def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
                        max_order: int = 4608) -> Optional[list[tuple[Triple, Triple]]]:
     """Exhaustive generator-image search; None means proven non-isomorphic.
 
-    Raises ValueError when the groups exceed the search bound.
+    Pairs that ``iso_prescreen`` calls distinct return None at once.  G1 is
+    walked once over greedy generators, highest orders first, and each choice
+    of same-order images in G2 is extended along that walk by ``_extend_map``;
+    the first that is a homomorphism onto G2 is returned.  Raises ValueError
+    when a candidate pair exceeds the search bound.
     """
-    if (G1.order, G1.reflection_count()) != (G2.order, G2.reflection_count()):
+    if iso_prescreen(G1, G2)[0] == "distinct":
         return None
     if G1.order > max_order:
         raise ValueError(f"isomorphism search bound {max_order} exceeded")
-    elems1 = sorted(G1.elements)
-    orders1 = {t: triple_order(G1.K, t) for t in elems1}
-    elems2 = sorted(G2.elements)
-    orders2: dict[int, list[Triple]] = {}
-    for t in elems2:
-        orders2.setdefault(triple_order(G2.K, t), []).append(t)
-
-    gens = _closure(model_identity(), sorted(elems1, key=lambda t: (-orders1[t], t)),
-                    partial(model_mul, G1.K))[1]
-
-    def backtrack(i: int, chosen: list[Triple]) -> Optional[list[tuple[Triple, Triple]]]:
-        if i == len(gens):
-            pairs = list(zip(gens, chosen))
-            if verify_isomorphism(G1, G2, pairs):
-                return pairs
-            return None
-        for cand in orders2.get(orders1[gens[i]], []):
-            result = backtrack(i + 1, chosen + [cand])
-            if result is not None:
-                return result
-        return None
-
-    return backtrack(0, [])
+    mul1, mul2 = partial(model_mul, G1.K), partial(model_mul, G2.K)
+    highest_first = sorted(G1.elements, key=lambda t: (-triple_order(G1.K, t), t))
+    gens = _closure(model_identity(), highest_first, mul1)[1]
+    _, right, _ = _generate(model_identity(), gens, mul1)
+    same_order: dict[int, list[Triple]] = {}
+    for t in sorted(G2.elements):
+        same_order.setdefault(triple_order(G2.K, t), []).append(t)
+    for images in itertools.product(*(same_order.get(triple_order(G1.K, g), []) for g in gens)):
+        image = _extend_map(right, images, mul2, model_identity())
+        if image is not None and len(set(image)) == G2.order:
+            return list(zip(gens, images))
+    return None
 
 
 # -- rank n >= 3 -----------------------------------------------------------

@@ -307,25 +307,6 @@ def dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
 # -- systems from quotient automorphisms -----------------------------------
 
 
-def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
-                              gamma: Mapping[int, int] | Sequence[int]) -> None:
-    """Raise PreconditionError unless gamma is an involutive automorphism of K/H.
-
-    ``rep`` is the coset-representative table of H and ``gamma`` maps every
-    coset representative to a coset representative (a dict, or a sequence
-    indexed by element such as ``quotient_automorphisms`` returns).
-    """
-    cosets = sorted(set(rep))
-    for c1 in cosets:
-        if gamma[gamma[c1]] != c1:
-            raise PreconditionError("quotient map not an involution",
-                                    f"gamma^2 moves coset {c1}")
-        for c2 in cosets:
-            if gamma[rep[K.cayley[c1][c2]]] != rep[K.cayley[gamma[c1]][gamma[c2]]]:
-                raise PreconditionError("quotient map not multiplicative",
-                                        f"gamma fails on cosets ({c1}, {c2})")
-
-
 def l_gamma(K: FiniteQuaternionGroup, rep: Sequence[int],
             gamma: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
     """L_gamma = {x : gamma(xH) = x^-1 H}, ascending, from the coset table of H."""

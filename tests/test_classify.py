@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import math
-from collections import Counter
 
 import pytest
 
@@ -43,9 +42,9 @@ from quatrefl.refgroups import (
     iso_prescreen,
     model_inv,
     model_mul,
-    triple_order,
     verify_isomorphism,
 )
+from test_refgroups import walked_census
 
 
 # -- index sets --------------------------------------------------------------
@@ -427,13 +426,13 @@ def _conjugacy_class_count(G):
 
 def test_order_192_four_groups_are_distinct_abstract_groups():
     # class counts and element-order censuses are invariants of the abstract
-    # group, unlike iso_prescreen's reflection-orbit types
+    # group; the censuses are walked here, apart from the closed form that
+    # iso_prescreen counts
     recs = [r for r in order_scan(192) if r.reflections == 22]
     groups = {r.label_str(): group_for_record(r) for r in recs}
     counts = {label: _conjugacy_class_count(G) for label, G in groups.items()}
     assert counts == {"[12,2,3,2]": 36, "[24,3,8,1]": 33, "[6,1,3,4]": 30, "G_O(L20,C2)": 23}
-    censuses = {tuple(sorted(Counter(triple_order(G.K, x) for x in G.elements).items()))
-                for G in groups.values()}
+    censuses = {tuple(walked_census(G).items()) for G in groups.values()}
     assert len(censuses) == 4
 
 

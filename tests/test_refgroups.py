@@ -3,20 +3,33 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from quatrefl import refgroups
 from quatrefl.exactarith import Quaternion
 from quatrefl.groups import (
     Subgroup,
+    _closure,
     _extend_map,
     _generate,
     build_group,
     commutator_subgroup,
     normal_subgroups,
 )
-from quatrefl.classify import _dedup_subgroups, build_index_group, lambda_set
+from quatrefl.classify import (
+    IndexQuadruple,
+    _dedup_subgroups,
+    build_index_group,
+    classify_K,
+    corollary_pair_search,
+    group_for_record,
+    lambda_set,
+    order_scan,
+    the_polyhedral_isomorphism,
+)
 from quatrefl.refsystems import (
     DicyclicIndex,
     close_system,
@@ -48,6 +61,7 @@ from quatrefl.refgroups import (
     rank_n_mul,
     realize_matrices,
     reflection_orbit_types,
+    triple_order,
     triple_to_matrix,
     verify_isomorphism,
 )
@@ -415,8 +429,6 @@ def test_realize_matrices_identity_and_roots():
 
 
 def test_iso_prescreen_verdicts():
-    from quatrefl.classify import build_index_group, IndexQuadruple
-
     O = build_group("O")
     L20 = next(S for S in enumerate_systems(O) if S.size == 20)
     G_O20 = build_reflection_group(O, L20, normal_of_order(O, 2))
@@ -436,8 +448,6 @@ def test_iso_prescreen_verdicts():
 
 
 def test_iso_prescreen_candidate_cross_k():
-    from quatrefl.classify import the_polyhedral_isomorphism
-
     G_O, G_T, _ = the_polyhedral_isomorphism()
     verdict, _ = iso_prescreen(G_T, G_O)
     assert verdict == "candidate"
@@ -450,8 +460,6 @@ def test_verify_isomorphism_identity_and_explicit():
     minus_one = T.index[-Quaternion.one(4)]
     gens.append((minus_one, 0, 0))
     assert verify_isomorphism(G, G, [(g, g) for g in gens])
-    from quatrefl.classify import the_polyhedral_isomorphism
-
     G_O, G_T, pairs = the_polyhedral_isomorphism()
     assert verify_isomorphism(G_O, G_T, pairs)
 
@@ -502,14 +510,125 @@ def test_verify_isomorphism_requires_targets_in_g2():
         verify_isomorphism(G, G, pairs)
 
 
-def test_isomorphism_search_positive_and_negative():
-    from quatrefl.classify import build_index_group, IndexQuadruple
+def _dicyclic_family_pair():
+    return (build_index_group(IndexQuadruple(3, 1, 3, 2)),
+            build_index_group(IndexQuadruple(6, 2, 3, 1)))
 
-    G1 = build_index_group(IndexQuadruple(3, 1, 3, 2))
-    G2 = build_index_group(IndexQuadruple(6, 2, 3, 1))
+
+def test_isomorphism_search_positive_and_negative():
+    G1, G2 = _dicyclic_family_pair()
     assert isomorphism_search(G1, G2) is not None
     G3 = build_index_group(IndexQuadruple(6, 1, 6, 1))  # order 48, 14 reflections
     assert isomorphism_search(G1, G3) is None
+
+
+def _leaf_search_oracle(G1, G2):
+    """The first generator map of the search, one ``verify_isomorphism`` walk per leaf."""
+    by_order = sorted(G1.elements, key=lambda t: (-walked_triple_order(G1.K, t), t))
+    gens = _closure(model_identity(), by_order, lambda u, v: model_mul(G1.K, u, v))[1]
+    images = [[u for u in sorted(G2.elements)
+               if walked_triple_order(G2.K, u) == walked_triple_order(G1.K, g)] for g in gens]
+    for choice in itertools.product(*images):
+        pairs = list(zip(gens, choice))
+        if verify_isomorphism(G1, G2, pairs):
+            return pairs
+    return None
+
+
+def test_isomorphism_search_walks_g1_once(monkeypatch):
+    G1, G2 = _dicyclic_family_pair()
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return _generate(*args, **kwargs)
+
+    monkeypatch.setattr(refgroups, "_generate", counted)
+    found = isomorphism_search(G1, G2)
+    monkeypatch.undo()
+    assert len(walks) == 1 and walks[0] == [t for t, _ in found]
+    assert verify_isomorphism(G1, G2, found)
+
+
+def test_isomorphism_search_finds_the_leaf_search_map():
+    G_O, G_T, _ = the_polyhedral_isomorphism()
+    for G1, G2 in (_dicyclic_family_pair(), (G_T, G_O), (G_O, G_T)):
+        assert isomorphism_search(G1, G2) == _leaf_search_oracle(G1, G2)
+
+
+def test_isomorphism_search_screens_before_the_bound():
+    # census-distinct pairs above the bound are answered, not refused
+    groups = [group_for_record(r) for r in order_scan(192) if r.reflections == 22]
+    assert len(groups) == 4
+    for G1, G2 in itertools.combinations(groups, 2):
+        assert isomorphism_search(G1, G2, max_order=100) is None
+
+
+def test_isomorphism_search_refuses_a_candidate_above_the_bound():
+    G_O, G_T, _ = the_polyhedral_isomorphism()
+    assert G_T.order == 96
+    with pytest.raises(ValueError, match="bound 50 exceeded"):
+        isomorphism_search(G_T, G_O, max_order=50)
+
+
+# -- the element-order census ------------------------------------------------
+
+
+def walked_triple_order(K, t):
+    """The order of t, walked through its powers (the oracle of ``triple_order``)."""
+    k, cur = 1, t
+    while cur != model_identity():
+        cur = model_mul(K, cur, t)
+        k += 1
+    return k
+
+
+def walked_census(G):
+    """Element orders of G with multiplicities, walked over ``G.elements``."""
+    return dict(sorted(Counter(walked_triple_order(G.K, t) for t in G.elements).items()))
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None)]
+                         + [("dicyclic", n) for n in range(2, 13)])
+def test_element_order_census_matches_the_walk(tag, n):
+    # every classify_K record group, and every index group [n, a, b, r]
+    K = build_group(tag, n) if n else build_group(tag)
+    groups = [group_for_record(rec) for rec in classify_K(K)]
+    if tag == "dicyclic":
+        groups += [build_index_group(idx) for idx in lambda_set(n)]
+    for G in groups:
+        assert all(triple_order(G.K, t) == walked_triple_order(G.K, t) for t in G.elements)
+        census = G.element_order_census()
+        assert census == walked_census(G) and sum(census.values()) == G.order
+
+
+def test_corollary_type_ii_pairs_have_different_censuses():
+    # every equal-order, equal-reflection-count pair of the corollary up to
+    # n = 90 is told apart by an invariant of the abstract group
+    pairs = corollary_pair_search(90, "ii")
+    assert [p.idx1.n for p in pairs] == [2, 12, 30, 56, 60, 90]
+    for p in pairs:
+        G1, G2 = build_index_group(p.idx1), build_index_group(p.idx2)
+        assert walked_census(G1) != walked_census(G2)
+        assert iso_prescreen(G1, G2) == ("distinct", ["element-order censuses differ"])
+
+
+@pytest.mark.parametrize("idx,n,label", [
+    ((2, 1, 1, 4), 8, "G_C8(8,C4)"),
+    ((3, 1, 1, 3), 12, "G_C12(12,C3)"),
+    ((3, 1, 1, 6), 12, "G_C12(12,C6)"),
+])
+def test_census_separates_equal_reflection_data(idx, n, label):
+    # same order, reflection count, orbit types and |K|: the reflection
+    # screens left these pairs as candidates
+    G1 = build_index_group(IndexQuadruple(*idx))
+    G2 = group_for_record(next(r for r in classify_K(build_group("cyclic", n))
+                                if r.label_str() == label))
+    assert (G1.order, G1.reflection_count()) == (G2.order, G2.reflection_count())
+    assert sorted(reflection_orbit_types(G1).entries) == sorted(reflection_orbit_types(G2).entries)
+    assert walked_census(G1) != walked_census(G2)
+    assert iso_prescreen(G1, G2) == ("distinct", ["element-order censuses differ"])
+    assert isomorphism_search(G1, G2) is None
 
 
 # -- rank n >= 3 ------------------------------------------------------------

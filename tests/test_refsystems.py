@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -22,7 +23,6 @@ from quatrefl.refsystems import (
     NonGeneratingSeedError,
     PreconditionError,
     ReflectionSystem,
-    check_quotient_involution,
     close_system,
     close_under_circ,
     copy_count,
@@ -45,6 +45,25 @@ from test_exactarith import is_unit
 def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int, ...]:
     """Lexicographically least image over all translations and automorphisms."""
     return min(tuple(sorted(s)) for s in _equivalent_sets(K, frozenset(members)))
+
+
+def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
+                              gamma: Mapping[int, int] | Sequence[int]) -> None:
+    """Raise PreconditionError unless gamma is an involutive automorphism of K/H.
+
+    ``rep`` is the coset-representative table of H and ``gamma`` maps every
+    coset representative to a coset representative (a dict, or a sequence
+    indexed by element such as ``quotient_automorphisms`` returns).
+    """
+    cosets = sorted(set(rep))
+    for c1 in cosets:
+        if gamma[gamma[c1]] != c1:
+            raise PreconditionError("quotient map not an involution",
+                                    f"gamma^2 moves coset {c1}")
+        for c2 in cosets:
+            if gamma[rep[K.cayley[c1][c2]]] != rep[K.cayley[gamma[c1]][gamma[c2]]]:
+                raise PreconditionError("quotient map not multiplicative",
+                                        f"gamma fails on cosets ({c1}, {c2})")
 
 
 def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: dict[int, int]) -> tuple[int, ...]:
