@@ -23,6 +23,7 @@ from .classify import (
     find_isomorphisms,
     order_scan,
 )
+from .exactarith import FieldScalar, Quaternion
 from .golden import SUITES
 from .groups import build_group, default_max_order, element_order_census
 from .refsystems import copy_count, enumerate_systems, orbit_partition, subgroup_copy_count
@@ -50,12 +51,16 @@ def _indented_json(value) -> str:
     With an indent, ``json`` falls back to its pure-Python encoder.  This
     writes the same layout directly; a non-empty list of plain ints, or of such
     lists (a Cayley table, a scalar's coefficients), is formed in one
-    ``str.join`` once per (depth, contents).  Dict keys must be strings, as in
-    every payload of the package; any other key raises TypeError.
+    ``str.join`` once per (depth, contents).  A quaternion is written as its
+    ``to_json()``, with each scalar's dense ``[numerator, denominator]`` pairs
+    written from its sparse terms (the zero pair's text is formed once), and
+    cached per (depth, scalar).  Dict keys must be strings, as in every payload
+    of the package; any other key raises TypeError.
     """
     chunks: list[str] = []
     emit = chunks.append
     int_lists: dict[tuple, str] = {}
+    scalar_texts: dict[tuple, str] = {}
 
     def ints(v) -> bool:
         return isinstance(v, (list, tuple)) and bool(v) and set(map(type, v)) == {int}
@@ -70,9 +75,24 @@ def _indented_json(value) -> str:
             text = int_lists[key] = "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
         return text
 
+    def scalar_text(s: FieldScalar, depth: int) -> str:
+        text = scalar_texts.get((depth, s))
+        if text is None:
+            items = [int_text([0, 1], depth + 1)] * s.dimension
+            for p, v in s.terms:
+                g = math.gcd(v, s.den)
+                items[p] = int_text([v // g, s.den // g], depth + 1)
+            inner = "\n" + " " * (depth + 1)
+            text = scalar_texts[depth, s] = "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+        return text
+
     def write(v, depth: int) -> None:
         if isinstance(v, str):
             emit(_encode_str(v))
+        elif isinstance(v, Quaternion):
+            write({"conductor": v.conductor, "coeffs": [v.a, v.b, v.c, v.d]}, depth)
+        elif isinstance(v, FieldScalar):
+            emit(scalar_text(v, depth))
         elif isinstance(v, (list, tuple)):
             if not v:
                 emit("[]")
@@ -138,10 +158,10 @@ def cmd_group(args) -> int:
         print("element_orders=" + ",".join(f"{o}:{c}" for o, c in census.items()))
     elif args.emit == "elements":
         _emit_json({"name": K.name, "order": K.order,
-                    "elements": [q.to_json() for q in K.elements],
+                    "elements": K.elements,
                     "rendered": [q.render() for q in K.elements]})
-    else:  # cayley
-        _emit_json(K.to_json())
+    else:  # cayley: K.to_json(), with the elements left to the writer
+        _emit_json({"name": K.name, "order": K.order, "elements": K.elements, "cayley": K.cayley})
     return 0
 
 

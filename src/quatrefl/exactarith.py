@@ -28,26 +28,35 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .numutil import divisors
+from .numutil import prime_factorization
 
 # Rationals are stdlib Fractions: always reduced, positive denominator,
 # canonical zero 0/1 -- exactly the invariants the package relies on.
 Rational = Fraction
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, ascending degree; always monic."""
+    """Integer coefficients of Phi_m, ascending degree; always monic.
+
+    Built from the radical r of m with one exact division per prime
+    (Arnold & Monagan, Math. Comp. 80, 2011): from Phi_1 = x - 1,
+    Phi_pk(x) = Phi_k(x^p) / Phi_k(x) for each prime p of m (p does not divide
+    k), and then Phi_m(x) = Phi_r(x^(m/r)).
+    """
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    if m == 1:
-        return (-1, 1)
-    poly = [0] * (m + 1)
-    poly[0], poly[m] = -1, 1
-    for d in divisors(m):
-        if d != m:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    poly, r = [-1, 1], 1
+    for p in prime_factorization(m):
+        poly = _poly_div_exact(_stretch(poly, p), poly)
+        r *= p
+    return tuple(_stretch(poly, m // r))
+
+
+def _stretch(poly: Sequence[int], e: int) -> list[int]:
+    """The coefficients of poly(x^e)."""
+    out = [0] * ((len(poly) - 1) * e + 1)
+    out[::e] = poly
+    return out
 
 
 def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -283,9 +292,14 @@ class FieldScalar:
     # -- structure ----------------------------------------------------
 
     @property
+    def dimension(self) -> int:
+        """phi(m), the length of the power basis."""
+        return _field(self.m).phi
+
+    @property
     def nums(self) -> tuple[int, ...]:
         """All phi(m) numerators over ``den``, zeros included."""
-        out = [0] * _field(self.m).phi
+        out = [0] * self.dimension
         for p, v in self.terms:
             out[p] = v
         return tuple(out)
@@ -566,16 +580,20 @@ class Quaternion:
 def embedded_circle_element(m: int, order: int, k: int) -> Quaternion:
     """cos(2*pi*k/order) + sin(2*pi*k/order)*i as an exact quaternion.
 
-    Requires order | m and 4 | m (the sine needs zeta_4 in the field).
+    Requires order | m and 4 | m (the sine needs zeta_4 in the field).  With
+    s = (m/order)*k, both components are read off the tabulated powers of
+    zeta_m, without a product: cos = (zeta_m^s + zeta_m^-s)/2 and
+    sin = (zeta_m^(m/4-s) - zeta_m^(m/4+s))/2, as i = zeta_m^(m/4).
     """
     if m % order or m % 4:
         raise ValueError(f"conductor {m} must be divisible by 4 and by {order}")
-    step = m // order
-    z = FieldScalar.root_of_unity(m, k * step)
-    zbar = FieldScalar.root_of_unity(m, -k * step)
-    half = FieldScalar.from_rational(m, Fraction(1, 2))
-    zeta4 = FieldScalar.root_of_unity(m, m // 4)
-    re = (z + zbar) * half
-    im = (z - zbar) * (-zeta4) * half
-    zero = FieldScalar.zero(m)
-    return Quaternion(re, im, zero, zero)
+    s, pows = m // order * k, _field(m).pows
+
+    def half_sum(p: int, q: int, sign: int) -> FieldScalar:
+        acc = dict(pows[p % m])
+        for i, v in pows[q % m]:
+            acc[i] = acc.get(i, 0) + sign * v
+        return _scalar(m, acc, 2)
+
+    zero = _scalar(m, {}, 1)
+    return Quaternion(half_sum(s, -s, 1), half_sum(m // 4 - s, m // 4 + s, -1), zero, zero)

@@ -4,12 +4,15 @@
 order 4n, and the binary tetrahedral / octahedral / icosahedral groups of
 orders 24 / 48 / 120.  Every group takes one construction path: its
 generators (zeta_n; zeta_2n and j; or ``polyhedral_generators``) are closed
-under right multiplication modulo a prime, which is injective on K; the
-Cayley table is filled from that walk a column at a time by integer gathers,
-and each element is formed once, along the word that first reached it
-(|K| - 1 exact quaternion products).  Elements are exact quaternions; indices
-are stable (sorted by element order, then lexicographic coefficients) so
-tables are reproducible.
+under right multiplication modulo a prime, which is injective on K, and the
+Cayley table is filled from that walk a column at a time by integer gathers.
+The exact values of cyclic and dicyclic elements are read off in closed form
+along the walk's words (zeta_n^e; zeta_2n^e or zeta_2n^e j), with no
+quaternion product; a polyhedral element is formed once, along the word that
+first reached it (at most 119 exact products a group).  Elements are exact
+quaternions; indices are stable (sorted by element order, then lexicographic
+coefficients) so tables are reproducible.  The circ operation a o b =
+a b^-1 a is kept a row at a time (``circ_row``), for the rows that are read.
 
 Every generator walk that needs words goes through one closure routine,
 ``_generate``: group construction, the automorphism search, and (in
@@ -69,7 +72,7 @@ class FiniteQuaternionGroup:
         self.element_orders = element_orders
         self.build_gens = build_gens
         # lazily built caches
-        self._circ: Optional[list[list[int]]] = None
+        self._circ: dict[int, Sequence[int]] = {}
         self._conj_classes: Optional[list[tuple[int, ...]]] = None
         self._normal: Optional[list["Subgroup"]] = None
         self._automorphisms: Optional[list["GroupAutomorphism"]] = None
@@ -97,16 +100,17 @@ class FiniteQuaternionGroup:
         """g x g^-1."""
         return self.cayley[self.cayley[g][x]][self.inv[g]]
 
-    def circ_table(self) -> list[list[int]]:
-        """Table of a o b = a * b^-1 * a, the reflection-system operation.
+    def circ_row(self, a: int) -> Sequence[int]:
+        """Row a of a o b = a * b^-1 * a, the reflection-system operation, cached.
 
-        Row a is column a of the Cayley table gathered at a * b^-1 for every
-        b, which is row a gathered at ``inv``: two ``_gather`` calls a row."""
-        if self._circ is None:
-            cols = list(zip(*self.cayley))
-            self._circ = [list(_gather(_gather(self.inv, row), col))
-                          for row, col in zip(self.cayley, cols)]
-        return self._circ
+        a o b = a * (a^-1 * b)^-1, so the row is ``inv`` gathered at row a^-1
+        of the Cayley table, and row a gathered at that: two ``_gather``
+        calls, and no column of the table."""
+        row = self._circ.get(a)
+        if row is None:
+            cay = self.cayley
+            row = self._circ[a] = _gather(_gather(cay[self.inv[a]], self.inv), cay[a])
+        return row
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Orbits under conjugation by ``generating_sequence()``, by least member."""
@@ -316,12 +320,14 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     if tag == "cyclic":
         if n is None or n < 1:
             raise ValueError(f"cyclic group needs n >= 1, got {n}")
-        return _close_generators(f"C{n}", tag, n, [embedded_circle_element(math.lcm(4, n), n, 1)], n)
+        m = math.lcm(4, n)
+        return _close_generators(f"C{n}", tag, n, [embedded_circle_element(m, n, 1)], n,
+                                 lambda word: _cyclic_values(m, n, word))
     if tag == "dicyclic":
         if n is None or n < 2:
             raise ValueError(f"dicyclic group needs n >= 2, got {n}")
         gens = [embedded_circle_element(4 * n, 2 * n, 1), Quaternion.unit(4 * n, "j")]
-        return _close_generators(f"D{n}", tag, n, gens, 4 * n)
+        return _close_generators(f"D{n}", tag, n, gens, 4 * n, lambda word: _dicyclic_values(n, word))
     if tag in POLYHEDRAL_CONDUCTOR:
         if n is not None:
             raise ValueError(f"group {tag} takes no parameter")
@@ -346,12 +352,11 @@ def polyhedral_generators(tag: str) -> list[Quaternion]:
 
 
 def _reduced_walk(gens: list[Quaternion], order: int):
-    """``_generate(Quaternion.one(m), gens, operator.mul)`` for a group of ``order`` elements.
+    """``_generate``'s ``right`` and ``word`` for ``gens``, which generate a group of ``order`` elements.
 
     The walk runs mod the least odd prime p = 1 (mod m), zeta_m -> a primitive
     m-th root r (denominators are powers of 2), a ring map injective on finite
     groups (Minkowski); a count other than ``order`` raises ArithmeticError.
-    Each element is then formed once, along the word that first reached it.
     """
     m = gens[0].conductor
     p, r = prime_root_of_unity(m)
@@ -366,22 +371,55 @@ def _reduced_walk(gens: list[Quaternion], order: int):
     _, right, word = _generate((1, 0, 0, 0), images, mul)
     if len(word) != order:
         raise ArithmeticError(f"generators close to {len(word)} elements mod {p}, not {order}")
-    values = [Quaternion.one(m)]
+    return right, word
+
+
+def _cyclic_values(m: int, n: int, word: list) -> list[Quaternion]:
+    """The elements zeta_n^e of C_n (conductor m) in ``word``'s order, each
+    read off as ``embedded_circle_element(m, n, e)``: e counts the steps of
+    the element's word."""
+    exps = [0]
+    for parent, _ in word[1:]:
+        exps.append(exps[parent] + 1)
+    return [embedded_circle_element(m, n, e) for e in exps]
+
+
+def _dicyclic_values(n: int, word: list) -> list[Quaternion]:
+    """The elements of D_n in ``word``'s order, from zeta = zeta_2n and j.
+
+    Each element is carried along its word as (e, s), meaning zeta^e j^s:
+    (e, 0) zeta = (e + 1, 0), (e, 1) zeta = (e - 1, 1), (e, 0) j = (e, 1) and
+    (e, 1) j = (e + n, 0).  zeta^e is ``embedded_circle_element(4n, 2n, e)``,
+    re + im*i, once per e, and zeta^e j = re*j + im*k reuses its scalars.
+    """
+    labels = [(0, 0)]
     for parent, k in word[1:]:
-        values.append(values[parent] * gens[k])
-    return values, right, word
+        e, s = labels[parent]
+        labels.append(((e + 1 - 2 * s) % (2 * n), s) if k == 0 else ((e + n * s) % (2 * n), 1 - s))
+    circle = [embedded_circle_element(4 * n, 2 * n, e) for e in range(2 * n)]
+    zero = circle[0].c
+    return [circle[e] if s == 0 else Quaternion(zero, zero, circle[e].a, circle[e].b) for e, s in labels]
 
 
-def _close_generators(name: str, tag: str, n: Optional[int],
-                      gens: list[Quaternion], order: int) -> FiniteQuaternionGroup:
+def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaternion], order: int,
+                      closed_form: Optional[Callable[[list], list[Quaternion]]] = None
+                      ) -> FiniteQuaternionGroup:
     """Close ``gens``, which generate a group of ``order`` elements, and tabulate it.
 
-    ``_reduced_walk`` gives the elements with ``_generate``'s ``right`` and
-    ``word``; the Cayley table then needs integer lookups only, a column at a
-    time: x*y = right[x*parent(y)][k] for the word (parent, k) that first
+    ``_reduced_walk`` gives ``_generate``'s ``right`` and ``word``.  Each
+    element is ``closed_form(word)``'s entry when that is given, and is
+    otherwise formed once along the word that first reached it (|K| - 1 exact
+    products).  The Cayley table then needs integer lookups only, a column at
+    a time: x*y = right[x*parent(y)][k] for the word (parent, k) that first
     reached y, so column y gathers column k of ``right`` at column parent(y).
     """
-    values, right, word = _reduced_walk(gens, order)
+    right, word = _reduced_walk(gens, order)
+    if closed_form is None:
+        values = [Quaternion.one(gens[0].conductor)]
+        for parent, k in word[1:]:
+            values.append(values[parent] * gens[k])
+    else:
+        values = closed_form(word)
     right_cols = list(zip(*right))
     cols = [range(len(values))]
     for p, k in word[1:]:

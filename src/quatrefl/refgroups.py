@@ -326,11 +326,11 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
     entries: list[tuple[int, str]] = []
     if G.H.order > 1:
         entries.append((2, G.H.name))
-    circ, cay = K.circ_table(), K.cayley
+    cay = K.cayley
     # x -> a o x for a generating L, and the left and right translations by
     # generators of H
     H_gens = _closure(0, G.H.members, lambda x, h: cay[x][h])[1]
-    maps = [circ[a] for a in G.L.generators] + [cay[h] for h in H_gens]
+    maps = [K.circ_row(a) for a in G.L.generators] + [cay[h] for h in H_gens]
     maps += [[row[h] for row in cay] for h in H_gens]
     entries.extend((size, "C2") for size in sorted(map(len, _orbits(nondiagonal_reflections(G), maps))))
     return ReflectionOrbitType(tuple(entries))

@@ -108,8 +108,7 @@ def close_under_circ(K: FiniteQuaternionGroup, seed: Iterable[int]) -> frozenset
     in the seed's orbits under that group; those orbits are the closure.
     """
     seed = set(seed)
-    circ = K.circ_table()
-    return frozenset().union(*_orbits(seed, [circ[s] for s in seed]))
+    return frozenset().union(*_orbits(seed, [K.circ_row(s) for s in seed]))
 
 
 def close_system(K: FiniteQuaternionGroup, seed: Iterable[int]) -> ReflectionSystem:
@@ -134,8 +133,8 @@ def system_orbit(L: ReflectionSystem, b: int) -> tuple[int, ...]:
 def orbit_partition(L: ReflectionSystem) -> list[tuple[int, ...]]:
     """The orbits of x -> a o x (a in L), by size, then members; they are walked
     under L's generators, as s_(a o c) = s_a s_c s_a."""
-    circ = L.parent.circ_table()
-    return sorted(_orbits(L.members, [circ[a] for a in L.generators]), key=lambda o: (len(o), o))
+    maps = [L.parent.circ_row(a) for a in L.generators]
+    return sorted(_orbits(L.members, maps), key=lambda o: (len(o), o))
 
 
 # -- equivalence ----------------------------------------------------------

@@ -176,6 +176,13 @@ def test_classify_icosahedral_block():
     ]
 
 
+def test_classify_k_builds_fewer_circ_rows_than_elements():
+    """classify_K reads the circ rows of seeds and generators only, never all of them."""
+    K = build_group.__wrapped__("dicyclic", 30)  # a fresh group, so that its row cache starts empty
+    assert len(classify_K(K)) == len(classify_K(build_group("dicyclic", 30)))
+    assert 0 < len(K._circ) < K.order
+
+
 def test_classify_q8_block():
     recs = classify_K(build_group("dicyclic", 2))
     got = sorted((r.L_size, r.H_name, r.order, r.reflections) for r in recs)

@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 from argparse import Namespace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quatrefl import cli
 from quatrefl.cli import SizeBoundError, _build_from_args, main
+from quatrefl.exactarith import FieldScalar
+from quatrefl.groups import build_group
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -326,6 +329,17 @@ def test_indented_json_writer_on_nested_payloads():
         cli._indented_json({1: 0})
     with pytest.raises(TypeError):
         cli._indented_json([object()])
+
+
+def test_indented_json_writes_quaternions_and_scalars_as_their_to_json():
+    scalar = FieldScalar.from_fractions(8, [Fraction(1, 2), Fraction(-1, 4), 0, 3])
+    for tag, n in (("cyclic", 1), ("cyclic", 12), ("T", None), ("O", None), ("I", None), ("dicyclic", 37)):
+        K = build_group(tag, n) if n else build_group(tag)
+        payload = {"elements": K.elements, "nested": [[K.elements[-1], scalar], scalar]}
+        dense = {"elements": [q.to_json() for q in K.elements],
+                 "nested": [[K.elements[-1].to_json(), scalar.to_json()["coeffs"]],
+                            scalar.to_json()["coeffs"]]}
+        assert cli._indented_json(payload) == json.dumps(dense, indent=1), K.name
 
 
 def test_closed_pipe_exits_1_without_traceback():

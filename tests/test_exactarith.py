@@ -12,6 +12,7 @@ from quatrefl.exactarith import (
     cyclotomic_polynomial,
     embedded_circle_element,
 )
+from quatrefl.numutil import divisors
 
 
 def is_unit(q: Quaternion) -> bool:
@@ -39,6 +40,74 @@ def test_cyclotomic_polynomial_kills_zeta(m):
         acc = acc + power * rat(m, c)
         power = power * z
     assert acc.is_zero()
+
+
+def _divide(num, den):
+    """The quotient of an exact long division by the monic ``den``, over its nonzero terms."""
+    num, deg = list(num), len(den) - 1
+    terms = [(k, c) for k, c in enumerate(den) if c]
+    out = [0] * (len(num) - deg)
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = out[i - deg] = num[i]
+        if c:
+            for k, dc in terms:
+                num[i - deg + k] -= c * dc
+    assert not any(num[:deg]), "non-exact division"
+    return out
+
+
+def _cyclotomic_by_every_divisor(m, memo):
+    """Phi_m as x^m - 1 divided by Phi_d for every proper divisor d of m, the
+    largest first (so that the dividend shrinks fastest)."""
+    if m not in memo:
+        poly = [-1] + [0] * (m - 1) + [1]
+        for d in divisors(m)[-2::-1]:
+            poly = _divide(poly, _cyclotomic_by_every_divisor(d, memo))
+        memo[m] = tuple(poly)
+    return memo[m]
+
+
+def test_cyclotomic_polynomial_matches_the_divisor_oracle():
+    memo = {}
+    for m in range(1, 1201):
+        assert cyclotomic_polynomial(m) == _cyclotomic_by_every_divisor(m, memo), m
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(0)
+
+
+def test_cyclotomic_polynomials_of_the_divisors_multiply_to_x_m_minus_1():
+    for m in range(1, 401):
+        prod = [1]
+        for d in divisors(m):
+            poly = cyclotomic_polynomial(d)
+            out = [0] * (len(prod) + len(poly) - 1)
+            for i, a in enumerate(prod):
+                if a:
+                    for j, b in enumerate(poly):
+                        out[i + j] += a * b
+            prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+
+
+def _circle_by_products(m, order, k):
+    """cos + sin*i formed with field products: (z + z^-1)/2 and (z - z^-1)(-i)/2."""
+    z = FieldScalar.root_of_unity(m, k * (m // order))
+    zbar = FieldScalar.root_of_unity(m, -k * (m // order))
+    half = rat(m, Fraction(1, 2))
+    re = (z + zbar) * half
+    im = (z - zbar) * (-FieldScalar.root_of_unity(m, m // 4)) * half
+    return Quaternion(re, im, rat(m, 0), rat(m, 0))
+
+
+def test_embedded_circle_element_matches_the_product_formula():
+    for m in range(4, 121, 4):
+        for order in divisors(m):
+            for k in range(-1, order + 1):
+                assert embedded_circle_element(m, order, k) == _circle_by_products(m, order, k), (m, order, k)
+    with pytest.raises(ValueError):
+        embedded_circle_element(6, 3, 1)
+    with pytest.raises(ValueError):
+        embedded_circle_element(8, 3, 1)
 
 
 def test_sqrt5_square():

@@ -15,6 +15,8 @@ from quatrefl.groups import (
     POLYHEDRAL_ORDER,
     _close_generators,
     _closure,
+    _cyclic_values,
+    _dicyclic_values,
     _enlarge,
     _extend_map,
     _generate,
@@ -271,8 +273,10 @@ def test_close_generators_matches_subgroup_closure():
     closes()
 
 
+# polyhedral elements are formed along their words, one product each; cyclic
+# and dicyclic ones are read off in closed form, with no product
 @pytest.mark.parametrize("tag,n,products", [
-    ("T", None, 23), ("O", None, 47), ("I", None, 119), ("dicyclic", 5, 19)])
+    ("T", None, 23), ("O", None, 47), ("I", None, 119), ("dicyclic", 5, 0), ("cyclic", 12, 0)])
 def test_build_takes_one_product_per_element_but_the_identity(monkeypatch, tag, n, products):
     calls = []
     mul = Quaternion.__mul__
@@ -301,8 +305,32 @@ def _build_generators(tag, n):
 def test_reduced_walk_matches_the_exact_walk(tag, ns):
     for n in ns:
         gens, order = _build_generators(tag, n)
-        exact = _generate(Quaternion.one(gens[0].conductor), gens, operator.mul)
-        assert _reduced_walk(gens, order) == exact, (tag, n)
+        elements, right, word = _generate(Quaternion.one(gens[0].conductor), gens, operator.mul)
+        assert _reduced_walk(gens, order) == (right, word), (tag, n)
+        assert _word_products(gens, word) == elements, (tag, n)
+
+
+def _word_products(gens, word):
+    """Each element formed once along the word that first reached it, with
+    exact products (the build's path for polyhedral groups)."""
+    values = [Quaternion.one(gens[0].conductor)]
+    for parent, k in word[1:]:
+        values.append(values[parent] * gens[k])
+    return values
+
+
+@pytest.mark.parametrize("tag,ns", [
+    ("cyclic", range(1, 61)), ("dicyclic", range(2, 61)), ("dicyclic", range(61, 121)), ("dicyclic", [273])],
+    ids=["C1-C60", "D2-D60", "D61-D120", "D273"])
+def test_closed_form_values_match_the_word_products(tag, ns):
+    for n in ns:
+        gens, order = _build_generators(tag, n)
+        word = _reduced_walk(gens, order)[1]
+        if tag == "cyclic":
+            values = _cyclic_values(gens[0].conductor, n, word)
+        else:
+            values = _dicyclic_values(n, word)
+        assert values == _word_products(gens, word), (tag, n)
 
 
 @pytest.mark.parametrize("tag,n", [("cyclic", 6), ("dicyclic", 5), ("T", None), ("I", None)])
@@ -461,9 +489,13 @@ CIRC_GROUPS = [("cyclic", 1), ("cyclic", 2), ("T", None), ("O", None), ("I", Non
 
 @pytest.mark.parametrize("tag,n", CIRC_GROUPS)
 def test_circ_table_matches_the_cayley_oracle(tag, n):
-    K = build_group(tag, n) if n else build_group(tag)
+    """Every row of a o b = a b^-1 a that ``circ_row`` gives, and its cache."""
+    K = build_group.__wrapped__(tag, n)  # a fresh group, so that its row cache starts empty
     cay, inv = K.cayley, K.inv
-    assert K.circ_table() == [[cay[cay[a][inv[b]]][a] for b in range(K.order)] for a in range(K.order)]
+    for a in range(K.order):
+        assert list(K.circ_row(a)) == [cay[cay[a][inv[b]]][a] for b in range(K.order)], a
+        assert K.circ_row(a) is K.circ_row(a)
+    assert len(K._circ) == K.order
 
 
 def _is_normal_oracle(K, members):

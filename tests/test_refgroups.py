@@ -365,9 +365,10 @@ def _reflection_orbit_types_oracle(G):
     """Orbit types walked under the circ-map of every reflection of L_G."""
     K = G.K
     entries = [(2, G.H.name)] if G.H.order > 1 else []
-    circ, cay = K.circ_table(), K.cayley
+    cay, inv = K.cayley, K.inv
     L_G = nondiagonal_reflections(G)
-    maps = [circ[a] for a in L_G] + [cay[h] for h in G.H.members]
+    maps = [[cay[cay[a][inv[b]]][a] for b in range(K.order)] for a in L_G]
+    maps += [cay[h] for h in G.H.members]
     maps += [[row[h] for row in cay] for h in G.H.members]
     remaining = set(L_G)
     nondiag = []

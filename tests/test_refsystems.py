@@ -131,15 +131,15 @@ def power_lemma_check(K, x, y, n):
 
 def _close_under_circ_oracle(K, seed):
     """Least circ-closed superset of the seed: each new element is combined
-    with every element found so far, both ways round."""
-    circ = K.circ_table()
+    with every element found so far, both ways round; a o b = a b^-1 a is read
+    off the Cayley table."""
+    cay, inv = K.cayley, K.inv
     current = set(seed)
     queue = list(current)
     while queue:
         u = queue.pop()
-        row_u = circ[u]
         for v in list(current):
-            for w in (row_u[v], circ[v][u]):
+            for w in (cay[cay[u][inv[v]]][u], cay[cay[v][inv[u]]][v]):
                 if w not in current:
                     current.add(w)
                     queue.append(w)
