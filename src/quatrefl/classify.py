@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .groups import (
@@ -34,8 +33,8 @@ from .refsystems import (
 )
 from .refgroups import (
     ReflectionGroup,
+    _coset_tables,
     build_reflection_group,
-    diagonal_subgroups,
     is_canonical,
     isomorphism_search,
     reflection_orbit_types,
@@ -201,18 +200,26 @@ def _paired_images(L: ReflectionSystem, H: Subgroup) -> set[frozenset]:
 
 
 def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:
-    """Base and higher-order canonical groups for every system class of K."""
-    records: list[ClassificationRecord] = []
-    for L in enumerate_systems(K):
-        H_L, *higher = diagonal_subgroups(K, L)
-        for H in [H_L] + _dedup_subgroups(L, higher):
-            G = build_reflection_group(K, L, H)
-            if not is_canonical(G):
-                raise AssertionError(
-                    f"classification produced a non-canonical record for {K.name}")
-            records.append(_record_from_group(K, L, H, G))
-    records.sort(key=lambda rec: (rec.order, rec.label_str()))
-    return records
+    """Base and higher-order canonical groups for every system class of K.
+
+    Each group is built from a pair (H, gamma) with L_gamma = L that
+    ``enumerate_systems`` kept: H_L first, then one H per class under
+    K x| Aut(K).  The records are cached on K; each call returns a fresh list.
+    """
+    if K._records is None:
+        records: list[ClassificationRecord] = []
+        for L in enumerate_systems(K):
+            gammas = dict(K._system_pairs[L.member_set()])
+            H_L, *higher = gammas
+            for H in [H_L] + _dedup_subgroups(L, higher):
+                G = ReflectionGroup(K, L, H, gammas[H], *_coset_tables(K, H.members))
+                if not is_canonical(G):
+                    raise AssertionError(
+                        f"classification produced a non-canonical record for {K.name}")
+                records.append(_record_from_group(K, L, H, G))
+        records.sort(key=lambda rec: (rec.order, rec.label_str()))
+        K._records = records
+    return list(K._records)
 
 
 def _record_from_group(K, L, H, G) -> ClassificationRecord:
@@ -323,8 +330,8 @@ def dicyclic_special_record(n: int, half: bool) -> ClassificationRecord:
     )
 
 
-@lru_cache(maxsize=None)
 def polyhedral_records() -> tuple[ClassificationRecord, ...]:
+    """The records of T, O and I, from ``classify_K``'s cache on each group."""
     out = []
     for tag in ("T", "O", "I"):
         out.extend(classify_K(build_group(tag)))

@@ -378,8 +378,9 @@ class FieldScalar:
         return None
 
     def _json_coeffs(self) -> list[list[int]]:
-        """[numerator, denominator] of every basis coefficient, zeros included."""
-        out = [[0, 1] for _ in range(_field(self.m).phi)]
+        """[numerator, denominator] of every basis coefficient, zeros included;
+        the zeros share one [0, 1] list, so the pairs must not be mutated."""
+        out = [[0, 1]] * _field(self.m).phi
         for p, v in self.terms:
             g = math.gcd(v, self.den)
             out[p] = [v // g, self.den // g]

@@ -27,9 +27,12 @@ the closure and grows it a coset at a time at each admission (Dimino's
 method).
 
 The automorphisms of K/H come from one search, ``_quotient_search``, which
-returns the involutions of K/H and a generating set of Aut(K/H);
-``quotient_automorphisms`` and ``automorphism_group`` are the closure of the
-search's generators.
+returns the involutions of K/H and a generating set of Aut(K/H), checking by
+``_extend_map`` only the candidates that lie outside the closure of those
+found and keep the orders of generator products.  ``quotient_automorphisms``
+and ``automorphism_group`` are the closure of the search's generators; the
+involutions are what ``refsystems.enumerate_systems`` turns into systems and
+keeps, with their H, for ``classify.classify_K``.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class FiniteQuaternionGroup:
         self._automorphisms: Optional[list["GroupAutomorphism"]] = None
         self._aut_search: Optional[tuple[list, list]] = None
         self._gens: Optional[list[int]] = None
-        self._systems = None
+        self._systems = self._system_pairs = self._records = None
 
     @property
     def order(self) -> int:
@@ -311,7 +314,7 @@ def default_max_order() -> int:
     return int(text)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     """Construct a finite subgroup of the unit quaternions.
 
@@ -553,11 +556,12 @@ def _quotient_search(K: FiniteQuaternionGroup, rep: Sequence[int]):
     in ``itertools.product`` order; a candidate's key is that tuple of images.
     The keys of the automorphisms found so far are kept closed (``_enlarge``;
     g o phi has key g[key]), so a candidate whose key is in that closure is an
-    automorphism without a walk.  Only the others, which are new generators
-    or rejects, and the involutions are extended by ``_extend_map``; gamma is
-    an involution when gamma(gamma(g)) = g for each generator g, evaluated
-    along the words that first reached the images.  Returns (the sorted
-    involutions, the generators in the order found), each as ``image[x]``.
+    automorphism unchecked, and takes its image along the walk's words if an
+    involution.  Any other key is extended by ``_extend_map`` only if it keeps
+    the order of each product g_a g_b of two generators, as automorphisms do.
+    gamma is an involution when gamma(gamma(g)) = g for each generator g,
+    evaluated along the words that first reached the images.  Returns (the
+    sorted involutions, the generators in the order found), each as ``image[x]``.
     """
     cay = K.cayley
     cosets = sorted(set(rep))
@@ -587,21 +591,29 @@ def _quotient_search(K: FiniteQuaternionGroup, rep: Sequence[int]):
                 return False
         return True
 
+    pairs = [(a, b, orders[mul(ga, gb)]) for (a, ga), (b, gb) in itertools.combinations(enumerate(gens), 2)]
     members, admitted, full = {tuple(gens)}, [], {}
     involutions = []
     for key in itertools.product(*([c for c in cosets if orders[c] == orders[g]] for g in gens)):
-        known, inv = key in members, involutive(key)
-        if known and not inv:
-            continue
-        image = _extend_map(right, key, mul, 0)
-        if image is None or len(set(image)) < len(cosets):
-            continue
+        known = key in members
+        if known:
+            if not involutive(key):
+                continue
+            image = [0]
+            for p, k in word[1:]:
+                image.append(mul(image[p], key[k]))
+        else:
+            if any(orders[mul(key[a], key[b])] != o for a, b, o in pairs):
+                continue
+            image = _extend_map(right, key, mul, 0)
+            if image is None or len(set(image)) < len(cosets):
+                continue
         on_cosets = dict(zip(elements, image))
         phi = tuple(on_cosets[c] for c in rep)
         if not known:
             full[key] = phi
             _enlarge(members, admitted, key, lambda k, g: tuple(full[g][c] for c in k))
-        if inv:
+        if known or involutive(key):
             involutions.append(phi)
     return sorted(involutions), [full[key] for key in admitted]
 

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactarith import Quaternion
 from .groups import (
@@ -94,7 +94,7 @@ class ReflectionGroup:
     """
 
     def __init__(self, K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
-                 gamma: dict[int, int], coset_rep: list[int],
+                 gamma: Mapping[int, int] | Sequence[int], coset_rep: list[int],
                  coset_members: dict[int, tuple[int, ...]], label=None):
         self.K = K
         self.L = L
@@ -111,6 +111,11 @@ class ReflectionGroup:
         return frozenset((b, y, s) for b in range(K.order)
                          for y in self.coset_members[gamma[rep[b]]] for s in (0, 1))
 
+    @cached_property
+    def L_G(self) -> tuple[int, ...]:
+        """L_G = {b : the antidiagonal reflection over b lies in G}, i.e. L_gamma."""
+        return l_gamma(self.K, self.coset_rep, self.gamma)
+
     @property
     def order(self) -> int:
         return 2 * self.H.order * self.K.order
@@ -121,7 +126,7 @@ class ReflectionGroup:
             if h != 0:
                 out.append((h, 0, 0))
                 out.append((0, h, 0))
-        for b in nondiagonal_reflections(self):
+        for b in self.L_G:
             out.append((b, self.K.inv[b], 1))
         return out
 
@@ -172,12 +177,7 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
     the seed is inconsistent, L does not generate K/H, or the seed does not
     extend to a homomorphism.
     """
-    rep = coset_representatives(K, H_members)
-    members: dict[int, list[int]] = {}
-    for x in range(K.order):
-        members.setdefault(rep[x], []).append(x)
-    coset_members = {c: tuple(sorted(v)) for c, v in members.items()}
-
+    rep, coset_members = _coset_tables(K, H_members)
     seed: dict[int, int] = {}
     for x in L_members:
         c, image = rep[x], rep[K.inv[x]]
@@ -199,6 +199,15 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
         raise PreconditionError("quotient map not multiplicative",
                                 "the seed on L does not extend to a homomorphism of K/H")
     return gamma, rep, coset_members
+
+
+def _coset_tables(K: FiniteQuaternionGroup, H_members: Sequence[int]):
+    """rep[x], the least index in xH, and each coset's ascending members by rep."""
+    rep = coset_representatives(K, H_members)
+    members: dict[int, list[int]] = {}
+    for x in range(K.order):
+        members.setdefault(rep[x], []).append(x)
+    return rep, {c: tuple(v) for c, v in members.items()}
 
 
 def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
@@ -226,11 +235,11 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
 
 def nondiagonal_reflections(G: ReflectionGroup) -> tuple[int, ...]:
     """L_G = {b : the antidiagonal reflection over b lies in G}, i.e. L_gamma."""
-    return l_gamma(G.K, G.coset_rep, G.gamma)
+    return G.L_G
 
 
 def is_canonical(G: ReflectionGroup) -> bool:
-    return nondiagonal_reflections(G) == G.L.members
+    return G.L_G == G.L.members
 
 
 def diagonal_subgroups(K: FiniteQuaternionGroup, L: ReflectionSystem) -> list[Subgroup]:
@@ -332,7 +341,7 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
     H_gens = _closure(0, G.H.members, lambda x, h: cay[x][h])[1]
     maps = [K.circ_row(a) for a in G.L.generators] + [cay[h] for h in H_gens]
     maps += [[row[h] for row in cay] for h in H_gens]
-    entries.extend((size, "C2") for size in sorted(map(len, _orbits(nondiagonal_reflections(G), maps))))
+    entries.extend((size, "C2") for size in sorted(map(len, _orbits(G.L_G, maps))))
     return ReflectionOrbitType(tuple(entries))
 
 

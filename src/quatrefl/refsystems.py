@@ -233,7 +233,10 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
     Every reflection system is some L_gamma = {x : gamma(xH) = x^-1 H} for a
     normal subgroup H and an involutive automorphism gamma of K/H, which the
     quotient search lists without listing Aut(K/H); the L_gamma that
-    generate K are canonicalised once per equivalence class.
+    generate K are canonicalised once per equivalence class.  The (H, gamma)
+    with L_gamma a canonical system are kept on K as ``K._system_pairs``,
+    keyed by its member set, in ``normal_subgroups`` order; gamma is the
+    search's ``image[x]``.
     """
     if K.order > bound:
         raise ValueError(f"enumeration bound {bound} exceeded by |K| = {K.order}")
@@ -241,21 +244,25 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
         return K._systems
 
     seen: set[frozenset] = set()
-    systems = []
+    systems, pairs = [], {}
     for H in normal_subgroups(K):
         rep = coset_representatives(K, H.members)
         # for H = 1, the search whose generators _equivalent_sets uses, cached on K
         search = _automorphism_search(K) if H.order == 1 else _quotient_search(K, rep)
         for gamma in search[0]:
             members = frozenset(l_gamma(K, rep, gamma))
-            if members in seen or len(K.subgroup_closure(members)) != K.order:
-                continue
-            equivalent = _equivalent_sets(K, members)
-            seen |= equivalent
-            canon = min(tuple(sorted(s)) for s in equivalent)
-            systems.append(ReflectionSystem(K, canon, minimal_generators(K, canon)))
+            if members not in seen:
+                if len(K.subgroup_closure(members)) != K.order:
+                    continue
+                equivalent = _equivalent_sets(K, members)
+                seen |= equivalent
+                canon = min(tuple(sorted(s)) for s in equivalent)
+                systems.append(ReflectionSystem(K, canon, minimal_generators(K, canon)))
+                pairs[frozenset(canon)] = []
+            if members in pairs:
+                pairs[members].append((H, gamma))
     systems.sort(key=lambda L: (L.size, L.members))
-    K._systems = systems
+    K._systems, K._system_pairs = systems, pairs
     return systems
 
 

@@ -183,6 +183,40 @@ def test_classify_k_builds_fewer_circ_rows_than_elements():
     assert 0 < len(K._circ) < K.order
 
 
+@pytest.mark.parametrize("tag,n", [("O", None), ("dicyclic", 12)])
+def test_classify_k_walks_no_quotient_involution(monkeypatch, tag, n):
+    """Each record's group comes from the (H, gamma) that enumeration kept."""
+    import quatrefl.classify
+    import quatrefl.refgroups
+
+    expected = [rec.to_json() for rec in classify_K(build_group(tag, n) if n else build_group(tag))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient involution walked again")
+
+    for name in ("build_reflection_group", "diagonal_subgroups", "induced_quotient_involution"):
+        monkeypatch.setattr(quatrefl.refgroups, name, refuse)
+        monkeypatch.setattr(quatrefl.classify, name, refuse, raising=False)
+    K = build_group.__wrapped__(tag, n)  # uncached, so nothing is reused
+    assert [rec.to_json() for rec in classify_K(K)] == expected
+
+
+def test_classify_k_caches_its_records_on_k_and_returns_fresh_lists(monkeypatch):
+    import quatrefl.classify
+
+    K = build_group.__wrapped__("dicyclic", 6)
+    first = classify_K(K)
+    expected = list(first)
+    first.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_K enumerated again")
+
+    monkeypatch.setattr(quatrefl.classify, "enumerate_systems", refuse)
+    second = classify_K(K)
+    assert second == expected and second is not classify_K(K)
+
+
 def test_classify_q8_block():
     recs = classify_K(build_group("dicyclic", 2))
     got = sorted((r.L_size, r.H_name, r.order, r.reflections) for r in recs)

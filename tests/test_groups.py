@@ -290,6 +290,14 @@ def test_build_takes_one_product_per_element_but_the_identity(monkeypatch, tag, 
     assert len(calls) == products
 
 
+def test_build_group_cache_is_bounded_above_a_session():
+    # a library session builds 36 distinct groups, so a bound of 128 evicts
+    # none that it reuses; reading the bound builds nothing
+    info = build_group.cache_info()
+    assert info.maxsize == 128
+    assert build_group.cache_info().misses == info.misses
+
+
 def _build_generators(tag, n):
     """The generators and order that ``build_group`` closes."""
     if tag == "cyclic":
@@ -631,6 +639,87 @@ def test_quotient_search_matches_the_extend_every_candidate_oracle(tag, n):
         assert len(closed) == len(oracle)
         if H.order == 1:
             assert len(closed) == _automorphism_count(K)
+
+
+def _quotient_search_reference(K, rep):
+    """The search that walks every key it does not already know, and every
+    involution it knows, by ``_extend_map``: the reference for the search
+    that screens unknown keys by the orders of generator products and takes
+    the images of known ones along the walk's words."""
+    cay = K.cayley
+    cosets = sorted(set(rep))
+
+    def mul(c1, c2):
+        return rep[cay[c1][c2]]
+
+    orders = {}
+    for c in cosets:
+        k, y = 1, c
+        while y != 0:
+            y = mul(y, c)
+            k += 1
+        orders[c] = k
+    gens = [c for c in dict.fromkeys(rep[g] for g in K.generating_sequence()) if c != 0]
+    elements, right, word = _generate(0, gens, mul)
+    words = {0: ()}
+    for c, w in zip(elements[1:], word[1:]):
+        words[c] = words[elements[w[0]]] + (w[1],)
+
+    def involutive(key):
+        for g, c in zip(gens, key):
+            v = 0
+            for k in words[c]:
+                v = mul(v, key[k])
+            if v != g:
+                return False
+        return True
+
+    members, admitted, full = {tuple(gens)}, [], {}
+    involutions = []
+    for key in itertools.product(*([c for c in cosets if orders[c] == orders[g]] for g in gens)):
+        known, inv = key in members, involutive(key)
+        if known and not inv:
+            continue
+        image = _extend_map(right, key, mul, 0)
+        if image is None or len(set(image)) < len(cosets):
+            continue
+        on_cosets = dict(zip(elements, image))
+        phi = tuple(on_cosets[c] for c in rep)
+        if not known:
+            full[key] = phi
+            _enlarge(members, admitted, key, lambda k, g: tuple(full[g][c] for c in k))
+        if inv:
+            involutions.append(phi)
+    return sorted(involutions), [full[key] for key in admitted]
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
+                         + [("dicyclic", n) for n in range(2, 17)]
+                         + [("cyclic", n) for n in range(1, 13)])
+def test_quotient_search_matches_the_unscreened_reference(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    for H in normal_subgroups(K):
+        rep = coset_representatives(K, H.members)
+        assert _quotient_search(K, rep) == _quotient_search_reference(K, rep)
+
+
+def test_quotient_search_walks_only_screened_unknown_keys(monkeypatch):
+    # I/C2 = A5 from two generators of order 5: 576 same-order keys, of which
+    # 120 are automorphisms (Aut(A5) = S5) and 26 involutions; the unscreened
+    # search walks 485 keys
+    K = build_group("I")
+    rep = coset_representatives(K, next(H for H in normal_subgroups(K) if H.order == 2).members)
+    walks = []
+    extend = quatrefl.groups._extend_map
+
+    def counting(*args):
+        walks.append(None)
+        return extend(*args)
+
+    expected = _quotient_search_reference(K, rep)
+    monkeypatch.setattr(quatrefl.groups, "_extend_map", counting)
+    assert _quotient_search(K, rep) == expected
+    assert len(walks) == 75
 
 
 @pytest.mark.parametrize("n", [24, 30])

@@ -193,6 +193,36 @@ def test_diagonal_subgroups_are_the_canonical_h(tag, n):
         assert got[0].members == tuple(sorted(x for x, y, s in closed if s == 0 and y == 0))
 
 
+@pytest.mark.parametrize("tag,n", DIAGONAL_ORACLE_GROUPS)
+def test_recorded_pairs_are_the_diagonal_subgroups_and_their_involutions(tag, n):
+    # the (H, gamma) that enumerate_systems keeps and classify_K reads
+    K = build_group(tag, n) if n else build_group(tag)
+    systems = enumerate_systems(K)
+    assert K._system_pairs.keys() == {L.member_set() for L in systems}
+    for L in systems:
+        pairs = K._system_pairs[L.member_set()]
+        assert [H for H, _ in pairs] == diagonal_subgroups(K, L)
+        for H, gamma in pairs:
+            induced, rep, _ = induced_quotient_involution(K, L.members, H.members)
+            assert list(gamma) == [induced[rep[x]] for x in range(K.order)]
+
+
+def test_reflection_group_walks_l_gamma_once(monkeypatch):
+    calls = []
+    walk = refgroups.l_gamma
+
+    def counting(*args):
+        calls.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(refgroups, "l_gamma", counting)
+    T, L12 = T_system(12)
+    G = build_reflection_group(T, L12, next(H for H in normal_subgroups(T) if H.order == 2))
+    assert nondiagonal_reflections(G) == L12.members and is_canonical(G)
+    G.reflections(), reflection_orbit_types(G), G.to_json()
+    assert len(calls) == 1
+
+
 def test_commutator_identity_for_full_systems():
     # H_{L=K} equals the commutator subgroup, checked by direct closure
     for tag, n in (("cyclic", 6), ("dicyclic", 2), ("dicyclic", 3), ("T", None), ("O", None)):
