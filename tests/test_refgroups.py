@@ -219,7 +219,8 @@ def test_reflection_group_walks_l_gamma_once(monkeypatch):
     T, L12 = T_system(12)
     G = build_reflection_group(T, L12, next(H for H in normal_subgroups(T) if H.order == 2))
     assert nondiagonal_reflections(G) == L12.members and is_canonical(G)
-    G.reflections(), reflection_orbit_types(G), G.to_json()
+    assert len(G.reflections()) == G.reflection_count() == 2 * 2 + 12 - 2
+    assert reflection_orbit_types(G).render() == G.to_json()["orbit_types"]
     assert len(calls) == 1
 
 
