@@ -3,10 +3,9 @@ reflection groups: cyclotomic/quaternion arithmetic, the finite subgroups of
 the unit quaternions, reflection systems, the monomial reflection groups
 they generate, and the full classification with its isomorphism analysis."""
 
-from .exactarith import FieldScalar, Quaternion, Rational
+from .exactarith import FieldScalar, Quaternion
 from .groups import (
     FiniteQuaternionGroup,
-    GroupAutomorphism,
     Subgroup,
     automorphism_group,
     build_group,
@@ -36,8 +35,6 @@ from .refgroups import (
     generate_from_reflections,
     is_canonical,
     iso_prescreen,
-    minimal_diagonal_subgroup,
-    nondiagonal_reflections,
     rank_n_group,
     realize_matrices,
     reflection_orbit_types,

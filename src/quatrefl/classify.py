@@ -8,6 +8,7 @@ canonical label" means for subgroups of the all-of-K group.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .refsystems import (
     omega_set,
 )
 from .refgroups import (
+    ISO_SEARCH_BOUND,
     ReflectionGroup,
     _coset_tables,
     build_reflection_group,
@@ -216,13 +218,14 @@ def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:
                 if not is_canonical(G):
                     raise AssertionError(
                         f"classification produced a non-canonical record for {K.name}")
-                records.append(_record_from_group(K, L, H, G))
+                records.append(_record_from_group(G))
         records.sort(key=lambda rec: (rec.order, rec.label_str()))
         K._records = records
     return list(K._records)
 
 
-def _record_from_group(K, L, H, G) -> ClassificationRecord:
+def _record_from_group(G: ReflectionGroup) -> ClassificationRecord:
+    K, L, H = G.K, G.L, G.H
     label: tuple
     if K.tag == "dicyclic":
         family = "dicyclic"
@@ -282,13 +285,9 @@ def build_index_group(idx: IndexQuadruple) -> ReflectionGroup:
     """Honest construction of G(n, a, b, r) inside the dicyclic group."""
     K = build_group("dicyclic", idx.n)
     L = dicyclic_system(DicyclicIndex(idx.n, idx.a, idx.b))
-    gen = K.subgroup_closure([_omega_power(K, 2 * idx.n // idx.r)]) if idx.r > 1 else (0,)
+    gen = K.subgroup_closure([dicyclic_element(K, 2 * idx.n // idx.r, 0)]) if idx.r > 1 else (0,)
     H = Subgroup(K, gen)
     return build_reflection_group(K, L, H, label=(idx.n, idx.a, idx.b, idx.r))
-
-
-def _omega_power(K: FiniteQuaternionGroup, e: int) -> int:
-    return dicyclic_element(K, e % (2 * K.n), 0)
 
 
 def dicyclic_record(idx: IndexQuadruple) -> ClassificationRecord:
@@ -527,40 +526,34 @@ def the_dicyclic_family_isomorphism(n: int):
     return G1, G2, pairs
 
 
-def find_isomorphisms(records: Sequence[ClassificationRecord],
-                      build_bound: Optional[int] = None,
-                      search_bound: int = 4608) -> list[IsomorphismResult]:
+def find_isomorphisms(records: Sequence[ClassificationRecord]) -> list[IsomorphismResult]:
     """Verified isomorphic pairs among the given records.
 
     Pairs with different reflection-orbit types are dropped without building
     anything; the two known patterns get their explicit maps; any other pair
-    is settled by ``isomorphism_search`` (bounded), which drops pairs with
-    different element-order censuses first.  The orbit-type pre-filter is a
+    of an order within ``default_max_order()`` is settled by
+    ``isomorphism_search`` (bounded), which drops pairs with different
+    element-order censuses first.  The orbit-type pre-filter is a
     formula-level invariant of the reflection groups, not of the abstract
     groups; it stays until the printed output changes to give every pair a
     verdict.
     """
-    build_bound = default_max_order() if build_bound is None else build_bound
     buckets: dict[tuple[int, int], list[ClassificationRecord]] = {}
     for rec in records:
         buckets.setdefault((rec.order, rec.reflections), []).append(rec)
     results = []
-    for (order, _), bucket in sorted(buckets.items()):
-        if len(bucket) < 2:
-            continue
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                r1, r2 = bucket[i], bucket[j]
-                result = _settle_pair(r1, r2, order, build_bound, search_bound)
-                if result is not None:
-                    results.append(result)
+    for _, bucket in sorted(buckets.items()):
+        for r1, r2 in itertools.combinations(bucket, 2):
+            result = _settle_pair(r1, r2)
+            if result is not None:
+                results.append(result)
     return results
 
 
-def _settle_pair(r1: ClassificationRecord, r2: ClassificationRecord, order: int,
-                 build_bound: int, search_bound: int) -> Optional[IsomorphismResult]:
+def _settle_pair(r1: ClassificationRecord, r2: ClassificationRecord) -> Optional[IsomorphismResult]:
+    """The verdict on two records of one order and reflection count."""
     # cheap formula-level invariants first
-    if (r1.orbit_multiset() != r2.orbit_multiset()):
+    if r1.orbit_multiset() != r2.orbit_multiset():
         return None
     known = _known_pair(r1, r2)
     if known is not None:
@@ -569,10 +562,10 @@ def _settle_pair(r1: ClassificationRecord, r2: ClassificationRecord, order: int,
             raise AssertionError(f"explicit map failed for {r1.label_str()} ~ {r2.label_str()}")
         return IsomorphismResult(r1.label_str(), r2.label_str(),
                                  f"explicit map on {len(pairs)} generators")
-    if order > build_bound:
+    if r1.order > default_max_order():
         return None
     G1, G2 = group_for_record(r1), group_for_record(r2)
-    found = isomorphism_search(G1, G2, max_order=search_bound)
+    found = isomorphism_search(G1, G2)
     if found is None:
         return None
     return IsomorphismResult(r1.label_str(), r2.label_str(),
@@ -580,18 +573,14 @@ def _settle_pair(r1: ClassificationRecord, r2: ClassificationRecord, order: int,
 
 
 def _known_pair(r1: ClassificationRecord, r2: ClassificationRecord):
-    recs = {r1.family: r1, r2.family: r2}
-    if set(recs) == {"polyhedral"}:
-        labels = {r1.label, r2.label}
-        if labels == {("T", 12, "C2"), ("O", 14, "1")}:
-            return the_polyhedral_isomorphism()
-        return None
+    """(G1, G2, generator map) for a pair of the two known patterns, else None."""
+    if {r1.label, r2.label} == {("T", 12, "C2"), ("O", 14, "1")}:
+        return the_polyhedral_isomorphism()
     if r1.family == r2.family == "dicyclic":
         l1, l2 = sorted((r1.label, r2.label))
         n = l1[0]
         if n % 2 == 1 and l1 == (n, 1, n, 2) and l2 == (2 * n, 2, n, 1):
             return the_dicyclic_family_isomorphism(n)
-        return None
     return None
 
 
@@ -671,7 +660,7 @@ def _validated_pair(n, a, b, a2, b2, c) -> Optional[CorollaryPair]:
 
 
 def _pair_search_certificate(idx1: IndexQuadruple, idx2: IndexQuadruple) -> str:
-    if idx1.order > 4608:
+    if idx1.order > ISO_SEARCH_BOUND:
         return "invariant-equal, isomorphism search skipped"
     G1, G2 = build_index_group(idx1), build_index_group(idx2)
     found = isomorphism_search(G1, G2)

@@ -125,32 +125,43 @@ def _indented_json(value) -> str:
     return "".join(chunks)
 
 
-class SizeBoundError(Exception):
+class UsageError(ValueError):
+    """A bad argument or setting: exit 2.  Any other ValueError exits 3."""
+
+
+class SizeBoundError(ValueError):
     """The Cayley table of the group named by --k/--n exceeds the bound."""
+
+
+def _max_order() -> int:
+    """``default_max_order()``; a bad QUATREFL_MAX_ORDER is a usage error."""
+    try:
+        return default_max_order()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _build_from_args(args) -> "FiniteQuaternionGroup":
     if args.k in ("cyclic", "dicyclic"):
         if args.n is None:
-            raise ValueError(f"--k {args.k} requires --n")
+            raise UsageError(f"--k {args.k} requires --n")
         order = args.n if args.k == "cyclic" else 4 * args.n
-        bound = default_max_order()
+        bound = _max_order()
         # order > isqrt(bound) iff order^2 > bound; a bad n is left to build_group
         if order > math.isqrt(bound):
             raise SizeBoundError(f"--k {args.k} --n {args.n}: Cayley table of {order}^2 "
                                  f"entries exceeds the bound {bound} (QUATREFL_MAX_ORDER)")
-        return build_group(args.k, args.n)
+        try:
+            return build_group(args.k, args.n)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     if args.n is not None:
-        raise ValueError(f"--k {args.k} takes no --n")
+        raise UsageError(f"--k {args.k} takes no --n")
     return build_group(args.k)
 
 
 def cmd_group(args) -> int:
-    try:
-        K = _build_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    K = _build_from_args(args)
     if args.emit == "summary":
         print(f"name={K.name}")
         print(f"order={K.order}")
@@ -166,18 +177,9 @@ def cmd_group(args) -> int:
 
 
 def cmd_systems(args) -> int:
-    try:
-        K = _build_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        systems = enumerate_systems(K)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    K = _build_from_args(args)
     rows = []
-    for L in systems:
+    for L in enumerate_systems(K):
         rows.append({
             "size": L.size,
             "generators": list(L.generators),
@@ -196,7 +198,7 @@ def cmd_systems(args) -> int:
     return 0
 
 
-def _parse_index(text: str) -> IndexQuadruple:
+def _parse_index(text: str) -> list[int]:
     parts = [int(v) for v in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("--index needs n,a,b,r")
@@ -206,16 +208,9 @@ def _parse_index(text: str) -> IndexQuadruple:
 def cmd_classify(args) -> int:
     selectors = [s is not None for s in (args.k, args.index, args.order)]
     if sum(selectors) != 1:
-        print("error: exactly one of --k / --index / --order is required", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("exactly one of --k / --index / --order is required")
     if args.index is not None:
-        n, a, b, r = args.index
-        try:
-            idx = IndexQuadruple(n, a, b, r)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return DOMAIN_ERROR
-        rec = dicyclic_record(idx)
+        rec = dicyclic_record(IndexQuadruple(*args.index))
         if args.format == "json":
             _emit_json({"record": rec.to_json()})
         else:
@@ -223,14 +218,9 @@ def cmd_classify(args) -> int:
         return 0
     if args.order is not None:
         if args.order < 1:
-            print("error: --order must be at least 1", file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            records = order_scan(args.order)
-            isos = find_isomorphisms(records)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return DOMAIN_ERROR
+            raise UsageError("--order must be at least 1")
+        records = order_scan(args.order)
+        isos = find_isomorphisms(records)
         partner = {}
         for iso in isos:
             partner[iso.label1] = iso.label2
@@ -246,16 +236,7 @@ def cmd_classify(args) -> int:
             for iso in isos:
                 print(f"isomorphism: {iso.label1} ~ {iso.label2} ({iso.map_summary})")
         return 0
-    try:
-        K = _build_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        records = classify_K(K)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    records = classify_K(_build_from_args(args))
     if args.format == "json":
         _emit_json({"records": [rec.to_json() for rec in records]})
     else:
@@ -271,23 +252,17 @@ def _print_records(records) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = SUITES[args.suite]()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    report = SUITES[args.suite]()
     print(report.render())
     return 0 if report.passed else 1
 
 
 def cmd_iso_search(args) -> int:
     if args.max_n < 2:
-        print("error: --max-n must be at least 2", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--max-n must be at least 2")
     if args.max_n > MAX_ISO_SEARCH_N:
-        print(f"error: --max-n {args.max_n} exceeds the bound {MAX_ISO_SEARCH_N} "
-              "(the search is linear in n)", file=sys.stderr)
-        return DOMAIN_ERROR
+        raise ValueError(f"--max-n {args.max_n} exceeds the bound {MAX_ISO_SEARCH_N} "
+                         "(the search is linear in n)")
     pairs = corollary_pair_search(args.max_n, args.type)
     if args.format == "json":
         _emit_json({"type": args.type, "max_n": args.max_n,
@@ -345,20 +320,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        default_max_order()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        _max_order()  # checked before any command runs
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, inside the try
         return code
-    except SizeBoundError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+        return USAGE_ERROR if isinstance(exc, UsageError) else DOMAIN_ERROR
     except BrokenPipeError:
         # the reader went away (`| head`): send the rest of stdout, flushed
         # again at exit, to devnull and fail without a traceback

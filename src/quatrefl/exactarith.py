@@ -30,10 +30,6 @@ from typing import Iterable, Sequence
 
 from .numutil import prime_factorization
 
-# Rationals are stdlib Fractions: always reduced, positive denominator,
-# canonical zero 0/1 -- exactly the invariants the package relies on.
-Rational = Fraction
-
 
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending degree; always monic.

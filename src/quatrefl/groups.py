@@ -51,6 +51,8 @@ from .numutil import prime_root_of_unity
 
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
 POLYHEDRAL_ORDER = {"T": 24, "O": 48, "I": 120}
+# the largest |K| whose automorphisms, and so whose systems, are searched
+AUTOMORPHISM_BOUND = 120
 
 
 class FiniteQuaternionGroup:
@@ -78,7 +80,7 @@ class FiniteQuaternionGroup:
         self._circ: dict[int, Sequence[int]] = {}
         self._conj_classes: Optional[list[tuple[int, ...]]] = None
         self._normal: Optional[list["Subgroup"]] = None
-        self._automorphisms: Optional[list["GroupAutomorphism"]] = None
+        self._automorphisms: Optional[list[tuple[int, ...]]] = None
         self._aut_search: Optional[tuple[list, list]] = None
         self._gens: Optional[list[int]] = None
         self._systems = self._system_pairs = self._records = None
@@ -171,17 +173,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup({self.name} in {self.parent.name})"
-
-
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    """A Cayley-table-preserving permutation of element indices."""
-
-    parent: FiniteQuaternionGroup
-    image: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
 
 
 # -- the closure routine --------------------------------------------------
@@ -515,19 +506,19 @@ def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
     return Subgroup(K, K.subgroup_closure(commutators))
 
 
-def automorphism_group(K: FiniteQuaternionGroup, bound: int = 120) -> list[GroupAutomorphism]:
-    """All automorphisms of K: the closure of the search's generators."""
-    generators = _automorphism_search(K, bound)[1]
+def automorphism_group(K: FiniteQuaternionGroup) -> list[tuple[int, ...]]:
+    """All automorphisms of K, each as ``image[x]``, sorted: the closure of
+    the search's generators, cached on K."""
+    generators = _automorphism_search(K)[1]
     if K._automorphisms is None:
-        K._automorphisms = [GroupAutomorphism(K, img)
-                            for img in _generated_automorphisms(range(K.order), generators)]
+        K._automorphisms = _generated_automorphisms(range(K.order), generators)
     return K._automorphisms
 
 
-def _automorphism_search(K: FiniteQuaternionGroup, bound: int = 120):
+def _automorphism_search(K: FiniteQuaternionGroup):
     """``_quotient_search`` with H = 1, cached on K: (involutions, generators) of Aut(K)."""
-    if K.order > bound:
-        raise ValueError(f"automorphism search bound {bound} exceeded by |K| = {K.order}")
+    if K.order > AUTOMORPHISM_BOUND:
+        raise ValueError(f"automorphism search bound {AUTOMORPHISM_BOUND} exceeded by |K| = {K.order}")
     if K._aut_search is None:
         K._aut_search = _quotient_search(K, range(K.order))
     return K._aut_search

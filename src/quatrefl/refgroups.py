@@ -47,6 +47,9 @@ from .refsystems import (
 )
 
 Triple = tuple[int, int, int]
+IDENTITY: Triple = (0, 0, 0)
+# the largest |G| that ``isomorphism_search`` walks by default
+ISO_SEARCH_BOUND = 4608
 
 
 def model_mul(K: FiniteQuaternionGroup, t1: Triple, t2: Triple) -> Triple:
@@ -56,17 +59,6 @@ def model_mul(K: FiniteQuaternionGroup, t1: Triple, t2: Triple) -> Triple:
     if s1 == 0:
         return (cay[x1][x2], cay[y1][y2], s2)
     return (cay[x1][y2], cay[y1][x2], 1 - s2)
-
-
-def model_inv(K: FiniteQuaternionGroup, t: Triple) -> Triple:
-    x, y, s = t
-    if s == 0:
-        return (K.inv[x], K.inv[y], 0)
-    return (K.inv[y], K.inv[x], 1)
-
-
-def model_identity() -> Triple:
-    return (0, 0, 0)
 
 
 def triple_order(K: FiniteQuaternionGroup, t: Triple) -> int:
@@ -233,11 +225,6 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
     return ReflectionGroup(K, L, H, gamma, rep, coset_members, label=label)
 
 
-def nondiagonal_reflections(G: ReflectionGroup) -> tuple[int, ...]:
-    """L_G = {b : the antidiagonal reflection over b lies in G}, i.e. L_gamma."""
-    return G.L_G
-
-
 def is_canonical(G: ReflectionGroup) -> bool:
     return G.L_G == G.L.members
 
@@ -263,29 +250,37 @@ def diagonal_subgroups(K: FiniteQuaternionGroup, L: ReflectionSystem) -> list[Su
     return out
 
 
-def minimal_diagonal_subgroup(K: FiniteQuaternionGroup, L: ReflectionSystem) -> Subgroup:
-    """H_L: the least normal subgroup over which L is L_gamma."""
-    return diagonal_subgroups(K, L)[0]
-
-
 def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],
                        bound: int = 10 ** 6) -> frozenset:
-    return frozenset(_closure(model_identity(), gens, partial(model_mul, K), bound)[0])
+    return frozenset(_closure(IDENTITY, gens, partial(model_mul, K), bound)[0])
 
 
 @dataclass
 class GeneratedClosure:
-    """Result of closing explicit reflection seeds in the element model."""
+    """Result of closing explicit reflection seeds in the element model; what
+    was generated is read off ``elements`` on first use."""
 
     parent: FiniteQuaternionGroup
     elements: frozenset
-    K_observed: tuple[int, ...]
-    L_observed: tuple[int, ...]
-    H_observed: tuple[int, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def K_observed(self) -> tuple[int, ...]:
+        """The subgroup of K generated by every entry of every element."""
+        return self.parent.subgroup_closure({v for t in self.elements for v in t[:2]})
+
+    @cached_property
+    def L_observed(self) -> tuple[int, ...]:
+        """The b whose antidiagonal reflection (b, b^-1, 1) was generated."""
+        return tuple(sorted({x for x, y, s in self.elements if s == 1 and y == self.parent.inv[x]}))
+
+    @cached_property
+    def H_observed(self) -> tuple[int, ...]:
+        """The h with diag(h, 1) generated."""
+        return tuple(sorted({x for x, y, s in self.elements if s == 0 and y == 0}))
 
     def reflection_count(self) -> int:
         return sum(is_reflection_triple(self.parent, t) for t in self.elements)
@@ -301,12 +296,7 @@ def generate_from_reflections(K: FiniteQuaternionGroup, diag_seed: Iterable[int]
     gens += [(b, K.inv[b], 1) for b in offdiag_seed]
     if not all(0 <= g < K.order for g, _, _ in gens):
         raise PreconditionError("seed outside K", "seed indices must index K")
-    elements = closure_of_triples(K, gens, bound=bound)
-    K_observed = K.subgroup_closure({x for (x, y, s) in elements} |
-                                    {y for (x, y, s) in elements})
-    L_observed = tuple(sorted({x for (x, y, s) in elements if s == 1 and y == K.inv[x]}))
-    H_observed = tuple(sorted({x for (x, y, s) in elements if s == 0 and y == 0}))
-    return GeneratedClosure(K, elements, K_observed, L_observed, H_observed)
+    return GeneratedClosure(K, closure_of_triples(K, gens, bound=bound))
 
 
 # -- reflection orbits ---------------------------------------------------
@@ -366,13 +356,6 @@ def triple_to_matrix(K: FiniteQuaternionGroup, t: Triple):
     return ((zero, vx), (vy, zero))
 
 
-def mat_mul(a, b):
-    return tuple(
-        tuple(a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in (0, 1))
-        for r in (0, 1)
-    )
-
-
 # -- isomorphism machinery -------------------------------------------------
 
 
@@ -406,16 +389,15 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
     if G1.order != G2.order:
         return False
     sources = [t for t, _ in generator_map]
-    elements, right, _ = _generate(model_identity(), sources, partial(model_mul, G1.K), G1.order)
+    elements, right, _ = _generate(IDENTITY, sources, partial(model_mul, G1.K), G1.order)
     if len(elements) != G1.order:
         raise ValueError("generator_map sources do not generate G1")
-    image = _extend_map(right, [u for _, u in generator_map], partial(model_mul, G2.K),
-                        model_identity())
+    image = _extend_map(right, [u for _, u in generator_map], partial(model_mul, G2.K), IDENTITY)
     return image is not None and len(set(image)) == G2.order
 
 
 def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
-                       max_order: int = 4608) -> Optional[list[tuple[Triple, Triple]]]:
+                       max_order: int = ISO_SEARCH_BOUND) -> Optional[list[tuple[Triple, Triple]]]:
     """Exhaustive generator-image search; None means proven non-isomorphic.
 
     Pairs that ``iso_prescreen`` calls distinct return None at once.  G1 is
@@ -430,13 +412,13 @@ def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
         raise ValueError(f"isomorphism search bound {max_order} exceeded")
     mul1, mul2 = partial(model_mul, G1.K), partial(model_mul, G2.K)
     highest_first = sorted(G1.elements, key=lambda t: (-triple_order(G1.K, t), t))
-    gens = _closure(model_identity(), highest_first, mul1)[1]
-    _, right, _ = _generate(model_identity(), gens, mul1)
+    gens = _closure(IDENTITY, highest_first, mul1)[1]
+    _, right, _ = _generate(IDENTITY, gens, mul1)
     same_order: dict[int, list[Triple]] = {}
     for t in sorted(G2.elements):
         same_order.setdefault(triple_order(G2.K, t), []).append(t)
     for images in itertools.product(*(same_order.get(triple_order(G1.K, g), []) for g in gens)):
-        image = _extend_map(right, images, mul2, model_identity())
+        image = _extend_map(right, images, mul2, IDENTITY)
         if image is not None and len(set(image)) == G2.order:
             return list(zip(gens, images))
     return None
@@ -492,15 +474,6 @@ def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
         explicit_order, explicit_refl = _rank_n_explicit_counts(rank, K, H)
     return RankNDescriptor(rank, K.name, H.name, order, formula_reflections,
                            explicit_order, explicit_refl)
-
-
-def rank_n_mul(K: FiniteQuaternionGroup, e1, e2):
-    """(B1 P_s1)(B2 P_s2) with P_s row u carrying entry at column s(u)."""
-    d1, s1 = e1
-    d2, s2 = e2
-    diag = tuple(K.cayley[d1[u]][d2[s1[u]]] for u in range(len(d1)))
-    perm = tuple(s2[s1[u]] for u in range(len(s1)))
-    return diag, perm
 
 
 def _rank_n_explicit_counts(rank: int, K: FiniteQuaternionGroup, H: Subgroup):

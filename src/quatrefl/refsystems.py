@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .groups import (
+    AUTOMORPHISM_BOUND,
     FiniteQuaternionGroup,
     _automorphism_search,
     _generate,
@@ -157,7 +158,7 @@ def _translates(K: FiniteQuaternionGroup, members: frozenset) -> dict[frozenset,
 def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
     """Equivalence test with witness: L2 == phi(x*L1) for a member x of L1.
 
-    Returns (True, (x, phi)) or (False, None).
+    Returns (True, (x, phi)) or (False, None), phi as ``image[y]``.
     """
     if L1.parent is not L2.parent:
         raise ValueError("systems must share a parent group")
@@ -168,8 +169,7 @@ def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
     autos = automorphism_group(K)
     for translated, x in _translates(K, L1.member_set()).items():
         for phi in autos:
-            img = phi.image
-            if all(img[t] in target for t in translated):
+            if all(phi[t] in target for t in translated):
                 return True, (x, phi)
     return False, None
 
@@ -227,7 +227,7 @@ def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tu
     return tuple(gens)
 
 
-def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[ReflectionSystem]:
+def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
     """All reflection systems of K, one canonical representative per class.
 
     Every reflection system is some L_gamma = {x : gamma(xH) = x^-1 H} for a
@@ -238,8 +238,8 @@ def enumerate_systems(K: FiniteQuaternionGroup, bound: int = 120) -> list[Reflec
     keyed by its member set, in ``normal_subgroups`` order; gamma is the
     search's ``image[x]``.
     """
-    if K.order > bound:
-        raise ValueError(f"enumeration bound {bound} exceeded by |K| = {K.order}")
+    if K.order > AUTOMORPHISM_BOUND:
+        raise ValueError(f"enumeration bound {AUTOMORPHISM_BOUND} exceeded by |K| = {K.order}")
     if K._systems is not None:
         return K._systems
 

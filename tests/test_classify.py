@@ -5,10 +5,12 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import pytest
 
 from quatrefl.groups import automorphism_group, build_group
+from quatrefl.golden import load_fixture, suite_isos
 from quatrefl.numutil import is_square
 from quatrefl.classify import (
     IndexQuadruple,
@@ -40,11 +42,10 @@ from quatrefl.refsystems import (
 from quatrefl.refgroups import (
     diagonal_subgroups,
     iso_prescreen,
-    model_inv,
     model_mul,
     verify_isomorphism,
 )
-from test_refgroups import walked_census
+from test_refgroups import model_inv, walked_census
 
 
 # -- index sets --------------------------------------------------------------
@@ -327,7 +328,7 @@ def _stabilizer(L):
     K = L.parent
     translates = {frozenset(K.cayley[x][y] for y in L.members) for x in L.members}
     return [phi for phi in automorphism_group(K)
-            if L.size == K.order or frozenset(phi.image[t] for t in L.members) in translates]
+            if L.size == K.order or frozenset(phi[t] for t in L.members) in translates]
 
 
 @pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
@@ -338,7 +339,7 @@ def test_subgroup_dedup_matches_the_stabilizer_oracle(name):
         stab = _stabilizer(L)
         seen, kept = set(), []
         for H in subgroups:
-            images = {frozenset(phi.image[h] for h in H.members) for phi in stab}
+            images = {frozenset(phi[h] for h in H.members) for phi in stab}
             assert _paired_images(L, H) == images
             if H.member_set() not in seen:
                 kept.append(H)
@@ -510,6 +511,21 @@ def test_find_isomorphisms_complete_list():
 def test_no_other_polyhedral_isomorphism():
     results = find_isomorphisms(list(polyhedral_records()))
     assert [(r.label1, r.label2) for r in results] == [("G_T(L12,C2)", "G_O(L14,1)")]
+
+
+def test_isomorphisms_fixture_polyhedral_pair_is_the_one_found():
+    labels = {rec.label_str(): rec.label for rec in polyhedral_records()}
+    results = find_isomorphisms(list(polyhedral_records()))
+    assert len(results) == 1
+    found = {labels[results[0].label1], labels[results[0].label2]}
+    assert found == {tuple(label) for label in load_fixture("isomorphisms")["polyhedral_pair"]}
+
+
+def test_isomorphisms_fixture_family_bound_is_the_one_verified():
+    bound = load_fixture("isomorphisms")["dicyclic_family"]["default_bound"]
+    checked = [int(m.group(1)) for _, label in suite_isos().lines
+               for m in [re.fullmatch(r"G\((\d+),1,\1,2\) ~ .* verified", label)] if m]
+    assert checked == list(range(3, bound + 1, 2)) == [3, 5, 7, 9]
 
 
 def test_explicit_maps_verify():

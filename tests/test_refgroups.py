@@ -41,6 +41,7 @@ from quatrefl.refsystems import (
     omega_set,
 )
 from quatrefl.refgroups import (
+    IDENTITY,
     PreconditionError,
     ReflectionOrbitType,
     build_reflection_group,
@@ -51,20 +52,36 @@ from quatrefl.refgroups import (
     is_canonical,
     iso_prescreen,
     isomorphism_search,
-    mat_mul,
-    minimal_diagonal_subgroup,
-    model_identity,
-    model_inv,
     model_mul,
-    nondiagonal_reflections,
     rank_n_group,
-    rank_n_mul,
     realize_matrices,
     reflection_orbit_types,
     triple_order,
     triple_to_matrix,
     verify_isomorphism,
 )
+
+
+def model_inv(K, t):
+    """The inverse of a monomial triple."""
+    x, y, s = t
+    if s == 0:
+        return (K.inv[x], K.inv[y], 0)
+    return (K.inv[y], K.inv[x], 1)
+
+
+def mat_mul(a, b):
+    """The product of two 2x2 matrices over the quaternions."""
+    return tuple(tuple(a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in (0, 1)) for r in (0, 1))
+
+
+def rank_n_mul(K, e1, e2):
+    """(B1 P_s1)(B2 P_s2) with P_s row u carrying entry at column s(u)."""
+    d1, s1 = e1
+    d2, s2 = e2
+    diag = tuple(K.cayley[d1[u]][d2[s1[u]]] for u in range(len(d1)))
+    perm = tuple(s2[s1[u]] for u in range(len(s1)))
+    return diag, perm
 
 
 def T_system(size):
@@ -136,7 +153,7 @@ def test_element_model_product_rule_against_matrices():
         assert lhs == rhs
     for _ in range(50):
         t = rng.choice(elems)
-        assert model_mul(T, t, model_inv(T, t)) == model_identity()
+        assert model_mul(T, t, model_inv(T, t)) == IDENTITY
 
 
 def test_gamma_is_an_involution_on_the_quotient():
@@ -153,14 +170,14 @@ def test_gamma_is_an_involution_on_the_quotient():
 
 def test_minimal_diagonal_subgroup():
     T, L24 = T_system(24)
-    assert minimal_diagonal_subgroup(T, L24).name == "Q8"
+    assert diagonal_subgroups(T, L24)[0].name == "Q8"
     _, L12 = T_system(12)
-    assert minimal_diagonal_subgroup(T, L12).order == 1
+    assert diagonal_subgroups(T, L12)[0].order == 1
     for n in (4, 6, 9):
         D = build_group("dicyclic", n)
         for idx in omega_set(n):
             L = dicyclic_system(DicyclicIndex(n, idx.a, idx.b))
-            H = minimal_diagonal_subgroup(D, L)
+            H = diagonal_subgroups(D, L)[0]
             assert H.order == n // (idx.a * idx.b)
             w2ab = dicyclic_element(D, (2 * idx.a * idx.b) % (2 * n), 0)
             assert set(H.members) == set(D.subgroup_closure([w2ab]))
@@ -218,7 +235,7 @@ def test_reflection_group_walks_l_gamma_once(monkeypatch):
     monkeypatch.setattr(refgroups, "l_gamma", counting)
     T, L12 = T_system(12)
     G = build_reflection_group(T, L12, next(H for H in normal_subgroups(T) if H.order == 2))
-    assert nondiagonal_reflections(G) == L12.members and is_canonical(G)
+    assert G.L_G == L12.members and is_canonical(G)
     assert len(G.reflections()) == G.reflection_count() == 2 * 2 + 12 - 2
     assert reflection_orbit_types(G).render() == G.to_json()["orbit_types"]
     assert len(calls) == 1
@@ -237,8 +254,8 @@ def test_commutator_identity_for_full_systems():
 
 def test_nondiagonal_reflections_of_base_is_l():
     T, L12 = T_system(12)
-    G = build_reflection_group(T, L12, minimal_diagonal_subgroup(T, L12))
-    assert nondiagonal_reflections(G) == L12.members
+    G = build_reflection_group(T, L12, diagonal_subgroups(T, L12)[0])
+    assert G.L_G == L12.members
     assert is_canonical(G)
 
 
@@ -246,7 +263,7 @@ def test_noncanonical_dicyclic_even_product():
     Q8 = build_group("dicyclic", 2)
     L6 = next(L for L in enumerate_systems(Q8) if L.size == 6)
     G = build_reflection_group(Q8, L6, normal_of_order(Q8, 2))
-    L_G = nondiagonal_reflections(G)
+    L_G = G.L_G
     assert set(L_G) > set(L6.members)
     assert not is_canonical(G)
 
@@ -254,7 +271,7 @@ def test_noncanonical_dicyclic_even_product():
 def test_full_system_is_canonical():
     T, L24 = T_system(24)
     G = build_reflection_group(T, L24, normal_of_order(T, 24))
-    assert set(nondiagonal_reflections(G)) == set(range(T.order))
+    assert set(G.L_G) == set(range(T.order))
     assert is_canonical(G)
 
 
@@ -328,6 +345,20 @@ def test_generate_from_reflections_observables():
     assert gc.order == 2
 
 
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("dicyclic", 3), ("dicyclic", 4)])
+def test_generate_from_reflections_observes_each_canonical_group(tag, n):
+    # the reflections over L and H close onto G_K(L, H), whose antidiagonal
+    # reflections lie over L, whose diagonal ones lie over H, and whose
+    # entries generate K
+    K = build_group(tag, n) if n else build_group(tag)
+    for L in enumerate_systems(K):
+        for H in diagonal_subgroups(K, L):
+            gc = generate_from_reflections(K, H.members, L.members)
+            assert gc.elements == build_reflection_group(K, L, H).elements
+            assert (gc.K_observed, gc.L_observed, gc.H_observed) == (
+                tuple(range(K.order)), L.members, H.members)
+
+
 def _induced_quotient_involution_oracle(K, L_members, H_members):
     """gamma extended from every seed coset at once, or the name of the
     PreconditionError: the reference for the extension from the admitted
@@ -397,7 +428,7 @@ def _reflection_orbit_types_oracle(G):
     K = G.K
     entries = [(2, G.H.name)] if G.H.order > 1 else []
     cay, inv = K.cayley, K.inv
-    L_G = nondiagonal_reflections(G)
+    L_G = G.L_G
     maps = [[cay[cay[a][inv[b]]][a] for b in range(K.order)] for a in L_G]
     maps += [cay[h] for h in G.H.members]
     maps += [[row[h] for row in cay] for h in G.H.members]
@@ -557,7 +588,7 @@ def test_isomorphism_search_positive_and_negative():
 def _leaf_search_oracle(G1, G2):
     """The first generator map of the search, one ``verify_isomorphism`` walk per leaf."""
     by_order = sorted(G1.elements, key=lambda t: (-walked_triple_order(G1.K, t), t))
-    gens = _closure(model_identity(), by_order, lambda u, v: model_mul(G1.K, u, v))[1]
+    gens = _closure(IDENTITY, by_order, lambda u, v: model_mul(G1.K, u, v))[1]
     images = [[u for u in sorted(G2.elements)
                if walked_triple_order(G2.K, u) == walked_triple_order(G1.K, g)] for g in gens]
     for choice in itertools.product(*images):
@@ -609,7 +640,7 @@ def test_isomorphism_search_refuses_a_candidate_above_the_bound():
 def walked_triple_order(K, t):
     """The order of t, walked through its powers (the oracle of ``triple_order``)."""
     k, cur = 1, t
-    while cur != model_identity():
+    while cur != IDENTITY:
         cur = model_mul(K, cur, t)
         k += 1
     return k
@@ -866,7 +897,7 @@ def test_closure_of_triples_matches_the_all_generators_walk():
         triple = st.tuples(st.integers(0, K.order - 1), st.integers(0, K.order - 1),
                            st.integers(0, 1))
         gens = data.draw(st.lists(triple, max_size=6))
-        full = frozenset(_generate(model_identity(), gens, lambda t, g: model_mul(K, t, g))[0])
+        full = frozenset(_generate(IDENTITY, gens, lambda t, g: model_mul(K, t, g))[0])
         assert closure_of_triples(K, gens) == full
         # the bound is exceeded exactly when the whole closure exceeds it
         bound = data.draw(st.integers(1, 2 * len(full)))
