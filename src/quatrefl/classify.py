@@ -159,10 +159,23 @@ def lambda_set(n: int) -> list[IndexQuadruple]:
     for i, a in enumerate(divs):
         for b in divs[i:]:
             if math.gcd(a, b) == 1:
-                out.append(IndexQuadruple(n, a, b, n // (a * b)))
+                out.append(_valid_index(n, a, b, n // (a * b)))
                 if (a * b) % 2 == 1:
-                    out.append(IndexQuadruple(n, a, b, 2 * n // (a * b)))
+                    out.append(_valid_index(n, a, b, 2 * n // (a * b)))
     return out
+
+
+def _valid_index(n: int, a: int, b: int, r: int) -> IndexQuadruple:
+    """``IndexQuadruple(n, a, b, r)`` for an index valid by construction,
+    without ``__post_init__``'s check.  The fields are set as the frozen
+    dataclass's ``__init__`` sets them; writing ``__dict__`` instead would
+    give each instance a full dict, twice the memory."""
+    q, put = object.__new__(IndexQuadruple), object.__setattr__
+    put(q, "n", n)
+    put(q, "a", a)
+    put(q, "b", b)
+    put(q, "r", r)
+    return q
 
 
 def lambda_count_formula(n: int) -> int:

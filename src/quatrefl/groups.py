@@ -2,17 +2,19 @@
 
 ``build_group`` covers the full classification: cyclic C_n, dicyclic D_n of
 order 4n, and the binary tetrahedral / octahedral / icosahedral groups of
-orders 24 / 48 / 120.  Every group takes one construction path: its
-generators (zeta_n; zeta_2n and j; or ``polyhedral_generators``) are closed
-under right multiplication modulo a prime, which is injective on K, and the
-Cayley table is filled from that walk a column at a time by integer gathers.
-The exact values of cyclic and dicyclic elements are read off in closed form
-along the walk's words (zeta_n^e; zeta_2n^e or zeta_2n^e j), with no
-quaternion product; a polyhedral element is formed once, along the word that
-first reached it (at most 119 exact products a group).  Elements are exact
-quaternions; indices are stable (sorted by element order, then lexicographic
-coefficients) so tables are reproducible.  The circ operation a o b =
-a b^-1 a is kept a row at a time (``circ_row``), for the rows that are read.
+orders 24 / 48 / 120.  C_n and D_n are built from the labels of their
+elements, zeta_n^e and zeta_2n^e j^s, with no walk: the values
+(``embedded_circle_element``, no quaternion product), orders, inverses and
+products are closed form in the labels, and the Cayley table is formed once,
+each row a rotation of the sorted positions gathered into sorted order.  The
+polyhedral groups close ``polyhedral_generators`` under right multiplication
+modulo a prime, which is injective on K, form each element once along the
+word that first reached it (at most 119 exact products a group), and fill
+the table from that walk a column at a time by integer gathers.  Elements
+are exact quaternions; indices are stable (sorted by element order, then
+lexicographic coefficients) so tables are reproducible.  The circ operation
+a o b = a b^-1 a is kept a row at a time (``circ_row``), for the rows that
+are read.
 
 Every generator walk that needs words goes through one closure routine,
 ``_generate``: group construction, the automorphism search, and (in
@@ -60,7 +62,7 @@ class FiniteQuaternionGroup:
 
     elements[0] is the identity; ``cayley[x][y]`` is the index of the product,
     ``inv[x]`` that of the inverse and ``build_gens`` those of the generators
-    it was closed from.  Instances are immutable after construction and safe to share.
+    it was built from.  Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, name: str, tag: str, n: Optional[int], elements: list[Quaternion],
@@ -311,17 +313,11 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
 
     tag: 'cyclic' (n >= 1), 'dicyclic' (n >= 2), or 'T' / 'O' / 'I'.
     """
-    if tag == "cyclic":
-        if n is None or n < 1:
-            raise ValueError(f"cyclic group needs n >= 1, got {n}")
-        m = math.lcm(4, n)
-        return _close_generators(f"C{n}", tag, n, [embedded_circle_element(m, n, 1)], n,
-                                 lambda word: _cyclic_values(m, n, word))
-    if tag == "dicyclic":
-        if n is None or n < 2:
-            raise ValueError(f"dicyclic group needs n >= 2, got {n}")
-        gens = [embedded_circle_element(4 * n, 2 * n, 1), Quaternion.unit(4 * n, "j")]
-        return _close_generators(f"D{n}", tag, n, gens, 4 * n, lambda word: _dicyclic_values(n, word))
+    if tag in ("cyclic", "dicyclic"):
+        least = 1 if tag == "cyclic" else 2
+        if n is None or n < least:
+            raise ValueError(f"{tag} group needs n >= {least}, got {n}")
+        return _label_group(tag, n)
     if tag in POLYHEDRAL_CONDUCTOR:
         if n is not None:
             raise ValueError(f"group {tag} takes no parameter")
@@ -368,52 +364,21 @@ def _reduced_walk(gens: list[Quaternion], order: int):
     return right, word
 
 
-def _cyclic_values(m: int, n: int, word: list) -> list[Quaternion]:
-    """The elements zeta_n^e of C_n (conductor m) in ``word``'s order, each
-    read off as ``embedded_circle_element(m, n, e)``: e counts the steps of
-    the element's word."""
-    exps = [0]
-    for parent, _ in word[1:]:
-        exps.append(exps[parent] + 1)
-    return [embedded_circle_element(m, n, e) for e in exps]
-
-
-def _dicyclic_values(n: int, word: list) -> list[Quaternion]:
-    """The elements of D_n in ``word``'s order, from zeta = zeta_2n and j.
-
-    Each element is carried along its word as (e, s), meaning zeta^e j^s:
-    (e, 0) zeta = (e + 1, 0), (e, 1) zeta = (e - 1, 1), (e, 0) j = (e, 1) and
-    (e, 1) j = (e + n, 0).  zeta^e is ``embedded_circle_element(4n, 2n, e)``,
-    re + im*i, once per e, and zeta^e j = re*j + im*k reuses its scalars.
-    """
-    labels = [(0, 0)]
-    for parent, k in word[1:]:
-        e, s = labels[parent]
-        labels.append(((e + 1 - 2 * s) % (2 * n), s) if k == 0 else ((e + n * s) % (2 * n), 1 - s))
-    circle = [embedded_circle_element(4 * n, 2 * n, e) for e in range(2 * n)]
-    zero = circle[0].c
-    return [circle[e] if s == 0 else Quaternion(zero, zero, circle[e].a, circle[e].b) for e, s in labels]
-
-
-def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaternion], order: int,
-                      closed_form: Optional[Callable[[list], list[Quaternion]]] = None
-                      ) -> FiniteQuaternionGroup:
+def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaternion],
+                      order: int) -> FiniteQuaternionGroup:
     """Close ``gens``, which generate a group of ``order`` elements, and tabulate it.
 
     ``_reduced_walk`` gives ``_generate``'s ``right`` and ``word``.  Each
-    element is ``closed_form(word)``'s entry when that is given, and is
-    otherwise formed once along the word that first reached it (|K| - 1 exact
-    products).  The Cayley table then needs integer lookups only, a column at
-    a time: x*y = right[x*parent(y)][k] for the word (parent, k) that first
-    reached y, so column y gathers column k of ``right`` at column parent(y).
+    element is formed once along the word that first reached it (|K| - 1
+    exact products).  The Cayley table then needs integer lookups only, a
+    column at a time: x*y = right[x*parent(y)][k] for the word (parent, k)
+    that first reached y, so column y gathers column k of ``right`` at
+    column parent(y).
     """
     right, word = _reduced_walk(gens, order)
-    if closed_form is None:
-        values = [Quaternion.one(gens[0].conductor)]
-        for parent, k in word[1:]:
-            values.append(values[parent] * gens[k])
-    else:
-        values = closed_form(word)
+    values = [Quaternion.one(gens[0].conductor)]
+    for parent, k in word[1:]:
+        values.append(values[parent] * gens[k])
     right_cols = list(zip(*right))
     cols = [range(len(values))]
     for p, k in word[1:]:
@@ -426,10 +391,65 @@ def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaterni
             y = row[y]
             k += 1
         orders.append(k)
-    # order by (element order, coefficients); integers over one common
-    # denominator compare exactly as the Fraction coefficients would, and a
-    # (component, power) column that is zero in every element never decides
-    # the comparison, so the keys keep only the other columns
+    idx = _sort_order(values, orders)
+    pos = _positions(idx)
+    cayley = [list(_gather(_gather(idx, cayley[i]), pos)) for i in idx]
+    return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
+                                 [row.index(0) for row in cayley], [orders[i] for i in idx],
+                                 tuple(pos[y] for y in right[0]))
+
+
+def _label_group(tag: str, n: int) -> FiniteQuaternionGroup:
+    """C_n or D_n, tabulated from the labels of its elements, with no walk.
+
+    D_n's elements are zeta^e j^s (zeta = zeta_2n, e mod N = 2n, s = 0, 1),
+    labelled e + N s; C_n's are zeta_n^e, labelled e (N = n, s = 0 only).
+    zeta^e is ``embedded_circle_element``, re + im*i, and zeta^e j =
+    re*j + im*k reuses its scalars.  The product is closed form in the
+    labels, mod N: (e, 0)(f, t) = (e + f, t), (e, 1)(f, 0) = (e - f, 1) and
+    (e, 1)(f, 1) = (e - f + n, 0); so are the orders (N / gcd(e, N) for
+    s = 0, 4 for s = 1) and the inverses ((-e, 0) and (e + n, 1)).  With
+    P_s[f] the sorted position of (f, s), row (e, 0) of the table is the
+    rotations of P_0 and P_1 by e, and row (e, 1) the reversed rotations of
+    P_1 at e and P_0 at e + n; each row is gathered once into sorted order.
+    """
+    name, N, m = (f"C{n}", n, math.lcm(4, n)) if tag == "cyclic" else (f"D{n}", 2 * n, 4 * n)
+    circle = [embedded_circle_element(m, N, e) for e in range(N)]
+    orders = [N // math.gcd(e, N) for e in range(N)]
+    inverse = [-e % N for e in range(N)]
+    gens = (1 % N,)
+    if tag == "dicyclic":
+        zero = circle[0].c
+        circle += [Quaternion(zero, zero, q.a, q.b) for q in circle]
+        orders += [4] * N
+        inverse += [N + (e + n) % N for e in range(N)]
+        gens += (N,)
+    idx = _sort_order(circle, orders)
+    pos = _positions(idx)
+    P0, P1 = pos[:N], pos[N:]
+
+    def row(label: int) -> list[int]:
+        e = label % N
+        if label < N:
+            return P0[e:] + P0[:e] + P1[e:] + P1[:e]
+        g = (e + n) % N
+        return P1[e::-1] + P1[:e:-1] + P0[g::-1] + P0[:g:-1]
+
+    # itemgetter of one index returns the bare item; C1's one row is sorted
+    take = operator.itemgetter(*idx) if len(idx) > 1 else list
+    return FiniteQuaternionGroup(name, tag, n, [circle[i] for i in idx],
+                                 [list(take(row(i))) for i in idx], [pos[inverse[i]] for i in idx],
+                                 [orders[i] for i in idx], tuple(pos[g] for g in gens))
+
+
+def _sort_order(values: list[Quaternion], orders: list[int]) -> list[int]:
+    """The indices of ``values`` sorted by (element order, coefficients).
+
+    Integers over one common denominator compare exactly as the Fraction
+    coefficients would, and a (component, power) column that is zero in
+    every element never decides the comparison, so the keys keep only the
+    other columns.
+    """
     scalars = [(q.a, q.b, q.c, q.d) for q in values]
     den = math.lcm(*(s.den for qs in scalars for s in qs))
     cols = sorted({(c, p) for qs in scalars for c, s in enumerate(qs) for p, _ in s.terms})
@@ -442,14 +462,15 @@ def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaterni
             for p, v in s.terms:
                 key[col[c, p]] = v * scale
         keys.append(key)
-    idx = sorted(range(len(values)), key=lambda i: (orders[i], keys[i]))
+    return sorted(range(len(values)), key=lambda i: (orders[i], keys[i]))
+
+
+def _positions(idx: list[int]) -> list[int]:
+    """The inverse permutation of ``idx``: pos[idx[k]] = k."""
     pos = [0] * len(idx)
     for new, old in enumerate(idx):
         pos[old] = new
-    cayley = [list(_gather(_gather(idx, cayley[i]), pos)) for i in idx]
-    return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
-                                 [row.index(0) for row in cayley], [orders[i] for i in idx],
-                                 tuple(pos[y] for y in right[0]))
+    return pos
 
 
 # -- subgroup machinery --------------------------------------------------
@@ -486,9 +507,26 @@ def is_normal(K: FiniteQuaternionGroup, members: Iterable[int]) -> bool:
 
 
 def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:
-    """All normal subgroups: the closure of 1 under joining conjugacy classes."""
+    """All normal subgroups: the closure of 1 under joining conjugacy classes.
+
+    Each subgroup found keeps the generators its closure admitted, so a join
+    grows the base by the class with ``_enlarge`` instead of closing again
+    from the identity."""
+    cay = K.cayley
+    admitted = {(0,): []}
+
+    def mul(x: int, h: int) -> int:
+        return cay[x][h]
+
     def join(base: tuple[int, ...], cls: tuple[int, ...]) -> tuple[int, ...]:
-        return base if cls[0] in base else K.subgroup_closure(base + cls)
+        if cls[0] in base:
+            return base
+        members, gens = set(base), list(admitted[base])
+        for g in cls:
+            _enlarge(members, gens, g, mul)
+        joined = tuple(sorted(members))
+        admitted.setdefault(joined, gens)
+        return joined
 
     if K._normal is None:
         found = _generate((0,), K.conjugacy_classes(), join)[0]

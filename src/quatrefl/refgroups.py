@@ -257,8 +257,7 @@ def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],
 
 @dataclass
 class GeneratedClosure:
-    """Result of closing explicit reflection seeds in the element model; what
-    was generated is read off ``elements`` on first use."""
+    """Result of closing explicit reflection seeds in the element model."""
 
     parent: FiniteQuaternionGroup
     elements: frozenset
@@ -266,21 +265,6 @@ class GeneratedClosure:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def K_observed(self) -> tuple[int, ...]:
-        """The subgroup of K generated by every entry of every element."""
-        return self.parent.subgroup_closure({v for t in self.elements for v in t[:2]})
-
-    @cached_property
-    def L_observed(self) -> tuple[int, ...]:
-        """The b whose antidiagonal reflection (b, b^-1, 1) was generated."""
-        return tuple(sorted({x for x, y, s in self.elements if s == 1 and y == self.parent.inv[x]}))
-
-    @cached_property
-    def H_observed(self) -> tuple[int, ...]:
-        """The h with diag(h, 1) generated."""
-        return tuple(sorted({x for x, y, s in self.elements if s == 0 and y == 0}))
 
     def reflection_count(self) -> int:
         return sum(is_reflection_triple(self.parent, t) for t in self.elements)

@@ -96,6 +96,37 @@ def test_lambda_set_matches_the_omega_oracle():
             lambda_set(n)
 
 
+def test_lambda_set_entries_pass_the_validated_construction():
+    # lambda_set skips __post_init__; each entry is what the checked
+    # constructor builds from the same fields, and that does not raise
+    for n in range(2, 301):
+        for q in lambda_set(n):
+            checked = IndexQuadruple(q.n, q.a, q.b, q.r)
+            assert type(q) is IndexQuadruple and vars(q) == vars(checked)
+            assert q == checked and hash(q) == hash(checked)
+
+
+def test_lambda_set_entries_are_no_larger_than_checked_ones():
+    # an entry whose fields went into a materialised __dict__ would take
+    # about twice the memory of one the dataclass __init__ builds
+    import tracemalloc
+
+    fields = [[q.as_list() for q in lambda_set(n)] for n in range(2, 301)]
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            return tracemalloc.get_traced_memory()[0] - base, kept
+        finally:
+            tracemalloc.stop()
+
+    unchecked = traced(lambda: [lambda_set(n) for n in range(2, 301)])[0]
+    checked = traced(lambda: [[IndexQuadruple(*f) for f in row] for row in fields])[0]
+    assert unchecked <= 1.5 * checked, (unchecked, checked)
+
+
 def _pair_error(n, a, b):
     if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
         return f"({a},{b}) is not a valid index pair for n={n}"

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -172,6 +173,20 @@ def test_determinism_byte_identical():
     a = run_cli("systems", "--k", "T", "--format", "json")
     b = run_cli("systems", "--k", "T", "--format", "json")
     assert a.stdout == b.stdout
+
+
+# stdout digests of two commands that build large dicyclic groups, recorded
+# before C_n and D_n were built from their labels
+@pytest.mark.parametrize("args,digest", [
+    (("classify", "--order", "4368"), "d3bf7ae76f968b2cc172b99dfcd946efeccfa1556726c0e0d6d151f9c369f124"),
+    (("group", "--k", "dicyclic", "--n", "200", "--emit", "elements"),
+     "c8bdaabb9b2525d6f82a0981a391246a235a9a8fa3a2302b784b6df09c0d73a2"),
+], ids=["classify-order-4368", "group-D200-elements"])
+def test_dicyclic_stdout_pinned(args, digest):
+    result = subprocess.run([sys.executable, "-m", "quatrefl.cli", *args], capture_output=True,
+                            env=cli_env())
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 def test_main_callable_directly(capsys):

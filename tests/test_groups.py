@@ -15,8 +15,6 @@ from quatrefl.groups import (
     POLYHEDRAL_ORDER,
     _close_generators,
     _closure,
-    _cyclic_values,
-    _dicyclic_values,
     _enlarge,
     _extend_map,
     _generate,
@@ -331,14 +329,41 @@ def _word_products(gens, word):
     ("cyclic", range(1, 61)), ("dicyclic", range(2, 61)), ("dicyclic", range(61, 121)), ("dicyclic", [273])],
     ids=["C1-C60", "D2-D60", "D61-D120", "D273"])
 def test_closed_form_values_match_the_word_products(tag, ns):
+    # the group built from its labels equals, field by field, the walk over
+    # the same generators that forms each element as an exact word product
     for n in ns:
-        gens, order = _build_generators(tag, n)
-        word = _reduced_walk(gens, order)[1]
-        if tag == "cyclic":
-            values = _cyclic_values(gens[0].conductor, n, word)
-        else:
-            values = _dicyclic_values(n, word)
-        assert values == _word_products(gens, word), (tag, n)
+        K = build_group.__wrapped__(tag, n)
+        W = _close_generators(K.name, tag, n, *_build_generators(tag, n))
+        for field in ("name", "tag", "n", "conductor", "elements", "index", "cayley", "inv",
+                      "element_orders", "build_gens"):
+            assert getattr(K, field) == getattr(W, field), (tag, n, field)
+
+
+@pytest.mark.parametrize("tag,n", [("cyclic", 12), ("dicyclic", 7)])
+def test_label_build_takes_no_walk(monkeypatch, tag, n):
+    def walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(quatrefl.groups, "_reduced_walk", walk)
+    monkeypatch.setattr(quatrefl.groups, "_close_generators", walk)
+    assert build_group.__wrapped__(tag, n).order == (n if tag == "cyclic" else 4 * n)
+
+
+def test_label_build_forms_the_table_once():
+    # the traced peak of an uncached D200 build (its field already set up)
+    # stays within twice what the built group keeps
+    import tracemalloc
+
+    build_group.__wrapped__("dicyclic", 200)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        K = build_group.__wrapped__("dicyclic", 200)
+        retained, peak = (v - base for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert K.order == 800
+    assert peak <= 2 * retained, (peak, retained)
 
 
 @pytest.mark.parametrize("tag,n", [("cyclic", 6), ("dicyclic", 5), ("T", None), ("I", None)])
