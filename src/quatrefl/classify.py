@@ -268,7 +268,7 @@ def _dicyclic_label(K: FiniteQuaternionGroup, L: ReflectionSystem,
                     H: Subgroup) -> Optional[IndexQuadruple]:
     """Match (L, H) to [n, a, b, r]; None for the nonabelian-H rows."""
     n = K.n
-    if H.name.startswith("D") or H.name in ("Q8",) or (H.name == K.name):
+    if H.name.startswith("D") or H.name == "Q8":
         return None
     r = H.order
     size = L.size
@@ -443,7 +443,7 @@ def cohen_covered_indices(n: int) -> set[IndexQuadruple]:
     for line, h_of_m in ((2, lambda m: 2 * m), (3, lambda m: 2 * m + 1)):
         for m in range(1, n + 1):
             h = h_of_m(m)
-            if h == 0 or n % h:
+            if n % h:
                 continue
             l = n // h
             for r in range(1, l + 1, 2):
@@ -463,7 +463,7 @@ def cohen_covered_indices(n: int) -> set[IndexQuadruple]:
             out.add(cohen_index(5, n, r=r))
         except ValueError:
             pass
-    return {idx for idx in out if idx.n == n}
+    return out
 
 
 # -- isomorphisms ------------------------------------------------------------

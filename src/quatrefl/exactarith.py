@@ -19,6 +19,9 @@ pass: each component of a quaternion product (four signed scalar products)
 and the reduced norm are each summed over one common denominator, reduced
 mod Phi_m once and put in normal form once; a scalar product is its
 one-pair case.
+
+Only ring operations are provided: every quaternion the package builds is a
+unit, whose inverse is its conjugate, so nothing divides in Q(zeta_m).
 """
 
 from __future__ import annotations
@@ -251,40 +254,6 @@ class FieldScalar:
         self._check(other)
         return _products(self.m, ((1, self, other),))
 
-    def __truediv__(self, other: "FieldScalar") -> "FieldScalar":
-        return self * other.inverse()
-
-    def __pow__(self, exp: int) -> "FieldScalar":
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        result = FieldScalar.one(self.m)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def inverse(self) -> "FieldScalar":
-        """Multiplicative inverse, by solving x*self = 1 over Q."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        m, ctx = self.m, _field(self.m)
-        n = ctx.phi
-        # column i of the multiplication-by-self matrix: self * zeta^i
-        cols = []
-        for i in range(n):
-            col = [0] * n
-            for p, v in self.terms:
-                for q, c in ctx.pows[(p + i) % m]:
-                    col[q] += v * c
-            cols.append(col)
-        mat = [[Fraction(cols[j][i], self.den) for j in range(n)] for i in range(n)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(n)]
-        sol = _solve_linear(mat, rhs)
-        return FieldScalar.from_fractions(self.m, sol)
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -391,26 +360,6 @@ class FieldScalar:
         return cls.from_fractions(data["conductor"], coeffs)
 
 
-def _solve_linear(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; mat is modified in place."""
-    n = len(mat)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
-
-
 def _format_term(coeff: Fraction, sym: str, first: bool) -> str:
     sign = "-" if coeff < 0 else ("" if first else "+")
     sep = "" if first else " "
@@ -490,7 +439,7 @@ class Quaternion:
 
     def __pow__(self, exp: int) -> "Quaternion":
         if exp < 0:
-            return self.inverse() ** (-exp)
+            raise ValueError(f"negative exponent {exp}: no inverse (a unit's is its conjugate)")
         result = Quaternion.one(self.conductor)
         base = self
         while exp:
@@ -500,9 +449,6 @@ class Quaternion:
             exp >>= 1
         return result
 
-    def scale(self, s: FieldScalar) -> "Quaternion":
-        return Quaternion(self.a * s, self.b * s, self.c * s, self.d * s)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
@@ -510,17 +456,6 @@ class Quaternion:
         """Reduced norm a^2 + b^2 + c^2 + d^2 (a field scalar)."""
         a, b, c, d = self.a, self.b, self.c, self.d
         return _products(a.m, ((1, a, a), (1, b, b), (1, c, c), (1, d, d)))
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm()
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero quaternion")
-        if n == FieldScalar.one(self.conductor):
-            return self.conjugate()
-        return self.conjugate().scale(n.inverse())
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero() and self.c.is_zero() and self.d.is_zero()
 
     def lift(self, big_m: int) -> "Quaternion":
         return Quaternion(self.a.lift(big_m), self.b.lift(big_m), self.c.lift(big_m), self.d.lift(big_m))

@@ -48,7 +48,7 @@ from .refsystems import (
 
 Triple = tuple[int, int, int]
 IDENTITY: Triple = (0, 0, 0)
-# the largest |G| that ``isomorphism_search`` walks by default
+# the largest |G| that ``isomorphism_search`` walks
 ISO_SEARCH_BOUND = 4608
 
 
@@ -250,9 +250,9 @@ def diagonal_subgroups(K: FiniteQuaternionGroup, L: ReflectionSystem) -> list[Su
     return out
 
 
-def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple],
-                       bound: int = 10 ** 6) -> frozenset:
-    return frozenset(_closure(IDENTITY, gens, partial(model_mul, K), bound)[0])
+def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple]) -> frozenset:
+    """The closure of gens; ValueError beyond ``default_max_order()`` elements."""
+    return frozenset(_closure(IDENTITY, gens, partial(model_mul, K), default_max_order())[0])
 
 
 @dataclass
@@ -271,16 +271,15 @@ class GeneratedClosure:
 
 
 def generate_from_reflections(K: FiniteQuaternionGroup, diag_seed: Iterable[int],
-                              offdiag_seed: Iterable[int],
-                              bound: Optional[int] = None) -> GeneratedClosure:
+                              offdiag_seed: Iterable[int]) -> GeneratedClosure:
     """Close the reflection matrices diag(h,1) (h in diag_seed) and the
-    antidiagonal reflections over offdiag_seed; report what was generated."""
-    bound = default_max_order() if bound is None else bound
+    antidiagonal reflections over offdiag_seed; report what was generated.
+    Raises ValueError once the closure exceeds ``default_max_order()``."""
     gens: list[Triple] = [(h, 0, 0) for h in diag_seed]
     gens += [(b, K.inv[b], 1) for b in offdiag_seed]
     if not all(0 <= g < K.order for g, _, _ in gens):
         raise PreconditionError("seed outside K", "seed indices must index K")
-    return GeneratedClosure(K, closure_of_triples(K, gens, bound=bound))
+    return GeneratedClosure(K, closure_of_triples(K, gens))
 
 
 # -- reflection orbits ---------------------------------------------------
@@ -322,9 +321,10 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
 # -- matrix realization ---------------------------------------------------
 
 
-def realize_matrices(G: ReflectionGroup, bound: Optional[int] = None):
-    """Exact 2x2 monomial matrices for every element, as nested tuples."""
-    bound = default_max_order() if bound is None else bound
+def realize_matrices(G: ReflectionGroup):
+    """Exact 2x2 monomial matrices for every element, as nested tuples;
+    ValueError when |G| exceeds ``default_max_order()``."""
+    bound = default_max_order()
     if G.order > bound:
         raise ValueError(f"matrix realization bound {bound} exceeded (|G| = {G.order})")
     return [triple_to_matrix(G.K, t) for t in sorted(G.elements)]
@@ -380,20 +380,19 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
     return image is not None and len(set(image)) == G2.order
 
 
-def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup,
-                       max_order: int = ISO_SEARCH_BOUND) -> Optional[list[tuple[Triple, Triple]]]:
+def isomorphism_search(G1: ReflectionGroup, G2: ReflectionGroup) -> Optional[list[tuple[Triple, Triple]]]:
     """Exhaustive generator-image search; None means proven non-isomorphic.
 
     Pairs that ``iso_prescreen`` calls distinct return None at once.  G1 is
     walked once over greedy generators, highest orders first, and each choice
     of same-order images in G2 is extended along that walk by ``_extend_map``;
     the first that is a homomorphism onto G2 is returned.  Raises ValueError
-    when a candidate pair exceeds the search bound.
+    when a candidate pair is larger than ``ISO_SEARCH_BOUND``.
     """
     if iso_prescreen(G1, G2)[0] == "distinct":
         return None
-    if G1.order > max_order:
-        raise ValueError(f"isomorphism search bound {max_order} exceeded")
+    if G1.order > ISO_SEARCH_BOUND:
+        raise ValueError(f"isomorphism search bound {ISO_SEARCH_BOUND} exceeded")
     mul1, mul2 = partial(model_mul, G1.K), partial(model_mul, G2.K)
     highest_first = sorted(G1.elements, key=lambda t: (-triple_order(G1.K, t), t))
     gens = _closure(IDENTITY, highest_first, mul1)[1]
@@ -430,19 +429,18 @@ class RankNDescriptor:
     explicit_reflection_count: Optional[int] = None
 
 
-def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
-                 bound: Optional[int] = None) -> RankNDescriptor:
+def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup) -> RankNDescriptor:
     """The rank-n imprimitive group over (K, H), plus explicit counts when small.
 
     The descriptor carries the formulas order = n! |H| |K|^(n-1) and
     reflections = n(|H|-1) + |K|; the latter undercounts at rank n >= 3,
     where the classical count is n(|H|-1) + C(n,2)|K|.  When the order is
-    within bound, the order and reflection count (which equals the classical
-    count) are also counted from the defining matrix shape, without a walk
-    over the group: the order from the diagonals whose product lies in H,
-    the reflections from the reflection-shaped candidates.
+    within ``default_max_order()``, read at the call, the order and
+    reflection count (which equals the classical count) are also counted from
+    the defining matrix shape, without a walk over the group: the order from
+    the diagonals whose product lies in H, the reflections from the
+    reflection-shaped candidates.
     """
-    bound = default_max_order() if bound is None else bound
     if rank < 3:
         raise ValueError(f"rank_n_group needs rank >= 3, got {rank}")
     if H.parent is not K:
@@ -454,7 +452,7 @@ def rank_n_group(rank: int, K: FiniteQuaternionGroup, H: Subgroup,
     order = math.factorial(rank) * H.order * K.order ** (rank - 1)
     formula_reflections = rank * (H.order - 1) + K.order
     explicit_order = explicit_refl = None
-    if order <= bound:
+    if order <= default_max_order():
         explicit_order, explicit_refl = _rank_n_explicit_counts(rank, K, H)
     return RankNDescriptor(rank, K.name, H.name, order, formula_reflections,
                            explicit_order, explicit_refl)

@@ -125,15 +125,6 @@ def test_add_mul_cancellation_random():
             y = FieldScalar.from_fractions(
                 m, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)])
             assert (x + y) - y == x
-            if not y.is_zero():
-                assert (x * y) / y == x
-
-
-def test_field_inverse_round_trip():
-    x = FieldScalar.sqrt2(8) + rat(8, Fraction(1, 3))
-    assert x * x.inverse() == FieldScalar.one(8)
-    with pytest.raises(ZeroDivisionError):
-        FieldScalar.zero(8).inverse()
 
 
 def test_conductor_mismatch_rejected():
@@ -167,17 +158,18 @@ def test_sqrt2_rotation_squares_to_i():
     assert q * q == Quaternion.unit(8, "i")
 
 
-def test_inverse_examples():
-    m = 4
-    i = Quaternion.unit(m, "i")
-    assert i.inverse() == -i
-    zeta = Quaternion.from_rationals(m, (Fraction(1, 2),) * 4)
-    inv = zeta.inverse()
-    assert zeta * inv == Quaternion.one(m)
-    assert inv == zeta.conjugate()
-    assert Quaternion.one(m).inverse() == Quaternion.one(m)
-    with pytest.raises(ZeroDivisionError):
-        Quaternion.zero(m).inverse()
+def test_no_division_and_no_negative_powers():
+    # a unit's inverse is its conjugate; the arithmetic offers ring operations only
+    zeta = Quaternion.from_rationals(4, (Fraction(1, 2),) * 4)
+    assert zeta * zeta.conjugate() == Quaternion.one(4)
+    assert zeta ** 0 == Quaternion.one(4)
+    for exp in (-1, -6):
+        with pytest.raises(ValueError, match="negative exponent"):
+            zeta ** exp
+    with pytest.raises(TypeError):
+        rat(4, 1) / rat(4, 2)
+    with pytest.raises(TypeError):
+        rat(4, 2) ** 2
 
 
 def test_is_unit():
@@ -259,8 +251,6 @@ def test_field_scalar_laws_in_small_conductors():
         assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
         assert a + b == b + a and a * b == b * a
         assert a * (b + c) == a * b + a * c
-        if not a.is_zero():
-            assert a * a.inverse() == FieldScalar.one(m)
         assert (a + b).lift(big_m) == a.lift(big_m) + b.lift(big_m)
         assert (a * b).lift(big_m) == a.lift(big_m) * b.lift(big_m)
 

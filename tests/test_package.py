@@ -1,4 +1,5 @@
-"""Package hygiene: every public function in the package has a use there."""
+"""Package hygiene: every public function in the package, and every defaulted
+parameter of one, has a use there."""
 
 import ast
 from collections import Counter
@@ -36,6 +37,52 @@ def test_every_public_function_is_used_or_exported():
               for name, own in names.items()
               if used[name] == own and name not in exported and name not in ALLOWED]
     assert unused == []
+
+
+# Defaulted parameters that no call in the package passes, on purpose: the
+# command line's arguments, which only the entry point's caller supplies
+UNSET_ALLOWED = {"cli.main.argv"}
+
+
+def _unset_defaulted_parameters() -> list[str]:
+    """Defaulted parameters of the modules' public functions that no call in
+    the package passes, by position or by keyword, as module.function.param."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                passed = any(
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or (index is not None
+                        and (len(call.args) > index
+                             or any(isinstance(a, ast.Starred) for a in call.args)))
+                    for call in calls.get(fn.name, []))
+                if not passed:
+                    unset.append(f"{module}.{fn.name}.{param}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a parameter that only tests set doubles the configurations to cover
+    unset = _unset_defaulted_parameters()
+    assert [name for name in unset if name not in UNSET_ALLOWED] == []
+    assert UNSET_ALLOWED <= set(unset)
 
 
 def test_allowed_names_are_defined_and_still_unused():

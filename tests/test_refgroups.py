@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -615,19 +617,21 @@ def test_isomorphism_search_finds_the_leaf_search_map():
         assert isomorphism_search(G1, G2) == _leaf_search_oracle(G1, G2)
 
 
-def test_isomorphism_search_screens_before_the_bound():
+def test_isomorphism_search_screens_before_the_bound(monkeypatch):
     # census-distinct pairs above the bound are answered, not refused
     groups = [group_for_record(r) for r in order_scan(192) if r.reflections == 22]
     assert len(groups) == 4
+    monkeypatch.setattr(refgroups, "ISO_SEARCH_BOUND", 100)
     for G1, G2 in itertools.combinations(groups, 2):
-        assert isomorphism_search(G1, G2, max_order=100) is None
+        assert isomorphism_search(G1, G2) is None
 
 
-def test_isomorphism_search_refuses_a_candidate_above_the_bound():
+def test_isomorphism_search_refuses_a_candidate_above_the_bound(monkeypatch):
     G_O, G_T, _ = the_polyhedral_isomorphism()
     assert G_T.order == 96
+    monkeypatch.setattr(refgroups, "ISO_SEARCH_BOUND", 50)
     with pytest.raises(ValueError, match="bound 50 exceeded"):
-        isomorphism_search(G_T, G_O, max_order=50)
+        isomorphism_search(G_T, G_O)
 
 
 # -- the element-order census ------------------------------------------------
@@ -779,7 +783,7 @@ def test_rank3_requires_commutator_containment():
 def test_rank_n_descriptor_beyond_bound():
     I = build_group("I")
     HI = Subgroup(I, tuple(range(120)))
-    d = rank_n_group(4, I, HI, bound=10 ** 6)
+    d = rank_n_group(4, I, HI)
     assert d.order == math.factorial(4) * 120 * 120 ** 3
     assert d.explicit_order is None
 
@@ -823,17 +827,19 @@ def test_rank_n_multiplication_consistency():
         assert left == right
 
 
-def test_realize_matrices_bound_error():
+def test_realize_matrices_bound_error(monkeypatch):
     T, L12 = T_system(12)
     G = build_reflection_group(T, L12, normal_of_order(T, 2))
+    monkeypatch.setenv("QUATREFL_MAX_ORDER", "10")
     with pytest.raises(ValueError, match="bound"):
-        realize_matrices(G, bound=10)
+        realize_matrices(G)
 
 
-def test_generate_from_reflections_bound_error():
+def test_generate_from_reflections_bound_error(monkeypatch):
     T = build_group("T")
+    monkeypatch.setenv("QUATREFL_MAX_ORDER", "50")
     with pytest.raises(ValueError, match="bound"):
-        generate_from_reflections(T, [], list(range(T.order)), bound=50)
+        generate_from_reflections(T, [], list(range(T.order)))
 
 
 def test_reflection_group_json():
@@ -897,11 +903,12 @@ def test_closure_of_triples_matches_the_all_generators_walk():
         assert closure_of_triples(K, gens) == full
         # the bound is exceeded exactly when the whole closure exceeds it
         bound = data.draw(st.integers(1, 2 * len(full)))
-        if len(full) > bound:
-            with pytest.raises(ValueError, match="bound"):
-                closure_of_triples(K, gens, bound=bound)
-        else:
-            assert closure_of_triples(K, gens, bound=bound) == full
+        with mock.patch.dict(os.environ, {"QUATREFL_MAX_ORDER": str(bound)}):
+            if len(full) > bound:
+                with pytest.raises(ValueError, match="bound"):
+                    closure_of_triples(K, gens)
+            else:
+                assert closure_of_triples(K, gens) == full
 
     matches()
 

@@ -512,7 +512,7 @@ def test_system_from_automorphism_conjugation_example():
     lifted = {q.lift(m): i for i, q in enumerate(T.elements)}
     gamma = {}
     for i, q in enumerate(T.elements):
-        image = u * q.lift(m) * u.inverse()
+        image = u * q.lift(m) * u.conjugate()
         gamma[i] = lifted[image]
     H = Subgroup(T, (0,))
     members = system_from_automorphism(T, H, gamma)
