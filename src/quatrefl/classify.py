@@ -627,30 +627,22 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
     """
     if kind not in ("i", "ii"):
         raise ValueError(f"kind must be 'i' or 'ii', got {kind!r}")
+    # n = scale * a * b with a <= b: both odd and a != 1 for (i); a stops
+    # once no b >= a keeps n within max_n
+    first, step, scale = (3, 2, 1) if kind == "i" else (1, 1, 2)
     out = []
-    for a in range(1, max_n + 1):
-        if kind == "i" and (a == 1 or a % 2 == 0):
-            continue
-        for b in range(a, max_n // max(a, 1) + 1):
+    for a in range(first, math.isqrt(max_n // scale) + 1, step):
+        for b in range(a, max_n // (scale * a) + 1, step):
             if math.gcd(a, b) != 1:
                 continue
-            if kind == "i":
-                if b % 2 == 0:
-                    continue
-                n = a * b
-                disc = (a + b + 1) ** 2 - 8 * a * b
-                s = a + b + 1
-            else:
-                n = 2 * a * b
-                disc = (2 * (a + b) + 1) ** 2 - 16 * a * b
-                s = 2 * (a + b) + 1
-            if n > max_n or disc < 0 or not is_square(disc):
+            s = scale * (a + b) + 1
+            disc = s * s - 8 * scale * a * b
+            if disc < 0:
                 continue
             c = math.isqrt(disc)
-            if c % 2 == 0:
+            if c * c != disc or c % 2 == 0:
                 continue
-            a2, b2 = (s - c) // 2, (s + c) // 2
-            pair = _validated_pair(n, a, b, a2, b2, c)
+            pair = _validated_pair(scale * a * b, a, b, (s - c) // 2, (s + c) // 2, c)
             if pair is not None:
                 out.append(pair)
     out.sort(key=lambda p: (p.idx1.n, p.idx1.a, p.idx1.b))

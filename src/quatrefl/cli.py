@@ -13,20 +13,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
-from .classify import (
-    IndexQuadruple,
-    classify_K,
-    corollary_pair_search,
-    dicyclic_record,
-    find_isomorphisms,
-    order_scan,
-)
-from .exactarith import FieldScalar, Quaternion
-from .golden import SUITES
-from .groups import build_group, default_max_order, element_order_census
-from .refsystems import copy_count, enumerate_systems, orbit_partition, subgroup_copy_count
+# Each command imports the layers it runs when it runs, so that a cold process
+# compiles and loads only those: `group` needs exactarith, groups and numutil,
+# and only `verify` loads golden and with it every layer.
 
 SCHEMA_VERSION = 1
 
@@ -38,6 +28,9 @@ DOMAIN_ERROR = 3
 
 # corollary_pair_search is linear in --max-n: about 8 s at 2 * 10^6 for type (ii)
 MAX_ISO_SEARCH_N = 10**6
+
+# golden.SUITES' keys, sorted; spelled out so that building the parser loads no layer
+SUITE_NAMES = ("appendix", "isos", "missing", "orders", "table1", "table3")
 
 
 def _emit_json(payload: dict) -> None:
@@ -57,6 +50,8 @@ def _indented_json(value) -> str:
     cached per (depth, scalar).  Dict keys must be strings, as in every payload
     of the package; any other key raises TypeError.
     """
+    from .exactarith import FieldScalar, Quaternion
+
     chunks: list[str] = []
     emit = chunks.append
     int_lists: dict[tuple, str] = {}
@@ -135,6 +130,8 @@ class SizeBoundError(ValueError):
 
 def _max_order() -> int:
     """``default_max_order()``; a bad QUATREFL_MAX_ORDER is a usage error."""
+    from .groups import default_max_order
+
     try:
         return default_max_order()
     except ValueError as exc:
@@ -142,6 +139,8 @@ def _max_order() -> int:
 
 
 def _build_from_args(args) -> "FiniteQuaternionGroup":
+    from .groups import build_group
+
     if args.k in ("cyclic", "dicyclic"):
         if args.n is None:
             raise UsageError(f"--k {args.k} requires --n")
@@ -161,6 +160,8 @@ def _build_from_args(args) -> "FiniteQuaternionGroup":
 
 
 def cmd_group(args) -> int:
+    from .groups import element_order_census
+
     K = _build_from_args(args)
     if args.emit == "summary":
         print(f"name={K.name}")
@@ -177,6 +178,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_systems(args) -> int:
+    from .refsystems import copy_count, enumerate_systems, orbit_partition, subgroup_copy_count
+
     K = _build_from_args(args)
     rows = []
     for L in enumerate_systems(K):
@@ -206,6 +209,10 @@ def _parse_index(text: str) -> list[int]:
 
 
 def cmd_classify(args) -> int:
+    from dataclasses import replace
+
+    from .classify import IndexQuadruple, classify_K, dicyclic_record, find_isomorphisms, order_scan
+
     selectors = [s is not None for s in (args.k, args.index, args.order)]
     if sum(selectors) != 1:
         raise UsageError("exactly one of --k / --index / --order is required")
@@ -252,12 +259,16 @@ def _print_records(records) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .golden import SUITES
+
     report = SUITES[args.suite]()
     print(report.render())
     return 0 if report.passed else 1
 
 
 def cmd_iso_search(args) -> int:
+    from .classify import corollary_pair_search
+
     if args.max_n < 2:
         raise UsageError("--max-n must be at least 2")
     if args.max_n > MAX_ISO_SEARCH_N:
@@ -308,7 +319,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="golden-data verification suites")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("iso-search", help="equal-invariant non-isomorphic pair search")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quatrefl import cli
+from quatrefl import classify, cli, golden, groups
 from quatrefl.cli import SizeBoundError, _build_from_args, main
 from quatrefl.exactarith import FieldScalar
 from quatrefl.groups import build_group
@@ -212,7 +212,7 @@ def test_size_guard_bounds_the_cayley_table(monkeypatch):
         raise Reached
 
     monkeypatch.delenv("QUATREFL_MAX_ORDER", raising=False)
-    monkeypatch.setattr(cli, "build_group", reached)
+    monkeypatch.setattr(groups, "build_group", reached)
     # 1000^2 entries: at the default bound 10^6
     for k, n_at, n_over in (("dicyclic", 250, 251), ("cyclic", 1000, 1001)):
         with pytest.raises(Reached):
@@ -289,7 +289,7 @@ def test_iso_search_at_the_bound_reaches_the_search(monkeypatch):
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(cli, "corollary_pair_search", reached)
+    monkeypatch.setattr(classify, "corollary_pair_search", reached)
     with pytest.raises(Reached):
         main(["iso-search", "--max-n", "1000000", "--type", "i"])
 
@@ -368,3 +368,8 @@ def test_closed_pipe_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert stderr == b""
+
+
+def test_suite_choices_are_the_golden_suites():
+    # the parser spells the names out so that building it loads no layer
+    assert list(cli.SUITE_NAMES) == sorted(golden.SUITES)

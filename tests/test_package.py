@@ -1,9 +1,17 @@
 """Package hygiene: every public function in the package, and every defaulted
-parameter of one, has a use there."""
+parameter of one, has a use there; the package and each command load only
+the modules they need."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import quatrefl
 
@@ -18,12 +26,18 @@ def _names(node) -> Counter:
     return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name))
 
 
+def _exports(tree) -> dict[str, str]:
+    """The package's exported name -> module map, read from ``__init__``."""
+    [node] = [node for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets] == ["_EXPORTS"]]
+    return ast.literal_eval(node.value)
+
+
 def _public_functions():
     """(exported names, names used in the modules, the public functions of
     each module: module name -> name -> uses inside the function itself)."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    exported = {alias.asname or alias.name for node in trees.pop("__init__").body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = set(_exports(trees.pop("__init__")))
     used = sum((_names(tree) for tree in trees.values()), Counter())
     functions = {module: {node.name: _names(node)[node.name] for node in tree.body
                           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
@@ -92,3 +106,62 @@ def test_allowed_names_are_defined_and_still_unused():
     assert ALLOWED <= defined.keys()
     assert [name for name in sorted(ALLOWED)
             if used[name] != defined[name] or name in exported] == []
+
+
+def test_exports_are_the_41_names_their_modules_define():
+    exports = _exports(ast.parse((SRC / "__init__.py").read_text()))
+    assert len(exports) == 41
+    assert quatrefl.__all__ == list(exports)
+    for name, module in exports.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert name in {node.name for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, name
+
+
+def test_exports_resolve_to_their_modules_objects():
+    exports = _exports(ast.parse((SRC / "__init__.py").read_text()))
+    for name, module in exports.items():
+        assert getattr(quatrefl, name) is getattr(importlib.import_module(f"quatrefl.{module}"), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(quatrefl, "no_such_name")
+    assert not hasattr(quatrefl, "default_max_order")  # public in groups, not exported
+
+
+# The quatrefl modules a fresh process has loaded after `import quatrefl.cli`
+# and then after running each command (its stdout discarded)
+_LOADED = """
+import contextlib, io, json, sys
+import quatrefl.cli
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("quatrefl"))
+after_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quatrefl.cli.main(sys.argv[1:])
+print(json.dumps([after_import, loaded(), code]))
+"""
+
+GROUP = ["quatrefl", "quatrefl.cli", "quatrefl.exactarith", "quatrefl.groups", "quatrefl.numutil"]
+SYSTEMS = sorted(GROUP + ["quatrefl.refsystems"])
+CLASSIFY = sorted(SYSTEMS + ["quatrefl.classify", "quatrefl.refgroups"])
+VERIFY = sorted(CLASSIFY + ["quatrefl.data", "quatrefl.golden"])  # data: the fixtures
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(["group", "--k", "T"], GROUP, id="group"),
+    pytest.param(["group", "--k", "dicyclic", "--n", "3", "--emit", "cayley"], GROUP,
+                 id="group-cayley"),
+    pytest.param(["systems", "--k", "T"], SYSTEMS, id="systems"),
+    pytest.param(["classify", "--k", "T"], CLASSIFY, id="classify"),
+    pytest.param(["classify", "--index", "6,1,3,4"], CLASSIFY, id="classify-index"),
+    pytest.param(["iso-search", "--max-n", "100", "--type", "ii"], CLASSIFY, id="iso-search"),
+    pytest.param(["verify", "--suite", "missing"], VERIFY, id="verify"),
+])
+def test_each_command_loads_only_its_layers(argv, modules):
+    # the child imports quatrefl from this checkout's src, as the tests do
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.stderr == ""
+    after_import, after_command, code = json.loads(result.stdout)
+    assert after_import == ["quatrefl", "quatrefl.cli"]
+    assert after_command == modules
+    assert code == (1 if argv[0] == "verify" else 0)  # the missing suite's known divergence
