@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,20 +45,21 @@ from .refgroups import (
 )
 
 
-@dataclass(frozen=True)
-class IndexQuadruple:
-    """Label [n, a, b, r] of a dicyclic reflection group of order 8nr."""
+class IndexQuadruple(namedtuple("IndexQuadruple", "n a b r")):
+    """Label [n, a, b, r] of a dicyclic reflection group of order 8nr.
 
-    n: int
-    a: int
-    b: int
-    r: int
+    An immutable tuple of its four fields, checked when built by calling the
+    class; code that builds an index valid by construction calls
+    ``tuple.__new__(IndexQuadruple, (n, a, b, r))`` and skips the check.
+    """
 
-    def __post_init__(self):
-        n, a, b, r = self.n, self.a, self.b, self.r
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: int, b: int, r: int):
         _check_index_pair(n, a, b)
         if a * b * r != n and not (a * b * r == 2 * n and a * b % 2 == 1):
             raise ValueError(f"[{n},{a},{b},{r}] is not a valid index")
+        return tuple.__new__(cls, (n, a, b, r))
 
     @property
     def is_higher(self) -> bool:
@@ -99,7 +101,7 @@ class IndexQuadruple:
         return f"[{self.n},{self.a},{self.b},{self.r}]"
 
     def as_list(self) -> list[int]:
-        return [self.n, self.a, self.b, self.r]
+        return list(self)
 
 
 @dataclass(frozen=True)
@@ -155,27 +157,15 @@ def lambda_set(n: int) -> list[IndexQuadruple]:
     if n < 2:
         raise ValueError(f"lambda_set needs n >= 2, got {n}")
     divs = divisors(n)
+    new = tuple.__new__  # every entry is valid by construction: no check
     out = []
     for i, a in enumerate(divs):
         for b in divs[i:]:
             if math.gcd(a, b) == 1:
-                out.append(_valid_index(n, a, b, n // (a * b)))
+                out.append(new(IndexQuadruple, (n, a, b, n // (a * b))))
                 if (a * b) % 2 == 1:
-                    out.append(_valid_index(n, a, b, 2 * n // (a * b)))
+                    out.append(new(IndexQuadruple, (n, a, b, 2 * n // (a * b))))
     return out
-
-
-def _valid_index(n: int, a: int, b: int, r: int) -> IndexQuadruple:
-    """``IndexQuadruple(n, a, b, r)`` for an index valid by construction,
-    without ``__post_init__``'s check.  The fields are set as the frozen
-    dataclass's ``__init__`` sets them; writing ``__dict__`` instead would
-    give each instance a full dict, twice the memory."""
-    q, put = object.__new__(IndexQuadruple), object.__setattr__
-    put(q, "n", n)
-    put(q, "a", a)
-    put(q, "b", b)
-    put(q, "r", r)
-    return q
 
 
 def lambda_count_formula(n: int) -> int:

@@ -29,54 +29,66 @@ DOMAIN_ERROR = 3
 # corollary_pair_search is linear in --max-n: about 8 s at 2 * 10^6 for type (ii)
 MAX_ISO_SEARCH_N = 10**6
 
+# characters of JSON gathered per write to stdout
+JSON_BLOCK = 1 << 16
+
 # golden.SUITES' keys, sorted; spelled out so that building the parser loads no layer
 SUITE_NAMES = ("appendix", "isos", "missing", "orders", "table1", "table3")
 
 
 def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(_indented_json(payload))
+    """Write the payload with its schema version to stdout, as
+    ``json.dumps(..., indent=1)`` and a newline, in blocks of about
+    ``JSON_BLOCK`` characters: few writes even when stdout is unbuffered
+    (``PYTHONUNBUFFERED``), and no text of the whole document."""
+    block: list[str] = []
+    size = 0
+
+    def emit(text: str) -> None:
+        nonlocal size
+        block.append(text)
+        size += len(text)
+        if size >= JSON_BLOCK:
+            sys.stdout.write("".join(block))
+            block.clear()
+            size = 0
+
+    _write_json({"schema_version": SCHEMA_VERSION, **payload}, emit)
+    block.append("\n")
+    sys.stdout.write("".join(block))
 
 
-def _indented_json(value) -> str:
-    """``json.dumps(value, indent=1)``, byte for byte.
+def _write_json(value, emit) -> None:
+    """Write ``json.dumps(value, indent=1)``, byte for byte, through ``emit``.
 
     With an indent, ``json`` falls back to its pure-Python encoder.  This
-    writes the same layout directly; a non-empty list of plain ints, or of such
-    lists (a Cayley table, a scalar's coefficients), is formed in one
-    ``str.join`` once per (depth, contents).  A quaternion is written as its
+    writes the same layout directly, passing each chunk to ``emit`` as it is
+    formed, so no text of the whole document is held: a list of int lists (a
+    Cayley table) goes out one row at a time, and a non-empty list of plain
+    ints is formed in one ``str.join``.  A quaternion is written as its
     ``to_json()``, with each scalar's dense ``[numerator, denominator]`` pairs
-    written from its sparse terms (the zero pair's text is formed once), and
-    cached per (depth, scalar).  Dict keys must be strings, as in every payload
-    of the package; any other key raises TypeError.
+    written from its sparse terms (the zero pair's text is formed once per
+    scalar), and cached per (depth, scalar).  Dict keys must be strings, as in
+    every payload of the package; any other key raises TypeError.
     """
     from .exactarith import FieldScalar, Quaternion
 
-    chunks: list[str] = []
-    emit = chunks.append
-    int_lists: dict[tuple, str] = {}
     scalar_texts: dict[tuple, str] = {}
 
     def ints(v) -> bool:
         return isinstance(v, (list, tuple)) and bool(v) and set(map(type, v)) == {int}
 
     def int_text(v, depth: int) -> str:
-        rows = type(v[0]) is not int
-        key = (depth, *(map(tuple, v) if rows else v))
-        text = int_lists.get(key)
-        if text is None:
-            inner = "\n" + " " * (depth + 1)
-            items = [int_text(row, depth + 1) for row in v] if rows else map(int.__repr__, v)
-            text = int_lists[key] = "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
-        return text
+        inner = "\n" + " " * (depth + 1)
+        return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + "\n" + " " * depth + "]"
 
     def scalar_text(s: FieldScalar, depth: int) -> str:
         text = scalar_texts.get((depth, s))
         if text is None:
-            items = [int_text([0, 1], depth + 1)] * s.dimension
+            items = [int_text((0, 1), depth + 1)] * s.dimension
             for p, v in s.terms:
                 g = math.gcd(v, s.den)
-                items[p] = int_text([v // g, s.den // g], depth + 1)
+                items[p] = int_text((v // g, s.den // g), depth + 1)
             inner = "\n" + " " * (depth + 1)
             text = scalar_texts[depth, s] = "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
         return text
@@ -92,7 +104,7 @@ def _indented_json(value) -> str:
             if not v:
                 emit("[]")
                 return
-            if ints(v) or all(map(ints, v)):
+            if ints(v):
                 emit(int_text(v, depth))
                 return
             inner = "\n" + " " * (depth + 1)
@@ -117,7 +129,6 @@ def _indented_json(value) -> str:
             emit(json.dumps(v))
 
     write(value, 0)
-    return "".join(chunks)
 
 
 class UsageError(ValueError):

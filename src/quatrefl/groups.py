@@ -446,23 +446,27 @@ def _sort_order(values: list[Quaternion], orders: list[int]) -> list[int]:
     """The indices of ``values`` sorted by (element order, coefficients).
 
     Integers over one common denominator compare exactly as the Fraction
-    coefficients would, and a (component, power) column that is zero in
-    every element never decides the comparison, so the keys keep only the
-    other columns.
+    coefficients would.  A key lists the element order, then a code and the
+    value of each nonzero coefficient in (component, power) order, then 0.
+    With W above every power, the code at (c, p) is (4 - c) W - p, negated
+    for a negative value: never 0, and falling as (c, p) rises.  So keys
+    compare as dense rows over every (component, power) column would: where
+    those first differ, the row nonzero at that column has the larger code
+    if its value is positive and the smaller if negative.
     """
     scalars = [(q.a, q.b, q.c, q.d) for q in values]
     den = math.lcm(*(s.den for qs in scalars for s in qs))
-    cols = sorted({(c, p) for qs in scalars for c, s in enumerate(qs) for p, _ in s.terms})
-    col = {cp: i for i, cp in enumerate(cols)}
+    W = 1 + max(q.conductor for q in values)  # powers lie below phi(m) <= m
     keys = []
-    for qs in scalars:
-        key = [0] * len(cols)
+    for qs, k in zip(scalars, orders):
+        key = [k]
         for c, s in enumerate(qs):
-            scale = den // s.den
+            scale, base = den // s.den, (4 - c) * W
             for p, v in s.terms:
-                key[col[c, p]] = v * scale
+                key += (base - p, v * scale) if v > 0 else (p - base, v * scale)
+        key.append(0)
         keys.append(key)
-    return sorted(range(len(values)), key=lambda i: (orders[i], keys[i]))
+    return sorted(range(len(values)), key=keys.__getitem__)
 
 
 def _positions(idx: list[int]) -> list[int]:

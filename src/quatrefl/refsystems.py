@@ -8,6 +8,7 @@ index tuples against the parent group's fixed element ordering.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -82,16 +83,18 @@ def _check_index_pair(n: int, a: int, b: int) -> None:
         raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
 
 
-@dataclass(frozen=True)
-class DicyclicIndex:
-    """A pair (a, b) in Omega_n: coprime divisors of n with a <= b."""
+class DicyclicIndex(namedtuple("DicyclicIndex", "n a b")):
+    """A pair (a, b) in Omega_n: coprime divisors of n with a <= b.
 
-    n: int
-    a: int
-    b: int
+    An immutable tuple (n, a, b), checked when built by calling the class;
+    ``omega_set`` builds its entries, valid by construction, unchecked.
+    """
 
-    def __post_init__(self):
-        _check_index_pair(self.n, self.a, self.b)
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: int, b: int):
+        _check_index_pair(n, a, b)
+        return tuple.__new__(cls, (n, a, b))
 
     @property
     def size(self) -> int:
@@ -273,15 +276,10 @@ def omega_set(n: int) -> list[DicyclicIndex]:
     """All (a, b) with a <= b, a | n, b | n, gcd(a, b) = 1."""
     if n < 2:
         raise ValueError(f"omega_set needs n >= 2, got {n}")
-    divs = divisors(n)
-    out = [
-        DicyclicIndex(n, a, b)
-        for a in divs
-        for b in divs
-        if a <= b and math.gcd(a, b) == 1
-    ]
-    out.sort(key=lambda idx: (idx.a, idx.b))
-    return out
+    divs = divisors(n)  # ascending, so the pairs come out sorted by (a, b)
+    new = tuple.__new__  # every entry is valid by construction: no check
+    return [new(DicyclicIndex, (n, a, b))
+            for i, a in enumerate(divs) for b in divs[i:] if math.gcd(a, b) == 1]
 
 
 def omega_count_formula(n: int) -> int:

@@ -97,13 +97,44 @@ def test_lambda_set_matches_the_omega_oracle():
 
 
 def test_lambda_set_entries_pass_the_validated_construction():
-    # lambda_set skips __post_init__; each entry is what the checked
+    # lambda_set skips the check; each entry is what the checked
     # constructor builds from the same fields, and that does not raise
     for n in range(2, 301):
         for q in lambda_set(n):
             checked = IndexQuadruple(q.n, q.a, q.b, q.r)
-            assert type(q) is IndexQuadruple and vars(q) == vars(checked)
+            assert type(q) is IndexQuadruple and tuple(q) == tuple(checked)
             assert q == checked and hash(q) == hash(checked)
+
+
+def test_omega_set_entries_pass_the_validated_construction():
+    # omega_set skips the check too, and lists (a, b) ascending with no sort
+    for n in range(2, 301):
+        entries = omega_set(n)
+        assert entries == sorted(entries, key=lambda idx: (idx.a, idx.b))
+        for idx in entries:
+            checked = DicyclicIndex(idx.n, idx.a, idx.b)
+            assert type(idx) is DicyclicIndex and tuple(idx) == tuple(checked) == (n, idx.a, idx.b)
+            assert idx == checked and hash(idx) == hash(checked)
+
+
+@pytest.mark.parametrize("make, fields, text", [
+    (IndexQuadruple, (6, 1, 3, 4), "IndexQuadruple(n=6, a=1, b=3, r=4)"),
+    (DicyclicIndex, (6, 1, 3), "DicyclicIndex(n=6, a=1, b=3)"),
+])
+def test_index_types_are_immutable_tuples(make, fields, text):
+    import copy
+    import pickle
+
+    idx = make(*fields)
+    assert repr(idx) == text and tuple(idx) == fields
+    # the frozen dataclass hashed its field tuple, so no set order moves
+    assert hash(idx) == hash(fields)
+    with pytest.raises(AttributeError):
+        idx.a = 2
+    with pytest.raises(AttributeError):
+        idx.extra = 0
+    for twin in (copy.copy(idx), copy.deepcopy(idx), pickle.loads(pickle.dumps(idx))):
+        assert type(twin) is make and twin == idx
 
 
 def test_lambda_set_entries_are_no_larger_than_checked_ones():

@@ -319,6 +319,12 @@ def test_emitted_json_is_json_dumps_indent_1(capsys, k, emit):
     assert out == json.dumps(json.loads(out), indent=1) + "\n"
 
 
+def _written(value) -> str:
+    chunks = []
+    cli._write_json(value, chunks.append)
+    return "".join(chunks)
+
+
 def test_indented_json_writer_on_nested_payloads():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -330,20 +336,20 @@ def test_indented_json_writer_on_nested_payloads():
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
     @hypothesis.given(values)
     def identical(payload):
-        assert cli._indented_json(payload) == json.dumps(payload, indent=1)
+        assert _written(payload) == json.dumps(payload, indent=1)
 
     identical()
     # one int list at two depths, repeated at one depth, and next to a bool list
     fixed = {"π": ["ζ₈", [], {}, [1, 2], [[1, 2], [1, 2]], (True, 1)], "": None}
-    assert cli._indented_json(fixed) == json.dumps(fixed, indent=1)
+    assert _written(fixed) == json.dumps(fixed, indent=1)
     # lists of int lists beside an empty inner list, a bool in an int list, and tuples
     for rows in ([[1, 2], []], [[1, 2], [3, True]], [[1], 2], ((1, 2), [3]), [(4,), (4,)],
                  [[[1, 2], [1, 2]], [[1, 2]]], [[1, 2], [1, 2], [[1, 2]]]):
-        assert cli._indented_json({"rows": rows}) == json.dumps({"rows": rows}, indent=1), rows
+        assert _written({"rows": rows}) == json.dumps({"rows": rows}, indent=1), rows
     with pytest.raises(TypeError):
-        cli._indented_json({1: 0})
+        _written({1: 0})
     with pytest.raises(TypeError):
-        cli._indented_json([object()])
+        _written([object()])
 
 
 def test_indented_json_writes_quaternions_and_scalars_as_their_to_json():
@@ -354,7 +360,33 @@ def test_indented_json_writes_quaternions_and_scalars_as_their_to_json():
         dense = {"elements": [q.to_json() for q in K.elements],
                  "nested": [[K.elements[-1].to_json(), scalar.to_json()["coeffs"]],
                             scalar.to_json()["coeffs"]]}
-        assert cli._indented_json(payload) == json.dumps(dense, indent=1), K.name
+        assert _written(payload) == json.dumps(dense, indent=1), K.name
+
+
+def test_json_writer_writes_a_table_one_row_at_a_time():
+    K = build_group("dicyclic", 6)
+    chunks = []
+    cli._write_json({"cayley": K.cayley}, chunks.append)
+    assert "".join(chunks) == json.dumps({"cayley": K.cayley}, indent=1)
+    # each row is its own chunk, so no text of the whole table is formed
+    assert sum(chunk.count("[") for chunk in chunks) == K.order + 1
+    assert max(chunk.count("[") for chunk in chunks) == 1
+
+
+def test_emitted_json_goes_out_in_bounded_blocks(monkeypatch):
+    K = build_group("dicyclic", 60)
+    payload = {"name": K.name, "order": K.order, "elements": K.elements, "cayley": K.cayley}
+    writes = []
+    monkeypatch.setattr(sys, "stdout", Namespace(write=writes.append))
+    cli._emit_json(payload)
+    text = "".join(writes)
+    dense = {**payload, "elements": [q.to_json() for q in K.elements]}
+    assert text == json.dumps({"schema_version": 1, **dense}, indent=1) + "\n"
+    # about 2.4 MB in blocks that each end with the chunk that filled them
+    chunks = []
+    cli._write_json(payload, chunks.append)
+    bound = cli.JSON_BLOCK + max(map(len, chunks))
+    assert len(writes) > len(text) // bound and max(map(len, writes)) < bound
 
 
 def test_closed_pipe_exits_1_without_traceback():

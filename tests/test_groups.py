@@ -112,6 +112,43 @@ def test_cayley_matches_quaternion_products():
                 assert K.elements[K.cayley[a][b]] == K.elements[a] * K.elements[b]
 
 
+def _dense_sort_order(values, orders):
+    """The dense-key sort that ``groups._sort_order``'s sparse keys replaced:
+    one slot per (component, power) column in use, over the common denominator."""
+    scalars = [(q.a, q.b, q.c, q.d) for q in values]
+    den = math.lcm(*(s.den for qs in scalars for s in qs))
+    cols = sorted({(c, p) for qs in scalars for c, s in enumerate(qs) for p, _ in s.terms})
+    col = {cp: i for i, cp in enumerate(cols)}
+    keys = []
+    for qs in scalars:
+        key = [0] * len(cols)
+        for c, s in enumerate(qs):
+            for p, v in s.terms:
+                key[col[c, p]] = v * (den // s.den)
+        keys.append(key)
+    return sorted(range(len(values)), key=lambda i: (orders[i], keys[i]))
+
+
+@pytest.mark.parametrize("tag, ns", [
+    ("T", [None]), ("O", [None]), ("I", [None]),
+    ("cyclic", [*range(1, 121), 200, 273]),
+    ("dicyclic", [*range(2, 121), 200, 250, 273, 546]),
+])
+def test_sparse_sort_keys_order_as_the_dense_keys(tag, ns):
+    rng = random.Random(7)
+    for n in ns:
+        # uncached, so that these builds do not evict the shared cache
+        K = build_group.__wrapped__(tag, n) if n else build_group(tag)
+        perm = list(range(K.order))
+        rng.shuffle(perm)
+        values = [K.elements[i] for i in perm]
+        # with the true orders, and with all orders equal so that the
+        # coefficients alone decide
+        for orders in ([K.element_orders[i] for i in perm], [1] * K.order):
+            assert quatrefl.groups._sort_order(values, orders) == _dense_sort_order(values, orders), (
+                K.name)
+
+
 # SHA-256 of json.dumps({"group": K.to_json(), "inv": K.inv}, separators=(",", ":")),
 # recorded with the dense-vector scalars that the sparse terms replaced: the
 # elements, their order, the Cayley table and the inverses are unchanged
