@@ -36,7 +36,6 @@ from .refsystems import (
 from .refgroups import (
     ISO_SEARCH_BOUND,
     ReflectionGroup,
-    _coset_tables,
     build_reflection_group,
     is_canonical,
     isomorphism_search,
@@ -49,8 +48,9 @@ class IndexQuadruple(namedtuple("IndexQuadruple", "n a b r")):
     """Label [n, a, b, r] of a dicyclic reflection group of order 8nr.
 
     An immutable tuple of its four fields, checked when built by calling the
-    class; code that builds an index valid by construction calls
-    ``tuple.__new__(IndexQuadruple, (n, a, b, r))`` and skips the check.
+    class, by ``_make`` or by ``_replace``; code that builds an index valid by
+    construction calls ``tuple.__new__(IndexQuadruple, (n, a, b, r))`` and
+    skips the check.
     """
 
     __slots__ = ()
@@ -60,6 +60,10 @@ class IndexQuadruple(namedtuple("IndexQuadruple", "n a b r")):
         if a * b * r != n and not (a * b * r == 2 * n and a * b % 2 == 1):
             raise ValueError(f"[{n},{a},{b},{r}] is not a valid index")
         return tuple.__new__(cls, (n, a, b, r))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _replace goes through _make
+        return cls(*iterable)
 
     @property
     def is_higher(self) -> bool:
@@ -217,7 +221,7 @@ def classify_K(K: FiniteQuaternionGroup) -> list[ClassificationRecord]:
             gammas = dict(K._system_pairs[L.member_set()])
             H_L, *higher = gammas
             for H in [H_L] + _dedup_subgroups(L, higher):
-                G = ReflectionGroup(K, L, H, gammas[H], *_coset_tables(K, H.members))
+                G = ReflectionGroup(L, H, gammas[H])
                 if not is_canonical(G):
                     raise AssertionError(
                         f"classification produced a non-canonical record for {K.name}")

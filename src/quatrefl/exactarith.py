@@ -354,11 +354,6 @@ class FieldScalar:
     def to_json(self) -> dict:
         return {"conductor": self.m, "coeffs": self._json_coeffs()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldScalar":
-        coeffs = [Fraction(n, d) for n, d in data["coeffs"]]
-        return cls.from_fractions(data["conductor"], coeffs)
-
 
 def _format_term(coeff: Fraction, sym: str, first: bool) -> str:
     sign = "-" if coeff < 0 else ("" if first else "+")
@@ -498,15 +493,6 @@ class Quaternion:
             "conductor": self.conductor,
             "coeffs": [s._json_coeffs() for s in (self.a, self.b, self.c, self.d)],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Quaternion":
-        m = data["conductor"]
-        scalars = [
-            FieldScalar.from_fractions(m, [Fraction(n, d) for n, d in comp])
-            for comp in data["coeffs"]
-        ]
-        return cls(*scalars)
 
 
 def embedded_circle_element(m: int, order: int, k: int) -> Quaternion:

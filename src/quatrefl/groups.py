@@ -28,13 +28,16 @@ found) go through ``_closure``, which admits only the generators that enlarge
 the closure and grows it a coset at a time at each admission (Dimino's
 method).
 
-The automorphisms of K/H come from one search, ``_quotient_search``, which
-returns the involutions of K/H and a generating set of Aut(K/H), checking by
-``_extend_map`` only the candidates that lie outside the closure of those
-found and keep the orders of generator products.  ``quotient_automorphisms``
-and ``automorphism_group`` are the closure of the search's generators; the
-involutions are what ``refsystems.enumerate_systems`` turns into systems and
-keeps, with their H, for ``classify.classify_K``.
+A ``Subgroup`` H owns the table of K/H, formed once on first use: ``coset_rep``
+(rep[x], the least index in xH) and ``cosets`` (each coset's ascending members
+by rep).  The automorphisms of K/H come from one search, ``_quotient_search(H)``,
+which returns the involutions of K/H and a generating set of Aut(K/H), each as
+``image[x]`` (the rep of the image of xH), checking by ``_extend_map`` only the
+candidates that lie outside the closure of those found and keep the orders of
+generator products.  ``quotient_automorphisms(H)`` and ``automorphism_group``
+are the closure of the search's generators; the involutions are what
+``refsystems.enumerate_systems`` turns into systems and keeps, with their H, for
+``classify.classify_K``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
@@ -153,7 +156,8 @@ class FiniteQuaternionGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its sorted member indices in the parent group."""
+    """A subgroup H given by its sorted member indices in the parent group K;
+    H owns the table of K/H (``cosets``, ``coset_rep``), formed on first use."""
 
     parent: FiniteQuaternionGroup
     members: tuple[int, ...]
@@ -165,6 +169,24 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def coset_rep(self) -> tuple[int, ...]:
+        """rep[x], the least index in xH."""
+        cay, rep = self.parent.cayley, [-1] * self.parent.order
+        for x in range(len(rep)):
+            if rep[x] < 0:  # so x is the least member of xH
+                for h in self.members:
+                    rep[cay[x][h]] = x
+        return tuple(rep)
+
+    @cached_property
+    def cosets(self) -> dict[int, tuple[int, ...]]:
+        """Each coset xH's ascending members, keyed by its least member, keys ascending."""
+        cay = self.parent.cayley
+        # a rep first occurs at its own index, so the keys ascend
+        return {c: tuple(sorted(cay[c][h] for h in self.members))
+                for c in dict.fromkeys(self.coset_rep)}
 
     @property
     def name(self) -> str:
@@ -562,19 +584,18 @@ def _automorphism_search(K: FiniteQuaternionGroup):
     if K.order > AUTOMORPHISM_BOUND:
         raise ValueError(f"automorphism search bound {AUTOMORPHISM_BOUND} exceeded by |K| = {K.order}")
     if K._aut_search is None:
-        K._aut_search = _quotient_search(K, range(K.order))
+        K._aut_search = _quotient_search(Subgroup(K, (0,)))
     return K._aut_search
 
 
-def quotient_automorphisms(K: FiniteQuaternionGroup, rep: Sequence[int]) -> list[tuple[int, ...]]:
-    """All automorphisms of K/H, for H given by its coset table rep[x] (the
-    least index in xH).
+def quotient_automorphisms(H: Subgroup) -> list[tuple[int, ...]]:
+    """All automorphisms of K/H, K = H.parent.
 
-    Each automorphism is returned as ``image[x]``, the representative of the
-    image of the coset xH, and the list is sorted; it is the closure of the
-    generators that ``_quotient_search`` finds.
+    Each automorphism is returned as ``image[x]``, the representative (the
+    least index) of the image of the coset xH, and the list is sorted; it is
+    the closure of the generators that ``_quotient_search`` finds.
     """
-    return _generated_automorphisms(rep, _quotient_search(K, rep)[1])
+    return _generated_automorphisms(H.coset_rep, _quotient_search(H)[1])
 
 
 def _generated_automorphisms(rep: Sequence[int], generators: list) -> list[tuple[int, ...]]:
@@ -582,8 +603,8 @@ def _generated_automorphisms(rep: Sequence[int], generators: list) -> list[tuple
     return sorted(_generate(tuple(rep), generators, lambda phi, g: tuple(g[c] for c in phi))[0])
 
 
-def _quotient_search(K: FiniteQuaternionGroup, rep: Sequence[int]):
-    """The involutive automorphisms of K/H and a generating set of Aut(K/H).
+def _quotient_search(H: Subgroup):
+    """The involutive automorphisms of K/H and a generating set of Aut(K/H), K = H.parent.
 
     The candidates are the same-order images of a generating sequence of K/H,
     in ``itertools.product`` order; a candidate's key is that tuple of images.
@@ -596,6 +617,7 @@ def _quotient_search(K: FiniteQuaternionGroup, rep: Sequence[int]):
     evaluated along the words that first reached the images.  Returns (the
     sorted involutions, the generators in the order found), each as ``image[x]``.
     """
+    K, rep = H.parent, H.coset_rep
     cay = K.cayley
     cosets = sorted(set(rep))
 

@@ -9,7 +9,9 @@ the antidiagonal permutation matrix.  The product rule
 
 is the monomial matrix product; it is unit-tested against exact 2x2
 quaternion matrices.  Keeping elements as index triples makes the largest
-constructions (order 28800) cheap.
+constructions (order 28800) cheap.  ``ReflectionGroup(L, H, gamma)`` reads K
+from ``L.parent`` and the cosets from H; gamma, the involution of K/H that
+``induced_quotient_involution`` forms, is ``image[x]`` as in the quotient search.
 
 Isomorphism rests on one invariant of the abstract group and one walk.  The
 element-order census is counted per coset in closed form: (b, y, 0) has order
@@ -24,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactarith import Quaternion
 from .groups import (
@@ -39,12 +41,7 @@ from .groups import (
     is_normal,
     normal_subgroups,
 )
-from .refsystems import (
-    PreconditionError,
-    ReflectionSystem,
-    coset_representatives,
-    l_gamma,
-)
+from .refsystems import PreconditionError, ReflectionSystem, l_gamma
 
 Triple = tuple[int, int, int]
 IDENTITY: Triple = (0, 0, 0)
@@ -70,43 +67,33 @@ def triple_order(K: FiniteQuaternionGroup, t: Triple) -> int:
     return math.lcm(orders[x], orders[y])
 
 
-def is_reflection_triple(K: FiniteQuaternionGroup, t: Triple) -> bool:
-    x, y, s = t
-    if s == 0:
-        return (x == 0) != (y == 0)
-    return y == K.inv[x]
-
-
 class ReflectionGroup:
     """G_K(L, H): diagonal blocks from K twisted by the quotient involution.
 
     Elements are exactly {(b, y, s) : b in K, y in the coset gamma(bH)},
-    where gamma is the involution of K/H induced by inversion on L; the
-    group has order 2|H||K| and, when canonical, 2|H| + |L| - 2 reflections.
+    where gamma, given as ``image[x]``, is the involution of K/H induced by
+    inversion on L (K = ``L.parent``); the group has order 2|H||K| and, when
+    canonical, 2|H| + |L| - 2 reflections.
     """
 
-    def __init__(self, K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
-                 gamma: Mapping[int, int] | Sequence[int], coset_rep: list[int],
-                 coset_members: dict[int, tuple[int, ...]], label=None):
-        self.K = K
+    def __init__(self, L: ReflectionSystem, H: Subgroup, gamma: Sequence[int], label=None):
+        self.K = L.parent
         self.L = L
         self.H = H
         self.gamma = gamma
-        self.coset_rep = coset_rep
-        self.coset_members = coset_members
         self.label = label
 
     @cached_property
     def elements(self) -> frozenset:
         """Every (b, y, s) with y in gamma(bH), built on first use."""
-        K, gamma, rep = self.K, self.gamma, self.coset_rep
-        return frozenset((b, y, s) for b in range(K.order)
-                         for y in self.coset_members[gamma[rep[b]]] for s in (0, 1))
+        gamma, cosets = self.gamma, self.H.cosets
+        return frozenset((b, y, s) for b in range(self.K.order)
+                         for y in cosets[gamma[b]] for s in (0, 1))
 
     @cached_property
     def L_G(self) -> tuple[int, ...]:
         """L_G = {b : the antidiagonal reflection over b lies in G}, i.e. L_gamma."""
-        return l_gamma(self.K, self.coset_rep, self.gamma)
+        return l_gamma(self.H, self.gamma)
 
     @property
     def order(self) -> int:
@@ -129,10 +116,10 @@ class ReflectionGroup:
         """The number of elements of each order, ascending: the closed-form
         ``triple_order`` of (b, y, 0) and (b, y, 1) for b in K and y in
         gamma(bH), 2|K||H| orders and no walk."""
-        K, gamma, rep = self.K, self.gamma, self.coset_rep
+        K, gamma, cosets = self.K, self.gamma, self.H.cosets
         census: dict[int, int] = {}
         for b in range(K.order):
-            for y in self.coset_members[gamma[rep[b]]]:
+            for y in cosets[gamma[b]]:
                 for s in (0, 1):
                     o = triple_order(K, (b, y, s))
                     census[o] = census.get(o, 0) + 1
@@ -158,18 +145,19 @@ class ReflectionGroup:
 
 
 def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[int],
-                                H_members: Sequence[int]):
+                                H: Subgroup) -> tuple[int, ...]:
     """The coset map gamma(bH) = b^-1 H seeded on L and extended along products.
 
     K/H is walked from the cosets of L that ``_closure`` admits, the seed is
     extended from them by ``_extend_map``, and the extension must agree with
     the rest of the seed; a homomorphism that inverts a generating set is its
     own inverse, so the result is an involutive automorphism of K/H.
-    Returns (gamma, coset_rep, coset_members).  Raises PreconditionError when
-    the seed is inconsistent, L does not generate K/H, or the seed does not
-    extend to a homomorphism.
+    Returns gamma as ``image[x]``, the least index in gamma(xH), as
+    ``_quotient_search`` does.  Raises PreconditionError when the seed is
+    inconsistent, L does not generate K/H, or the seed does not extend to a
+    homomorphism.
     """
-    rep, coset_members = _coset_tables(K, H_members)
+    rep = H.coset_rep
     seed: dict[int, int] = {}
     for x in L_members:
         c, image = rep[x], rep[K.inv[x]]
@@ -181,25 +169,16 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
         return rep[K.cayley[c1][c2]]
 
     reached, admitted = _closure(0, seed, mul)
-    if len(reached) < len(coset_members):
+    if len(reached) < K.order // H.order:
         raise PreconditionError("quotient map incomplete",
                                 "L does not generate K modulo H")
     cosets, right, _ = _generate(0, admitted, mul)
     image = _extend_map(right, [seed[c] for c in admitted], mul, 0)
-    gamma = None if image is None else dict(zip(cosets, image))
-    if gamma is None or any(gamma[c] != t for c, t in seed.items()):
+    on_cosets = None if image is None else dict(zip(cosets, image))
+    if on_cosets is None or any(on_cosets[c] != t for c, t in seed.items()):
         raise PreconditionError("quotient map not multiplicative",
                                 "the seed on L does not extend to a homomorphism of K/H")
-    return gamma, rep, coset_members
-
-
-def _coset_tables(K: FiniteQuaternionGroup, H_members: Sequence[int]):
-    """rep[x], the least index in xH, and each coset's ascending members by rep."""
-    rep = coset_representatives(K, H_members)
-    members: dict[int, list[int]] = {}
-    for x in range(K.order):
-        members.setdefault(rep[x], []).append(x)
-    return rep, {c: tuple(v) for c, v in members.items()}
+    return tuple(on_cosets[c] for c in rep)
 
 
 def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
@@ -221,8 +200,7 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
         raise PreconditionError("H not inside L", f"{H.name} has members outside L")
     if any(K.cayley[x][h] not in L_set for x in L.members for h in H.members):
         raise PreconditionError("LH != L", "L is not a union of H-cosets")
-    gamma, rep, coset_members = induced_quotient_involution(K, L.members, H.members)
-    return ReflectionGroup(K, L, H, gamma, rep, coset_members, label=label)
+    return ReflectionGroup(L, H, induced_quotient_involution(K, L.members, H), label=label)
 
 
 def is_canonical(G: ReflectionGroup) -> bool:
@@ -242,10 +220,10 @@ def diagonal_subgroups(K: FiniteQuaternionGroup, L: ReflectionSystem) -> list[Su
         if not L_set.issuperset(H.members):
             continue
         try:
-            gamma, rep, _ = induced_quotient_involution(K, L.members, H.members)
+            gamma = induced_quotient_involution(K, L.members, H)
         except PreconditionError:
             continue
-        if l_gamma(K, rep, gamma) == L.members:
+        if l_gamma(H, gamma) == L.members:
             out.append(H)
     return out
 
@@ -267,7 +245,12 @@ class GeneratedClosure:
         return len(self.elements)
 
     def reflection_count(self) -> int:
-        return sum(is_reflection_triple(self.parent, t) for t in self.elements)
+        """The members of reflection shape, (h, 0, 0) and (0, h, 0) for h != 0
+        and (b, b^-1, 1): 3|K| - 2 lookups rather than one per element."""
+        K, elements = self.parent, self.elements
+        shapes = [(h, 0, 0) for h in range(1, K.order)] + [(0, h, 0) for h in range(1, K.order)]
+        shapes += [(b, K.inv[b], 1) for b in range(K.order)]
+        return sum(t in elements for t in shapes)
 
 
 def generate_from_reflections(K: FiniteQuaternionGroup, diag_seed: Iterable[int],

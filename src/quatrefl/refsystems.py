@@ -2,7 +2,8 @@
 
 A reflection system for a finite group K is a subset L with 1 in L, closed
 under a o b = a * b^-1 * a, that generates K.  Systems are stored as sorted
-index tuples against the parent group's fixed element ordering.
+index tuples against the parent group's fixed element ordering; the members
+of a ``ReflectionSystem(parent, generators)`` are its generators' circ-closure.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .groups import (
     AUTOMORPHISM_BOUND,
     FiniteQuaternionGroup,
+    Subgroup,
     _automorphism_search,
     _generate,
     _orbits,
@@ -47,15 +50,15 @@ class NonGeneratingSeedError(ValueError):
 
 @dataclass(frozen=True)
 class ReflectionSystem:
-    """A reflection system and a seed that circ-generates it (checked: orbits walk the seed)."""
+    """A reflection system, given by a seed that circ-generates it (orbits walk the seed)."""
 
     parent: FiniteQuaternionGroup
-    members: tuple[int, ...]
     generators: tuple[int, ...]
 
-    def __post_init__(self):
-        if close_under_circ(self.parent, self.generators) != frozenset(self.members):
-            raise ValueError(f"generators {self.generators} do not circ-generate the members")
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        """The circ-closure of the generators, ascending."""
+        return tuple(sorted(close_under_circ(self.parent, self.generators)))
 
     @property
     def size(self) -> int:
@@ -86,8 +89,9 @@ def _check_index_pair(n: int, a: int, b: int) -> None:
 class DicyclicIndex(namedtuple("DicyclicIndex", "n a b")):
     """A pair (a, b) in Omega_n: coprime divisors of n with a <= b.
 
-    An immutable tuple (n, a, b), checked when built by calling the class;
-    ``omega_set`` builds its entries, valid by construction, unchecked.
+    An immutable tuple (n, a, b), checked when built by calling the class,
+    by ``_make`` or by ``_replace``; ``omega_set`` builds its entries, valid
+    by construction, unchecked.
     """
 
     __slots__ = ()
@@ -95,6 +99,10 @@ class DicyclicIndex(namedtuple("DicyclicIndex", "n a b")):
     def __new__(cls, n: int, a: int, b: int):
         _check_index_pair(n, a, b)
         return tuple.__new__(cls, (n, a, b))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _replace goes through _make
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
@@ -120,11 +128,11 @@ def close_system(K: FiniteQuaternionGroup, seed: Iterable[int]) -> ReflectionSys
     seed = tuple(sorted(set(seed)))
     if 0 not in seed:
         raise ValueError("seed must contain the identity")
-    members = close_under_circ(K, seed)
-    generated = K.subgroup_closure(members)
+    L = ReflectionSystem(K, seed)
+    generated = K.subgroup_closure(L.members)
     if len(generated) != K.order:
         raise NonGeneratingSeedError(K, generated)
-    return ReflectionSystem(K, tuple(sorted(members)), seed)
+    return L
 
 
 def system_orbit(L: ReflectionSystem, b: int) -> tuple[int, ...]:
@@ -249,18 +257,17 @@ def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
     seen: set[frozenset] = set()
     systems, pairs = [], {}
     for H in normal_subgroups(K):
-        rep = coset_representatives(K, H.members)
         # for H = 1, the search whose generators _equivalent_sets uses, cached on K
-        search = _automorphism_search(K) if H.order == 1 else _quotient_search(K, rep)
+        search = _automorphism_search(K) if H.order == 1 else _quotient_search(H)
         for gamma in search[0]:
-            members = frozenset(l_gamma(K, rep, gamma))
+            members = frozenset(l_gamma(H, gamma))
             if members not in seen:
                 if len(K.subgroup_closure(members)) != K.order:
                     continue
                 equivalent = _equivalent_sets(K, members)
                 seen |= equivalent
                 canon = min(tuple(sorted(s)) for s in equivalent)
-                systems.append(ReflectionSystem(K, canon, minimal_generators(K, canon)))
+                systems.append(ReflectionSystem(K, minimal_generators(K, canon)))
                 pairs[frozenset(canon)] = []
             if members in pairs:
                 pairs[members].append((H, gamma))
@@ -311,21 +318,9 @@ def dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
 # -- systems from quotient automorphisms -----------------------------------
 
 
-def l_gamma(K: FiniteQuaternionGroup, rep: Sequence[int],
-            gamma: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
-    """L_gamma = {x : gamma(xH) = x^-1 H}, ascending, from the coset table of H."""
-    return tuple(x for x in range(K.order) if gamma[rep[x]] == rep[K.inv[x]])
-
-
-def coset_representatives(K: FiniteQuaternionGroup, H: Iterable[int]) -> list[int]:
-    """rep[x] = least index in the coset xH."""
-    H = tuple(H)
-    rep = [-1] * K.order
-    for x in range(K.order):
-        if rep[x] == -1:
-            coset = sorted(K.cayley[x][h] for h in H)
-            least = coset[0]
-            for y in coset:
-                rep[y] = least
-    return rep
+def l_gamma(H: Subgroup, gamma: Sequence[int]) -> tuple[int, ...]:
+    """L_gamma = {x : gamma(xH) = x^-1 H}, ascending, for gamma as ``image[x]``
+    (the least index in the image of xH)."""
+    rep, inv = H.coset_rep, H.parent.inv
+    return tuple(x for x in range(len(rep)) if gamma[x] == rep[inv[x]])
 

@@ -137,6 +137,22 @@ def test_index_types_are_immutable_tuples(make, fields, text):
         assert type(twin) is make and twin == idx
 
 
+@pytest.mark.parametrize("make, fields, change", [
+    (IndexQuadruple, (6, 1, 3, 4), {"r": 5}),
+    (DicyclicIndex, (6, 1, 3), {"b": 4}),
+])
+def test_index_types_check_make_and_replace(make, fields, change):
+    # namedtuple's _replace builds through _make, so both run the check
+    idx = make(*fields)
+    made = make._make(fields)
+    assert type(made) is make and made == idx and hash(made) == hash(idx)
+    assert idx._replace() == idx
+    with pytest.raises(ValueError):
+        idx._replace(**change)
+    with pytest.raises(ValueError):
+        make._make((idx._asdict() | change).values())
+
+
 def test_lambda_set_entries_are_no_larger_than_checked_ones():
     # an entry whose fields went into a materialised __dict__ would take
     # about twice the memory of one the dataclass __init__ builds

@@ -56,14 +56,14 @@ def test_unknown_flag_exits_2():
 
 
 def test_group_elements_json_round_trip():
-    from quatrefl.exactarith import Quaternion
+    from test_exactarith import quaternion_from_json
 
     result = run_cli("group", "--k", "dicyclic", "--n", "3", "--emit", "elements")
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data["schema_version"] == 1
     assert data["order"] == 12
-    elements = [Quaternion.from_json(e) for e in data["elements"]]
+    elements = [quaternion_from_json(e) for e in data["elements"]]
     assert len(set(elements)) == 12
 
 

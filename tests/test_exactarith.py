@@ -23,6 +23,22 @@ def rat(m, v):
     return FieldScalar.from_rational(m, v)
 
 
+def scalar_from_json(data: dict) -> FieldScalar:
+    """The scalar that ``FieldScalar.to_json`` wrote."""
+    coeffs = [Fraction(n, d) for n, d in data["coeffs"]]
+    return FieldScalar.from_fractions(data["conductor"], coeffs)
+
+
+def quaternion_from_json(data: dict) -> Quaternion:
+    """The quaternion that ``Quaternion.to_json`` wrote."""
+    m = data["conductor"]
+    scalars = [
+        FieldScalar.from_fractions(m, [Fraction(n, d) for n, d in comp])
+        for comp in data["coeffs"]
+    ]
+    return Quaternion(*scalars)
+
+
 def test_root_of_unity_defining_properties():
     z4 = FieldScalar.root_of_unity(4, 1)
     assert z4 * z4 == rat(4, -1)
@@ -217,7 +233,7 @@ def test_json_round_trip():
     h = FieldScalar.sqrt2(8) * rat(8, Fraction(1, 2))
     q = Quaternion(h, -h, FieldScalar.zero(8), rat(8, Fraction(2, 3)))
     blob = json.dumps(q.to_json())
-    assert Quaternion.from_json(json.loads(blob)) == q
+    assert quaternion_from_json(json.loads(blob)) == q
 
 
 def test_rendering_named_radicals():
@@ -349,7 +365,7 @@ def test_sparse_arithmetic_matches_dense_oracle():
         # the dense form and JSON round-trip to the same scalar and hash
         again = FieldScalar(m, a.nums, a.den)
         assert again == a and hash(again) == hash(a)
-        back = FieldScalar.from_json(json.loads(json.dumps(a.to_json())))
+        back = scalar_from_json(json.loads(json.dumps(a.to_json())))
         assert back == a and hash(back) == hash(a)
 
     agrees()

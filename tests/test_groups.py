@@ -31,7 +31,7 @@ from quatrefl.groups import (
     quotient_automorphisms,
 )
 from quatrefl.numutil import prime_factorization, prime_root_of_unity
-from quatrefl.refsystems import coset_representatives, dicyclic_element
+from quatrefl.refsystems import dicyclic_element
 
 
 def euler_phi(n: int) -> int:
@@ -487,6 +487,25 @@ def test_q8_normal_subgroups_include_j_and_k_axes():
         assert axis_set in order4
 
 
+COSET_GROUPS = ([("T", None), ("O", None), ("I", None)]
+                + [("cyclic", n) for n in range(1, 13)] + [("dicyclic", n) for n in range(2, 13)])
+
+
+@pytest.mark.parametrize("tag,n", COSET_GROUPS)
+def test_subgroup_owns_its_coset_table(tag, n):
+    K = build_group(tag, n) if n else build_group(tag)
+    for H in normal_subgroups(K):
+        rep, cosets = H.coset_rep, H.cosets
+        assert rep == tuple(min(K.cayley[x][h] for h in H.members) for x in range(K.order))
+        assert list(cosets) == sorted(set(rep))  # keyed by rep, ascending
+        for c, coset in cosets.items():
+            assert coset == tuple(sorted(K.cayley[c][h] for h in H.members))
+            assert all(rep[x] == c for x in coset)
+        assert sum(map(len, cosets.values())) == K.order
+        # formed once per subgroup
+        assert H.coset_rep is rep and H.cosets is cosets
+
+
 def test_normality_direct_check():
     for K in (build_group("T"), build_group("dicyclic", 6)):
         for s in normal_subgroups(K):
@@ -692,10 +711,10 @@ SEARCH_GROUPS = ([("T", None), ("O", None), ("I", None)]
 def test_quotient_search_matches_the_extend_every_candidate_oracle(tag, n):
     K = build_group(tag, n) if n else build_group(tag)
     for H in normal_subgroups(K):
-        rep = coset_representatives(K, H.members)
+        rep = H.coset_rep
         oracle = _quotient_automorphisms_oracle(K, rep)
-        assert quotient_automorphisms(K, rep) == oracle
-        involutions, generators = _quotient_search(K, rep)
+        assert quotient_automorphisms(H) == oracle
+        involutions, generators = _quotient_search(H)
         assert involutions == [g for g in oracle if all(g[g[c]] == c for c in rep)]
         closed = _generate(tuple(rep), generators, lambda phi, g: tuple(g[c] for c in phi))[0]
         assert len(closed) == len(oracle)
@@ -761,8 +780,7 @@ def _quotient_search_reference(K, rep):
 def test_quotient_search_matches_the_unscreened_reference(tag, n):
     K = build_group(tag, n) if n else build_group(tag)
     for H in normal_subgroups(K):
-        rep = coset_representatives(K, H.members)
-        assert _quotient_search(K, rep) == _quotient_search_reference(K, rep)
+        assert _quotient_search(H) == _quotient_search_reference(K, H.coset_rep)
 
 
 def test_quotient_search_walks_only_screened_unknown_keys(monkeypatch):
@@ -770,7 +788,7 @@ def test_quotient_search_walks_only_screened_unknown_keys(monkeypatch):
     # 120 are automorphisms (Aut(A5) = S5) and 26 involutions; the unscreened
     # search walks 485 keys
     K = build_group("I")
-    rep = coset_representatives(K, next(H for H in normal_subgroups(K) if H.order == 2).members)
+    H = next(H for H in normal_subgroups(K) if H.order == 2)
     walks = []
     extend = quatrefl.groups._extend_map
 
@@ -778,9 +796,9 @@ def test_quotient_search_walks_only_screened_unknown_keys(monkeypatch):
         walks.append(None)
         return extend(*args)
 
-    expected = _quotient_search_reference(K, rep)
+    expected = _quotient_search_reference(K, H.coset_rep)
     monkeypatch.setattr(quatrefl.groups, "_extend_map", counting)
-    assert _quotient_search(K, rep) == expected
+    assert _quotient_search(H) == expected
     assert len(walks) == 75
 
 
@@ -803,7 +821,7 @@ def test_classification_never_lists_the_automorphism_group(monkeypatch, n):
 
 def _quotient_automorphisms(K, H_name):
     H = next(H for H in normal_subgroups(K) if H.name == H_name)
-    return quotient_automorphisms(K, coset_representatives(K, H.members))
+    return quotient_automorphisms(H)
 
 
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]

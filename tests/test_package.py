@@ -53,6 +53,33 @@ def test_every_public_function_is_used_or_exported():
     assert unused == []
 
 
+# Private names that one module imports from another, by defining module: the
+# shared walks of ``groups`` and the index-pair check of ``refsystems``
+PRIVATE_IMPORTS = {
+    "groups": {"_automorphism_search", "_closure", "_extend_map", "_generate", "_orbits",
+               "_quotient_search"},
+    "refsystems": {"_check_index_pair"},
+}
+
+
+def _private_imports() -> dict[str, set[str]]:
+    """The private names each module's ``from .module import`` statements take."""
+    out: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if names:
+                    out.setdefault(node.module, set()).update(names)
+    return out
+
+
+def test_no_new_private_name_crosses_a_module_boundary():
+    # a private helper that another module needs is either part of a shared
+    # walk, listed here, or belongs on a public object (as H's coset table)
+    assert _private_imports() == PRIVATE_IMPORTS
+
+
 # Defaulted parameters that no call in the package passes, on purpose: the
 # command line's arguments, which only the entry point's caller supplies
 UNSET_ALLOWED = {"cli.main.argv"}

@@ -36,7 +36,6 @@ from quatrefl.refsystems import (
     DicyclicIndex,
     close_system,
     close_under_circ,
-    coset_representatives,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
@@ -163,7 +162,7 @@ def test_gamma_is_an_involution_on_the_quotient():
         grp = build_group(K)
         L = next(S for S in enumerate_systems(grp) if S.size == L_size)
         H = normal_of_order(grp, H_order)
-        gamma, rep, _ = induced_quotient_involution(grp, L.members, H.members)
+        gamma, rep = induced_quotient_involution(grp, L.members, H), H.coset_rep
         for c in set(rep):
             assert gamma[gamma[c]] == c
         for b in L.members:
@@ -222,8 +221,7 @@ def test_recorded_pairs_are_the_diagonal_subgroups_and_their_involutions(tag, n)
         pairs = K._system_pairs[L.member_set()]
         assert [H for H, _ in pairs] == diagonal_subgroups(K, L)
         for H, gamma in pairs:
-            induced, rep, _ = induced_quotient_involution(K, L.members, H.members)
-            assert list(gamma) == [induced[rep[x]] for x in range(K.order)]
+            assert gamma == induced_quotient_involution(K, L.members, H)
 
 
 def test_reflection_group_walks_l_gamma_once(monkeypatch):
@@ -357,11 +355,11 @@ def test_generate_from_reflections_observes_each_canonical_group(tag, n):
             assert gc.elements == build_reflection_group(K, L, H).elements
 
 
-def _induced_quotient_involution_oracle(K, L_members, H_members):
+def _induced_quotient_involution_oracle(K, L_members, H):
     """gamma extended from every seed coset at once, or the name of the
     PreconditionError: the reference for the extension from the admitted
     seed cosets."""
-    rep = coset_representatives(K, H_members)
+    rep = H.coset_rep
     seed = {}
     for x in L_members:
         if seed.setdefault(rep[x], rep[K.inv[x]]) != rep[K.inv[x]]:
@@ -376,7 +374,8 @@ def _induced_quotient_involution_oracle(K, L_members, H_members):
     image = _extend_map(right, list(seed.values()), mul, 0)
     if image is None:
         return "quotient map not multiplicative"
-    return dict(zip(cosets, image))
+    on_cosets = dict(zip(cosets, image))
+    return tuple(on_cosets[c] for c in rep)
 
 
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
@@ -390,10 +389,10 @@ def test_induced_quotient_involution_matches_the_all_seeds_oracle(tag, n):
     for seed in sorted(seeds):
         for H in normal_subgroups(K):
             try:
-                got = induced_quotient_involution(K, seed, H.members)[0]
+                got = induced_quotient_involution(K, seed, H)
             except PreconditionError as exc:
                 got = exc.name
-            assert got == _induced_quotient_involution_oracle(K, seed, H.members)
+            assert got == _induced_quotient_involution_oracle(K, seed, H)
 
 
 def test_reflection_group_elements_are_built_on_first_use():
@@ -792,10 +791,7 @@ def test_rank_n_cocycle_condition():
     # diagonal cocycle: coset of a product is the product of cosets, any order
     rng = random.Random(41)
     for K in (build_group("dicyclic", 3), build_group("T")):
-        H = commutator_subgroup(K)
-        from quatrefl.refsystems import coset_representatives
-
-        rep = coset_representatives(K, H.members)
+        rep = commutator_subgroup(K).coset_rep
         for rank in (3, 4):
             for _ in range(100):
                 xs = [rng.randrange(K.order) for _ in range(rank)]

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import pytest
 
@@ -26,7 +26,6 @@ from quatrefl.refsystems import (
     close_system,
     close_under_circ,
     copy_count,
-    coset_representatives,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
@@ -48,12 +47,12 @@ def canonical_members(K: FiniteQuaternionGroup, members: frozenset) -> tuple[int
 
 
 def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
-                              gamma: Mapping[int, int] | Sequence[int]) -> None:
+                              gamma: Sequence[int]) -> None:
     """Raise PreconditionError unless gamma is an involutive automorphism of K/H.
 
     ``rep`` is the coset-representative table of H and ``gamma`` maps every
-    coset representative to a coset representative (a dict, or a sequence
-    indexed by element such as ``quotient_automorphisms`` returns).
+    coset representative to a coset representative (``image[x]``, as
+    ``quotient_automorphisms`` returns).
     """
     cosets = sorted(set(rep))
     for c1 in cosets:
@@ -66,22 +65,20 @@ def check_quotient_involution(K: FiniteQuaternionGroup, rep: Sequence[int],
                                         f"gamma fails on cosets ({c1}, {c2})")
 
 
-def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: dict[int, int]) -> tuple[int, ...]:
+def system_from_automorphism(K: FiniteQuaternionGroup, H: Subgroup, gamma: Sequence[int]) -> tuple[int, ...]:
     """L_gamma = {x : gamma(xH) = x^-1 H} for an involution gamma of K/H.
 
-    ``gamma`` maps coset representatives (least member index) to coset
-    representatives.  The result is verified to be closed under circ.
+    ``gamma`` is ``image[x]``, the coset representative (least member index)
+    of the image of xH.  The result is verified to be closed under circ.
     """
     if not is_normal(K, H.members):
         raise PreconditionError("H not normal", f"{H.name} is not normal in {K.name}")
-    rep = coset_representatives(K, H.members)
-    cosets = sorted(set(rep))
-    for c in cosets:
-        if gamma.get(c) not in rep:
-            raise PreconditionError("quotient map ill-defined",
-                                    "gamma must map coset representatives to coset representatives")
+    rep = H.coset_rep
+    if any(gamma[x] != gamma[rep[x]] or gamma[x] not in H.cosets for x in range(K.order)):
+        raise PreconditionError("quotient map ill-defined",
+                                "gamma must map each coset to a coset representative")
     check_quotient_involution(K, rep, gamma)
-    members = l_gamma(K, rep, gamma)
+    members = l_gamma(H, gamma)
     if close_under_circ(K, members) != frozenset(members):
         raise AssertionError("L_gamma failed to be circ-closed")
     return members
@@ -213,7 +210,7 @@ def test_equivalence_with_witness():
     T = T_group()
     L12 = close_system(T, (0, t_index("i"), t_index("zeta")))
     translated = sorted(T.cayley[t_index("i")][y] for y in L12.members)
-    copy = ReflectionSystem(T, tuple(translated), minimal_generators(T, translated))
+    copy = ReflectionSystem(T, minimal_generators(T, translated))
     eq, witness = systems_equivalent(L12, copy)
     assert eq and witness is not None
     x, phi = witness
@@ -331,14 +328,14 @@ def test_quotient_involutions_pass_the_shared_check(tag, n):
     # the gamma that enumerate_systems keeps are the involutive ones
     K = build_group(tag, n) if n else build_group(tag)
     for H in normal_subgroups(K):
-        rep = coset_representatives(K, H.members)
-        for gamma in quotient_automorphisms(K, rep):
+        rep = H.coset_rep
+        for gamma in quotient_automorphisms(H):
             if any(gamma[gamma[c]] != c for c in rep):
                 with pytest.raises(PreconditionError, match="not an involution"):
                     check_quotient_involution(K, rep, gamma)
                 continue
             check_quotient_involution(K, rep, gamma)
-            members = frozenset(l_gamma(K, rep, gamma))
+            members = frozenset(l_gamma(H, gamma))
             assert 0 in members and close_under_circ(K, members) == members
 
 
@@ -484,8 +481,7 @@ def test_system_from_automorphism_identity_on_cyclic():
     for n in (5, 6):
         C = build_group("cyclic", n)
         H = Subgroup(C, (0,))
-        gamma = {x: x for x in range(n)}
-        members = system_from_automorphism(C, H, gamma)
+        members = system_from_automorphism(C, H, tuple(range(n)))
         assert set(members) == {x for x in range(n) if C.inv[x] == x}
 
 
@@ -495,7 +491,7 @@ def test_system_from_automorphism_recovers_superset():
     T = T_group()
     L12 = close_system(T, (0, t_index("i"), t_index("zeta")))
     C2 = next(s for s in normal_subgroups(T) if s.order == 2)
-    gamma, rep, _ = induced_quotient_involution(T, L12.members, C2.members)
+    gamma = induced_quotient_involution(T, L12.members, C2)
     members = system_from_automorphism(T, C2, gamma)
     assert set(L12.members) <= set(members)
 
@@ -510,15 +506,12 @@ def test_system_from_automorphism_conjugation_example():
     u = Quaternion(zero, s, -s, zero)
     assert is_unit(u)
     lifted = {q.lift(m): i for i, q in enumerate(T.elements)}
-    gamma = {}
-    for i, q in enumerate(T.elements):
-        image = u * q.lift(m) * u.conjugate()
-        gamma[i] = lifted[image]
+    gamma = tuple(lifted[u * q.lift(m) * u.conjugate()] for q in T.elements)
     H = Subgroup(T, (0,))
     members = system_from_automorphism(T, H, gamma)
     assert len(members) == 12
     L12 = close_system(T, (0, t_index("i"), t_index("zeta")))
-    got = ReflectionSystem(T, tuple(sorted(members)), minimal_generators(T, sorted(members)))
+    got = ReflectionSystem(T, minimal_generators(T, sorted(members)))
     assert systems_equivalent(L12, got)[0]
 
 
@@ -526,7 +519,7 @@ def test_system_from_automorphism_rejects_non_involution():
     C5 = build_group("cyclic", 5)
     H = Subgroup(C5, (0,))
     g = next(x for x in range(5) if C5.element_orders[x] == 5)
-    shift = {x: C5.cayley[x][g] for x in range(5)}  # translation, not an involution
+    shift = tuple(C5.cayley[x][g] for x in range(5))  # translation, not an involution
     with pytest.raises(ValueError):
         system_from_automorphism(C5, H, shift)
 
@@ -551,23 +544,24 @@ def test_close_under_circ_matches_the_pairwise_oracle():
 
 
 def test_system_generators_must_circ_generate_the_members():
-    # orbits are walked from the generators, so a seed that closes to less
-    # than the members, or to other elements, is refused
+    # orbits are walked from the generators, so the members are their
+    # circ-closure, formed once on first use
     T = T_group()
     L24 = next(L for L in enumerate_systems(T) if L.size == 24)
-    with pytest.raises(ValueError, match="circ-generate"):
-        ReflectionSystem(T, L24.members, (0,))
+    assert ReflectionSystem(T, L24.generators) == L24
+    assert ReflectionSystem(T, L24.generators).members == L24.members
+    assert L24.members is L24.members
+    assert ReflectionSystem(T, (0,)).members == (0,)
     L12 = next(L for L in enumerate_systems(T) if L.size == 12)
     outside = next(x for x in range(T.order) if x not in L12.member_set())
-    with pytest.raises(ValueError, match="circ-generate"):
-        ReflectionSystem(T, L12.members, L12.generators + (outside,))
-    assert ReflectionSystem(T, L24.members, L24.generators) == L24
+    wider = ReflectionSystem(T, L12.generators + (outside,))
+    assert wider.member_set() == close_under_circ(T, L12.members + (outside,)) > L12.member_set()
 
 
 def _c5_quotient():
     C5 = build_group("cyclic", 5)
     H = Subgroup(C5, (0,))
-    return C5, H, coset_representatives(C5, H.members)
+    return C5, H, H.coset_rep
 
 
 def _rejections(C5, H, rep, gamma):
@@ -581,16 +575,16 @@ def _rejections(C5, H, rep, gamma):
 @pytest.mark.parametrize("g", range(1, 5))
 def test_translation_of_c5_is_rejected_as_non_involution(g):
     C5, H, rep = _c5_quotient()
-    shift = {x: C5.cayley[x][g] for x in range(5)}
+    shift = tuple(C5.cayley[x][g] for x in range(5))
     assert _rejections(C5, H, rep, shift) == ("quotient map not an involution",) * 2
 
 
 @pytest.mark.parametrize("a,b", itertools.combinations(range(5), 2))
 def test_transposition_of_c5_is_rejected_as_non_multiplicative(a, b):
     C5, H, rep = _c5_quotient()
-    swap = {x: x for x in range(5)}
+    swap = list(range(5))
     swap[a], swap[b] = b, a
-    assert _rejections(C5, H, rep, swap) == ("quotient map not multiplicative",) * 2
+    assert _rejections(C5, H, rep, tuple(swap)) == ("quotient map not multiplicative",) * 2
 
 
 def test_induced_quotient_involution_ends_in_the_shared_check():
@@ -600,7 +594,7 @@ def test_induced_quotient_involution_ends_in_the_shared_check():
     D3 = build_group("dicyclic", 3)
     H = Subgroup(D3, (0, 1))
     with pytest.raises(PreconditionError) as exc:
-        induced_quotient_involution(D3, (0, 2, 3, 4, 5, 6), H.members)
+        induced_quotient_involution(D3, (0, 2, 3, 4, 5, 6), H)
     assert exc.value.name == "quotient map not multiplicative"
 
 
