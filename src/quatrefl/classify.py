@@ -27,14 +27,12 @@ from .numutil import divisor_count, divisors, is_square
 from .refsystems import (
     DicyclicIndex,
     ReflectionSystem,
-    _check_index_pair,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
     omega_set,
 )
 from .refgroups import (
-    ISO_SEARCH_BOUND,
     ReflectionGroup,
     build_reflection_group,
     is_canonical,
@@ -56,7 +54,7 @@ class IndexQuadruple(namedtuple("IndexQuadruple", "n a b r")):
     __slots__ = ()
 
     def __new__(cls, n: int, a: int, b: int, r: int):
-        _check_index_pair(n, a, b)
+        DicyclicIndex(n, a, b)  # checks the pair
         if a * b * r != n and not (a * b * r == 2 * n and a * b % 2 == 1):
             raise ValueError(f"[{n},{a},{b},{r}] is not a valid index")
         return tuple.__new__(cls, (n, a, b, r))
@@ -261,18 +259,10 @@ def _record_from_group(G: ReflectionGroup) -> ClassificationRecord:
 def _dicyclic_label(K: FiniteQuaternionGroup, L: ReflectionSystem,
                     H: Subgroup) -> Optional[IndexQuadruple]:
     """Match (L, H) to [n, a, b, r]; None for the nonabelian-H rows."""
-    n = K.n
     if H.name.startswith("D") or H.name == "Q8":
         return None
-    r = H.order
-    size = L.size
-    for idx in omega_set(n):
-        if idx.size == size:
-            try:
-                return IndexQuadruple(n, idx.a, idx.b, r)
-            except ValueError:
-                return None
-    return None
+    idx = next(idx for idx in omega_set(K.n) if idx.size == L.size)
+    return IndexQuadruple(K.n, idx.a, idx.b, H.order)
 
 
 def group_for_record(rec: ClassificationRecord) -> ReflectionGroup:
@@ -616,8 +606,11 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
 
     kind 'i':  n = ab odd with a != 1, discriminant (a+b+1)^2 - 8ab = c^2;
     kind 'ii': n = 2ab, discriminant (2(a+b)+1)^2 - 16ab = c^2.  The partner
-    lives at 2n with r = 1.  Every returned pair is checked to have equal
-    order and reflection count and a non-isomorphism certificate.
+    lives at 2n with r = 1.  Both have order 16n and 2s reflections, and
+    their orbit-type multisets differ, the pair's certificate: in (i) the
+    first index's orbit sizes 2, 2a, 2b are distinct, while the partner's
+    repeat (the even one of its a, b gives two equal orbits); in (ii) the two
+    have 5 and 3 entries.  Each pair is checked, by an AssertionError.
     """
     if kind not in ("i", "ii"):
         raise ValueError(f"kind must be 'i' or 'ii', got {kind!r}")
@@ -649,21 +642,8 @@ def _validated_pair(n, a, b, a2, b2, c) -> Optional[CorollaryPair]:
         idx2 = IndexQuadruple(2 * n, min(a2, b2), max(a2, b2), 1)
     except ValueError:
         return None
-    if idx1.order != idx2.order or idx1.reflections != idx2.reflections:
-        return None
-    if idx1.orbit_entries() != idx2.orbit_entries():
-        cert = "orbit-type multisets differ"
-    else:
-        cert = _pair_search_certificate(idx1, idx2)
-    return CorollaryPair(idx1, idx2, c, cert)
-
-
-def _pair_search_certificate(idx1: IndexQuadruple, idx2: IndexQuadruple) -> str:
-    if idx1.order > ISO_SEARCH_BOUND:
-        return "invariant-equal, isomorphism search skipped"
-    G1, G2 = build_index_group(idx1), build_index_group(idx2)
-    found = isomorphism_search(G1, G2)
-    if found is not None:
-        raise AssertionError(f"corollary pair {idx1.render()} ~ {idx2.render()} is isomorphic")
-    return "exhausted generator-map search"
-
+    if ((idx1.order, idx1.reflections) != (idx2.order, idx2.reflections)
+            or idx1.orbit_entries() == idx2.orbit_entries()):
+        raise AssertionError(f"corollary pair {idx1.render()} ~ {idx2.render()} "
+                             "differs in order or reflections, or not in orbit types")
+    return CorollaryPair(idx1, idx2, c, "orbit-type multisets differ")

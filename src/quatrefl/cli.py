@@ -227,6 +227,8 @@ def cmd_classify(args) -> int:
     selectors = [s is not None for s in (args.k, args.index, args.order)]
     if sum(selectors) != 1:
         raise UsageError("exactly one of --k / --index / --order is required")
+    if args.n is not None and args.k is None:
+        raise UsageError("--n requires --k")
     if args.index is not None:
         rec = dicyclic_record(IndexQuadruple(*args.index))
         if args.format == "json":

@@ -18,15 +18,19 @@ are read.
 
 Every generator walk that needs words goes through one closure routine,
 ``_generate``: group construction, the automorphism search, and (in
-``refsystems`` and ``refgroups``) isomorphism checks.  Maps given on
-generators are extended to homomorphisms by ``_extend_map`` along the same
-walk.  ``_orbits`` walks the orbits of index permutations a layer at a time,
-without words: conjugacy classes, circ-closures, system orbits and reflection
-orbit types.  Closures that need no table (subgroups, reflection triples,
-greedy generating sequences, the keys of the automorphisms the search has
-found) go through ``_closure``, which admits only the generators that enlarge
-the closure and grows it a coset at a time at each admission (Dimino's
-method).
+``refsystems`` and ``refgroups``) isomorphism checks and the orbits of
+systems under K x| Aut(K) and under conjugation.  Maps given on generators are
+extended to homomorphisms by ``_extend_map`` along the same walk.  ``_orbits``
+walks the orbits of index permutations a layer at a time, without words:
+conjugacy classes, circ-closures, system orbits and reflection orbit types.
+The conjugation maps by a generating sequence are formed once per group
+(``conjugation_maps()``); the conjugacy classes, the commutator subgroup (a
+normal closure) and ``refsystems.subgroup_copy_count`` read them, so nothing
+conjugates by every element of K.  Closures that need no table (subgroups,
+reflection triples, greedy generating sequences, the keys of the
+automorphisms the search has found) go through ``_closure``, which admits
+only the generators that enlarge the closure and grows it a coset at a time
+at each admission (Dimino's method).
 
 A ``Subgroup`` H owns the table of K/H, formed once on first use: ``coset_rep``
 (rep[x], the least index in xH) and ``cosets`` (each coset's ascending members
@@ -81,9 +85,11 @@ class FiniteQuaternionGroup:
         self.index = {q: i for i, q in enumerate(elements)}
         self.element_orders = element_orders
         self.build_gens = build_gens
-        # lazily built caches
+        # lazily built caches, each set here first: cached_property would write
+        # through the instance __dict__, which on CPython 3.11 slows every
+        # later attribute read of the instance (1.7x in a micro-benchmark)
         self._circ: dict[int, Sequence[int]] = {}
-        self._conj_classes: Optional[list[tuple[int, ...]]] = None
+        self._conj_maps: Optional[list[tuple[int, ...]]] = None
         self._normal: Optional[list["Subgroup"]] = None
         self._automorphisms: Optional[list[tuple[int, ...]]] = None
         self._aut_search: Optional[tuple[list, list]] = None
@@ -122,12 +128,16 @@ class FiniteQuaternionGroup:
             row = self._circ[a] = _gather(_gather(cay[self.inv[a]], self.inv), cay[a])
         return row
 
+    def conjugation_maps(self) -> list[tuple[int, ...]]:
+        """x -> g x g^-1 as ``image[x]``, for each g of ``generating_sequence()``, cached."""
+        if self._conj_maps is None:
+            self._conj_maps = [tuple(self.conj(g, x) for x in range(self.order))
+                               for g in self.generating_sequence()]
+        return self._conj_maps
+
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """Orbits under conjugation by ``generating_sequence()``, by least member."""
-        if self._conj_classes is None:
-            maps = [[self.conj(g, x) for x in range(self.order)] for g in self.generating_sequence()]
-            self._conj_classes = _orbits(range(self.order), maps)
-        return self._conj_classes
+        """The orbits of ``conjugation_maps()``, by least member."""
+        return _orbits(range(self.order), self.conjugation_maps())
 
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated by ``seed``."""
@@ -562,12 +572,12 @@ def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:
 
 
 def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
-    commutators = {
-        K.cayley[K.cayley[a][b]][K.cayley[K.inv[a]][K.inv[b]]]
-        for a in range(K.order)
-        for b in range(K.order)
-    }
-    return Subgroup(K, K.subgroup_closure(commutators))
+    """[K, K], the normal closure of the commutators a b a^-1 b^-1 of a
+    generating sequence: the generators commute modulo it, so K over it is
+    abelian.  It is generated by those commutators' conjugacy classes."""
+    cay, inv, gens = K.cayley, K.inv, K.generating_sequence()
+    commutators = {cay[cay[a][b]][cay[inv[a]][inv[b]]] for a in gens for b in gens}
+    return Subgroup(K, K.subgroup_closure(itertools.chain(*_orbits(commutators, K.conjugation_maps()))))
 
 
 def automorphism_group(K: FiniteQuaternionGroup) -> list[tuple[int, ...]]:

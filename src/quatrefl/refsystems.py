@@ -4,6 +4,12 @@ A reflection system for a finite group K is a subset L with 1 in L, closed
 under a o b = a * b^-1 * a, that generates K.  Systems are stored as sorted
 index tuples against the parent group's fixed element ordering; the members
 of a ``ReflectionSystem(parent, generators)`` are its generators' circ-closure.
+
+Systems are equivalent under K x| Aut(K).  One class walk, ``_generate`` from
+L under the generators of Aut(K) and left multiplication by a generating
+sequence of K, gives L's class (``copy_count``, ``enumerate_systems``) and the
+witness of ``systems_equivalent``; ``subgroup_copy_count`` walks L's orbit
+under conjugation.  Neither lists all of K or Aut(K).
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .groups import (
     _generate,
     _orbits,
     _quotient_search,
-    automorphism_group,
     build_group,
     normal_subgroups,
 )
@@ -80,12 +85,6 @@ class ReflectionSystem:
         }
 
 
-def _check_index_pair(n: int, a: int, b: int) -> None:
-    """Raise ValueError unless (a, b) lies in Omega_n."""
-    if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
-        raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
-
-
 class DicyclicIndex(namedtuple("DicyclicIndex", "n a b")):
     """A pair (a, b) in Omega_n: coprime divisors of n with a <= b.
 
@@ -97,7 +96,8 @@ class DicyclicIndex(namedtuple("DicyclicIndex", "n a b")):
     __slots__ = ()
 
     def __new__(cls, n: int, a: int, b: int):
-        _check_index_pair(n, a, b)
+        if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
+            raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
         return tuple.__new__(cls, (n, a, b))
 
     @classmethod
@@ -152,51 +152,49 @@ def orbit_partition(L: ReflectionSystem) -> list[tuple[int, ...]]:
 # -- equivalence ----------------------------------------------------------
 
 
-def _translates(K: FiniteQuaternionGroup, members: frozenset) -> dict[frozenset, int]:
-    """Each distinct member translate xL (it contains 1), mapped to its least x.
+def _class_walk(K: FiniteQuaternionGroup, members: frozenset):
+    """L's walk under K x| Aut(K): ``_generate``'s sets and words, and its maps.
 
-    L holds 1 and is closed under a o b = a b^-1 a, hence under inverses
-    (1 o y = y^-1) and under x o y^-1 = x y x.  So x L x = L, and every right
-    translate L x is the left translate x^-1 L.
+    The maps are the generators of Aut(K), then left multiplication by a
+    generating sequence of K, each as ``image[x]``, so the walk reaches every
+    phi(xL) with x in K; phi(xL) contains 1 exactly when x^-1, hence x, lies
+    in L.
     """
-    cay = K.cayley
-    out: dict[frozenset, int] = {}
-    for x in sorted(members):
-        out.setdefault(frozenset(cay[x][y] for y in members), x)
-    return out
+    maps = _automorphism_search(K)[1] + [K.cayley[x] for x in K.generating_sequence()]
+    sets, _, word = _generate(members, maps, lambda S, f: frozenset(f[t] for t in S))
+    return sets, word, maps
 
 
 def systems_equivalent(L1: ReflectionSystem, L2: ReflectionSystem):
     """Equivalence test with witness: L2 == phi(x*L1) for a member x of L1.
 
-    Returns (True, (x, phi)) or (False, None), phi as ``image[y]``.
+    Returns (True, (x, phi)) or (False, None), phi as ``image[y]``.  The maps
+    along the word by which L1's class walk reaches L2 compose to a map
+    M = y phi(.), as automorphisms and left multiplications compose so:
+    y = M(1), phi = y^-1 M and x = phi^-1(y) give phi(x L1) = M(L1) = L2.
     """
     if L1.parent is not L2.parent:
         raise ValueError("systems must share a parent group")
     if L1.size != L2.size:
         return False, None
-    K = L1.parent
-    target = L2.member_set()
-    autos = automorphism_group(K)
-    for translated, x in _translates(K, L1.member_set()).items():
-        for phi in autos:
-            if all(phi[t] in target for t in translated):
-                return True, (x, phi)
-    return False, None
+    K, target = L1.parent, L2.member_set()
+    sets, word, maps = _class_walk(K, L1.member_set())
+    if target not in sets:
+        return False, None
+    M, step = range(K.order), word[sets.index(target)]
+    while step is not None:  # the last map of the word first
+        M = [M[i] for i in maps[step[1]]]
+        step = word[step[0]]
+    y = M[0]
+    phi = tuple(map(K.cayley[K.inv[y]].__getitem__, M))
+    return True, (phi.index(y), phi)
 
 
 def _equivalent_sets(K: FiniteQuaternionGroup, members: frozenset) -> set[frozenset]:
-    """One walk from L under K x| Aut(K), kept to the sets that contain 1.
-
-    The maps are the generators of Aut(K) and left multiplication by a
-    generating sequence of K, so the walk reaches every phi(xL) with x in K;
-    phi(xL) contains 1 exactly when x^-1, hence x, lies in L.
-    """
+    """L's class under K x| Aut(K): the sets of its class walk that contain 1."""
     if len(members) == K.order:
         return {members}
-    maps = _automorphism_search(K)[1] + [K.cayley[x] for x in K.generating_sequence()]
-    orbit = _generate(members, maps, lambda S, f: frozenset(f[t] for t in S))[0]
-    return {S for S in orbit if 0 in S}
+    return {S for S in _class_walk(K, members)[0] if 0 in S}
 
 
 def copy_count(L: ReflectionSystem) -> int:
@@ -213,19 +211,18 @@ def subgroup_copy_count(L: ReflectionSystem) -> int:
     |K|^2 over the number of pairs with x L y^-1 = L.  Such a pair has
     y = x l for a member l (1 lies in x L y^-1), and then the condition is
     L l^-1 = x^-1 L x; so the pairs number sum_x mult(x L x^-1), where
-    mult(C) counts the members l with L l^-1 = C.
+    mult(C) counts the members l with L l^-1 = C.  x L x^-1 takes each value
+    of L's conjugation orbit, walked from ``conjugation_maps()``, for
+    |K| / |orbit| of the x.
     """
     K = L.parent
-    if L.size == K.order:
-        return 1
-    cay, inv = K.cayley, K.inv
-    members = L.members
+    cay, inv, members = K.cayley, K.inv, L.members
     mult: dict[frozenset, int] = {}
     for l in members:
         C = frozenset(cay[t][inv[l]] for t in members)
         mult[C] = mult.get(C, 0) + 1
-    pairs = sum(mult.get(frozenset(K.conj(x, t) for t in members), 0) for x in range(K.order))
-    return K.order ** 2 // pairs
+    orbit = _generate(L.member_set(), K.conjugation_maps(), lambda S, f: frozenset(f[t] for t in S))[0]
+    return K.order * len(orbit) // sum(mult.get(C, 0) for C in orbit)
 
 
 def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,7 +254,7 @@ def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
     seen: set[frozenset] = set()
     systems, pairs = [], {}
     for H in normal_subgroups(K):
-        # for H = 1, the search whose generators _equivalent_sets uses, cached on K
+        # for H = 1, the search whose generators _class_walk uses, cached on K
         search = _automorphism_search(K) if H.order == 1 else _quotient_search(H)
         for gamma in search[0]:
             members = frozenset(l_gamma(H, gamma))

@@ -614,6 +614,26 @@ def test_explicit_maps_verify():
         assert verify_isomorphism(G1, G2, pairs)
 
 
+def test_a_pair_without_a_known_map_is_settled_by_search(monkeypatch):
+    # with the known patterns withheld, the order-96 pair goes to the search,
+    # and the map the search finds is an isomorphism
+    import quatrefl.classify
+
+    search, found = quatrefl.classify.isomorphism_search, []
+
+    def recording(G1, G2):
+        found.append((G1, G2, search(G1, G2)))
+        return found[-1][2]
+
+    monkeypatch.setattr(quatrefl.classify, "_known_pair", lambda r1, r2: None)
+    monkeypatch.setattr(quatrefl.classify, "isomorphism_search", recording)
+    results = find_isomorphisms(order_scan(96))
+    assert [(r.label1, r.label2, r.map_summary) for r in results] == [
+        ("G_O(L14,1)", "G_T(L12,C2)", "search found map on 3 generators")]
+    [(G1, G2, pairs)] = [f for f in found if f[2] is not None]
+    assert len(pairs) == 3 and verify_isomorphism(G1, G2, pairs)
+
+
 def test_family_indices_invalid_for_even_n():
     for n in (2, 4, 6, 8):
         with pytest.raises(ValueError):

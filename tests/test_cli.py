@@ -273,6 +273,13 @@ def test_classify_non_positive_order_is_a_usage_error(order):
     assert "--order" in result.stderr
 
 
+@pytest.mark.parametrize("argv", [("--order", "48", "--n", "5"), ("--index", "6,1,3,4", "--n", "7")])
+def test_classify_n_without_k_is_a_usage_error(argv):
+    result = run_cli("classify", *argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: --n requires --k\n"
+
+
 @pytest.mark.parametrize("max_n", ["1000001", "1000000000000000000"])
 def test_iso_search_beyond_bound_exits_3_at_once(max_n):
     result = run_cli("iso-search", "--max-n", max_n, "--type", "ii", timeout=10)

@@ -31,7 +31,7 @@ from quatrefl.groups import (
     quotient_automorphisms,
 )
 from quatrefl.numutil import prime_factorization, prime_root_of_unity
-from quatrefl.refsystems import dicyclic_element
+from quatrefl.refsystems import dicyclic_element, enumerate_systems
 
 
 def euler_phi(n: int) -> int:
@@ -541,6 +541,24 @@ def test_conjugacy_classes_match_the_all_elements_oracle(tag, n):
     assert K.conjugacy_classes() == _conjugacy_classes_oracle(K)
 
 
+def _commutator_subgroup_oracle(K):
+    """The closure of all |K|^2 commutators a b a^-1 b^-1."""
+    cay, inv = K.cayley, K.inv
+    return K.subgroup_closure({cay[cay[a][b]][cay[inv[a]][inv[b]]]
+                               for a in range(K.order) for b in range(K.order)})
+
+
+@pytest.mark.parametrize("tag,n", CONJUGACY_GROUPS)
+def test_commutator_subgroup_matches_the_all_pairs_oracle(tag, n):
+    # the normal closure of the generators' commutators against the closure
+    # of every commutator, which it replaces; the conjugation maps are formed once
+    K = build_group(tag, n) if n else build_group(tag)
+    assert commutator_subgroup(K).members == _commutator_subgroup_oracle(K)
+    assert K.conjugation_maps() is K.conjugation_maps()
+    assert K.conjugation_maps() == [tuple(K.conj(g, x) for x in range(K.order))
+                                    for g in K.generating_sequence()]
+
+
 def _orbits_oracle(points, maps):
     """Each orbit as the fixpoint of adding every map's images, from each point."""
     orbits = set()
@@ -804,18 +822,23 @@ def test_quotient_search_walks_only_screened_unknown_keys(monkeypatch):
 
 @pytest.mark.parametrize("n", [24, 30])
 def test_classification_never_lists_the_automorphism_group(monkeypatch, n):
-    import quatrefl.refsystems
     from quatrefl.classify import classify_K
+    from quatrefl.refsystems import copy_count, subgroup_copy_count, systems_equivalent
 
-    expected = [rec.to_json() for rec in classify_K(build_group("dicyclic", n))]
+    def answers(K):
+        systems = enumerate_systems(K)
+        return ([rec.to_json() for rec in classify_K(K)],
+                [(copy_count(L), subgroup_copy_count(L)) for L in systems],
+                [systems_equivalent(L1, L2)[0] for L1 in systems for L2 in systems])
+
+    expected = answers(build_group("dicyclic", n))
 
     def refuse(*args, **kwargs):
         raise AssertionError("automorphism_group called")
 
     monkeypatch.setattr(quatrefl.groups, "automorphism_group", refuse)
-    monkeypatch.setattr(quatrefl.refsystems, "automorphism_group", refuse)
     K = build_group.__wrapped__("dicyclic", n)  # uncached, so nothing is reused
-    assert [rec.to_json() for rec in classify_K(K)] == expected
+    assert answers(K) == expected
     assert K._automorphisms is None
 
 

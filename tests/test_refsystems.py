@@ -306,6 +306,18 @@ def test_copy_counts_match_orbit_walks(tag, n):
         assert subgroup_copy_count(L) == len(two_sided)
 
 
+def _subgroup_copy_count_oracle(L):
+    """|K|^2 over sum_x mult(x L x^-1), conjugating L by every x in K."""
+    K = L.parent
+    cay, inv, members = K.cayley, K.inv, L.members
+    mult = {}
+    for l in members:
+        C = frozenset(cay[t][inv[l]] for t in members)
+        mult[C] = mult.get(C, 0) + 1
+    pairs = sum(mult.get(frozenset(K.conj(x, t) for t in members), 0) for x in range(K.order))
+    return K.order ** 2 // pairs
+
+
 ORBIT_GROUPS = ([("T", None), ("O", None), ("I", None)]
                 + [("dicyclic", n) for n in range(2, 31)] + [("cyclic", n) for n in range(1, 25)])
 
@@ -313,13 +325,36 @@ ORBIT_GROUPS = ([("T", None), ("O", None), ("I", None)]
 @pytest.mark.parametrize("tag,n", ORBIT_GROUPS)
 def test_orbits_and_copy_counts_match_the_aut_pass_oracle(tag, n):
     # the class walked from generators of K x| Aut(K) against one pass over
-    # all of Aut(K) per member translate, and copy_count against its size
+    # all of Aut(K) per member translate, and copy_count against its size;
+    # subgroup_copy_count's walk of L's conjugation orbit against the pass
+    # over every x in K that it replaces
     K = build_group(tag, n) if n else build_group(tag)
     for L in enumerate_systems(K):
         oracle = _equivalent_sets_oracle(K, L.member_set())
         assert equivalence_class_subsets(L) == oracle
         assert copy_count(L) == len(oracle)
         assert L.members == min(tuple(sorted(S)) for S in oracle)
+        assert subgroup_copy_count(L) == _subgroup_copy_count_oracle(L)
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
+                         + [("dicyclic", n) for n in range(2, 13)]
+                         + [("cyclic", n) for n in range(1, 9)])
+def test_equivalence_witness_for_every_class_member(tag, n):
+    # the witness read off the class walk's word: x in L1, phi an
+    # automorphism and phi(x L1) = L2, for every L2 in L1's class
+    K = build_group(tag, n) if n else build_group(tag)
+    autos = set(automorphism_group(K))
+    systems = enumerate_systems(K)
+    for L1 in systems:
+        for S in _equivalent_sets(K, L1.member_set()):
+            L2 = ReflectionSystem(K, minimal_generators(K, sorted(S)))
+            equivalent, (x, phi) = systems_equivalent(L1, L2)
+            assert equivalent and x in L1.member_set() and phi in autos
+            assert {phi[K.cayley[x][t]] for t in L1.members} == S
+        for other in systems:
+            if other is not L1:
+                assert systems_equivalent(L1, other) == (False, None)
 
 
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
