@@ -21,13 +21,13 @@ _EXPORTS = {
     "element_order_census": "groups",
     "normal_subgroups": "groups",
     "quotient_automorphisms": "groups",
-    "DicyclicIndex": "refsystems",
+    "DicyclicIndex": "indices",
     "ReflectionSystem": "refsystems",
     "close_system": "refsystems",
     "copy_count": "refsystems",
     "dicyclic_system": "refsystems",
     "enumerate_systems": "refsystems",
-    "omega_set": "refsystems",
+    "omega_set": "indices",
     "subgroup_copy_count": "refsystems",
     "system_orbit": "refsystems",
     "systems_equivalent": "refsystems",
@@ -43,14 +43,14 @@ _EXPORTS = {
     "realize_matrices": "refgroups",
     "reflection_orbit_types": "refgroups",
     "verify_isomorphism": "refgroups",
-    "ClassificationRecord": "classify",
-    "IndexQuadruple": "classify",
+    "ClassificationRecord": "indices",
+    "IndexQuadruple": "indices",
     "classify_K": "classify",
-    "cohen_index": "classify",
-    "corollary_pair_search": "classify",
+    "cohen_index": "indices",
+    "corollary_pair_search": "indices",
     "find_isomorphisms": "classify",
-    "lambda_set": "classify",
-    "missing_from_cohen": "classify",
+    "lambda_set": "indices",
+    "missing_from_cohen": "indices",
     "order_scan": "classify",
 }
 

@@ -15,8 +15,9 @@ import os
 import sys
 
 # Each command imports the layers it runs when it runs, so that a cold process
-# compiles and loads only those: `group` needs exactarith, groups and numutil,
-# and only `verify` loads golden and with it every layer.
+# compiles and loads only those: `classify --index` and `iso-search` need only
+# numutil and indices, `group` exactarith, groups and numutil, and only
+# `verify` loads golden and with it every layer.
 
 SCHEMA_VERSION = 1
 
@@ -141,7 +142,7 @@ class SizeBoundError(ValueError):
 
 def _max_order() -> int:
     """``default_max_order()``; a bad QUATREFL_MAX_ORDER is a usage error."""
-    from .groups import default_max_order
+    from .numutil import default_max_order
 
     try:
         return default_max_order()
@@ -220,22 +221,22 @@ def _parse_index(text: str) -> list[int]:
 
 
 def cmd_classify(args) -> int:
-    from dataclasses import replace
-
-    from .classify import IndexQuadruple, classify_K, dicyclic_record, find_isomorphisms, order_scan
-
     selectors = [s is not None for s in (args.k, args.index, args.order)]
     if sum(selectors) != 1:
         raise UsageError("exactly one of --k / --index / --order is required")
     if args.n is not None and args.k is None:
         raise UsageError("--n requires --k")
     if args.index is not None:
+        from .indices import IndexQuadruple, dicyclic_record
+
         rec = dicyclic_record(IndexQuadruple(*args.index))
         if args.format == "json":
             _emit_json({"record": rec.to_json()})
         else:
             _print_records([rec])
         return 0
+    from .classify import classify_K, find_isomorphisms, order_scan
+
     if args.order is not None:
         if args.order < 1:
             raise UsageError("--order must be at least 1")
@@ -245,7 +246,7 @@ def cmd_classify(args) -> int:
         for iso in isos:
             partner[iso.label1] = iso.label2
             partner[iso.label2] = iso.label1
-        records = [replace(rec, iso_partner=partner.get(rec.label_str()))
+        records = [rec._replace(iso_partner=partner.get(rec.label_str()))
                    for rec in records]
         if args.format == "json":
             _emit_json({"records": [rec.to_json() for rec in records],
@@ -280,7 +281,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_iso_search(args) -> int:
-    from .classify import corollary_pair_search
+    from .indices import corollary_pair_search
 
     if args.max_n < 2:
         raise UsageError("--max-n must be at least 2")

@@ -16,16 +16,14 @@ from typing import Sequence
 
 from .exactarith import FieldScalar, Quaternion
 from .classify import (
-    IndexQuadruple,
     classify_K,
-    lambda_set,
-    missing_from_cohen,
     order_scan,
     polyhedral_records,
     the_dicyclic_family_isomorphism,
     the_polyhedral_isomorphism,
 )
 from .groups import build_group
+from .indices import IndexQuadruple, lambda_set, missing_from_cohen
 from .refgroups import verify_isomorphism
 
 

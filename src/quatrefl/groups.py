@@ -49,10 +49,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exactarith import FieldScalar, Quaternion, embedded_circle_element
@@ -94,7 +92,7 @@ class FiniteQuaternionGroup:
         self._automorphisms: Optional[list[tuple[int, ...]]] = None
         self._aut_search: Optional[tuple[list, list]] = None
         self._gens: Optional[list[int]] = None
-        self._systems = self._system_pairs = self._records = None
+        self._systems = self._system_pairs = self._class_sizes = self._records = None
 
     @property
     def order(self) -> int:
@@ -164,39 +162,62 @@ class FiniteQuaternionGroup:
         }
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """A subgroup H given by its sorted member indices in the parent group K;
-    H owns the table of K/H (``cosets``, ``coset_rep``), formed on first use."""
+    H owns the table of K/H (``cosets``, ``coset_rep``), formed on first use.
 
-    parent: FiniteQuaternionGroup
-    members: tuple[int, ...]
+    Immutable: ``parent`` and ``members`` are set once, and equality and hash
+    are those of their tuple.  The coset table is kept in slots set to None
+    here, as ``FiniteQuaternionGroup`` keeps its caches.
+    """
 
-    def __post_init__(self):
-        if 0 not in self.members:
+    __slots__ = ("parent", "members", "_coset_rep", "_cosets")
+
+    def __init__(self, parent: FiniteQuaternionGroup, members: tuple[int, ...]):
+        if 0 not in members:
             raise ValueError("subgroup must contain the identity")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_coset_rep", None)
+        object.__setattr__(self, "_cosets", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.members) == (other.parent, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.members))
 
     @property
     def order(self) -> int:
         return len(self.members)
 
-    @cached_property
+    @property
     def coset_rep(self) -> tuple[int, ...]:
         """rep[x], the least index in xH."""
-        cay, rep = self.parent.cayley, [-1] * self.parent.order
-        for x in range(len(rep)):
-            if rep[x] < 0:  # so x is the least member of xH
-                for h in self.members:
-                    rep[cay[x][h]] = x
-        return tuple(rep)
+        if self._coset_rep is None:
+            cay, rep = self.parent.cayley, [-1] * self.parent.order
+            for x in range(len(rep)):
+                if rep[x] < 0:  # so x is the least member of xH
+                    for h in self.members:
+                        rep[cay[x][h]] = x
+            object.__setattr__(self, "_coset_rep", tuple(rep))
+        return self._coset_rep
 
-    @cached_property
+    @property
     def cosets(self) -> dict[int, tuple[int, ...]]:
         """Each coset xH's ascending members, keyed by its least member, keys ascending."""
-        cay = self.parent.cayley
-        # a rep first occurs at its own index, so the keys ascend
-        return {c: tuple(sorted(cay[c][h] for h in self.members))
-                for c in dict.fromkeys(self.coset_rep)}
+        if self._cosets is None:
+            cay = self.parent.cayley
+            # a rep first occurs at its own index, so the keys ascend
+            cosets = {c: tuple(sorted(cay[c][h] for h in self.members))
+                      for c in dict.fromkeys(self.coset_rep)}
+            object.__setattr__(self, "_cosets", cosets)
+        return self._cosets
 
     @property
     def name(self) -> str:
@@ -329,14 +350,6 @@ def _extend_map(right: list[list[int]], targets: Sequence, mul: Callable, one) -
 
 
 # -- constructors -------------------------------------------------------
-
-
-def default_max_order() -> int:
-    """The explicit-construction budget, from QUATREFL_MAX_ORDER (default 10^6)."""
-    text = os.environ.get("QUATREFL_MAX_ORDER", "1000000")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError(f"QUATREFL_MAX_ORDER must be a positive integer, got {text!r}")
-    return int(text)
 
 
 @lru_cache(maxsize=128)

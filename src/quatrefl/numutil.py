@@ -1,8 +1,17 @@
-"""Small integer helpers used throughout the package."""
+"""Small integer helpers used throughout the package, and the construction budget."""
 
 from __future__ import annotations
 
 import math
+import os
+
+
+def default_max_order() -> int:
+    """The explicit-construction budget, from QUATREFL_MAX_ORDER (default 10^6)."""
+    text = os.environ.get("QUATREFL_MAX_ORDER", "1000000")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"QUATREFL_MAX_ORDER must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def divisors(n: int) -> list[int]:

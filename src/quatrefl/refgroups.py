@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .exactarith import Quaternion
@@ -37,10 +38,10 @@ from .groups import (
     _generate,
     _orbits,
     commutator_subgroup,
-    default_max_order,
     is_normal,
     normal_subgroups,
 )
+from .numutil import default_max_order
 from .refsystems import PreconditionError, ReflectionSystem, l_gamma
 
 Triple = tuple[int, int, int]
@@ -82,18 +83,25 @@ class ReflectionGroup:
         self.H = H
         self.gamma = gamma
         self.label = label
+        # built on first use, each set here first, as FiniteQuaternionGroup's caches
+        self._elements: Optional[frozenset] = None
+        self._L_G: Optional[tuple[int, ...]] = None
 
-    @cached_property
+    @property
     def elements(self) -> frozenset:
         """Every (b, y, s) with y in gamma(bH), built on first use."""
-        gamma, cosets = self.gamma, self.H.cosets
-        return frozenset((b, y, s) for b in range(self.K.order)
-                         for y in cosets[gamma[b]] for s in (0, 1))
+        if self._elements is None:
+            gamma, cosets = self.gamma, self.H.cosets
+            self._elements = frozenset((b, y, s) for b in range(self.K.order)
+                                       for y in cosets[gamma[b]] for s in (0, 1))
+        return self._elements
 
-    @cached_property
+    @property
     def L_G(self) -> tuple[int, ...]:
         """L_G = {b : the antidiagonal reflection over b lies in G}, i.e. L_gamma."""
-        return l_gamma(self.H, self.gamma)
+        if self._L_G is None:
+            self._L_G = l_gamma(self.H, self.gamma)
+        return self._L_G
 
     @property
     def order(self) -> int:
@@ -233,12 +241,10 @@ def closure_of_triples(K: FiniteQuaternionGroup, gens: Sequence[Triple]) -> froz
     return frozenset(_closure(IDENTITY, gens, partial(model_mul, K), default_max_order())[0])
 
 
-@dataclass
-class GeneratedClosure:
+class GeneratedClosure(namedtuple("GeneratedClosure", "parent elements")):
     """Result of closing explicit reflection seeds in the element model."""
 
-    parent: FiniteQuaternionGroup
-    elements: frozenset
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -268,11 +274,10 @@ def generate_from_reflections(K: FiniteQuaternionGroup, diag_seed: Iterable[int]
 # -- reflection orbits ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReflectionOrbitType:
+class ReflectionOrbitType(namedtuple("ReflectionOrbitType", "entries")):
     """Conjugation orbits of root subgroups: (orbit size, subgroup type) pairs."""
 
-    entries: tuple[tuple[int, str], ...]
+    __slots__ = ()
 
     def render(self) -> str:
         return ",".join(f"{size}{name}" for size, name in self.entries)

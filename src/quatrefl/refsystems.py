@@ -6,18 +6,16 @@ index tuples against the parent group's fixed element ordering; the members
 of a ``ReflectionSystem(parent, generators)`` are its generators' circ-closure.
 
 Systems are equivalent under K x| Aut(K).  One class walk, ``_generate`` from
-L under the generators of Aut(K) and left multiplication by a generating
-sequence of K, gives L's class (``copy_count``, ``enumerate_systems``) and the
-witness of ``systems_equivalent``; ``subgroup_copy_count`` walks L's orbit
-under conjugation.  Neither lists all of K or Aut(K).
+L under ``equivalence_maps(K)`` (the generators of Aut(K), then left
+multiplication by a generating sequence of K), gives L's class, whose size
+``enumerate_systems`` keeps on K for ``copy_count``, and the witness of
+``systems_equivalent``; ``subgroup_copy_count`` walks L's orbit under
+conjugation.  Neither lists all of K or Aut(K).  The pairs of Omega_n and
+``omega_set`` live in ``indices`` and are imported here.
 """
 
 from __future__ import annotations
 
-import math
-from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -31,7 +29,7 @@ from .groups import (
     build_group,
     normal_subgroups,
 )
-from .numutil import divisors, prime_factorization
+from .indices import DicyclicIndex, omega_count_formula, omega_set  # read through refsystems too
 
 
 class PreconditionError(ValueError):
@@ -53,17 +51,39 @@ class NonGeneratingSeedError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class ReflectionSystem:
-    """A reflection system, given by a seed that circ-generates it (orbits walk the seed)."""
+    """A reflection system, given by a seed that circ-generates it (orbits walk the seed).
 
-    parent: FiniteQuaternionGroup
-    generators: tuple[int, ...]
+    Immutable: ``parent`` and ``generators`` are set once, and equality and
+    hash are those of their tuple.  ``members`` is formed on first use and
+    kept in a slot, or handed over by ``enumerate_systems``, which has it.
+    """
 
-    @cached_property
+    __slots__ = ("parent", "generators", "_members")
+
+    def __init__(self, parent: FiniteQuaternionGroup, generators: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_members", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.generators) == (other.parent, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.generators))
+
+    @property
     def members(self) -> tuple[int, ...]:
         """The circ-closure of the generators, ascending."""
-        return tuple(sorted(close_under_circ(self.parent, self.generators)))
+        if self._members is None:
+            object.__setattr__(self, "_members",
+                               tuple(sorted(close_under_circ(self.parent, self.generators))))
+        return self._members
 
     @property
     def size(self) -> int:
@@ -83,30 +103,6 @@ class ReflectionSystem:
             "generators": list(self.generators),
             "orbit_partition": [list(o) for o in orbit_partition(self)],
         }
-
-
-class DicyclicIndex(namedtuple("DicyclicIndex", "n a b")):
-    """A pair (a, b) in Omega_n: coprime divisors of n with a <= b.
-
-    An immutable tuple (n, a, b), checked when built by calling the class,
-    by ``_make`` or by ``_replace``; ``omega_set`` builds its entries, valid
-    by construction, unchecked.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, a: int, b: int):
-        if not (1 <= a <= b <= n and n % a == 0 and n % b == 0 and math.gcd(a, b) == 1):
-            raise ValueError(f"({a},{b}) is not a valid index pair for n={n}")
-        return tuple.__new__(cls, (n, a, b))
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's _replace goes through _make
-        return cls(*iterable)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n // self.a + 2 * self.n // self.b
 
 
 # -- closure -------------------------------------------------------------
@@ -152,15 +148,21 @@ def orbit_partition(L: ReflectionSystem) -> list[tuple[int, ...]]:
 # -- equivalence ----------------------------------------------------------
 
 
+def equivalence_maps(K: FiniteQuaternionGroup) -> tuple[list, list]:
+    """The generators of K x| Aut(K) acting on K, each as ``image[x]``: those
+    of Aut(K), and left multiplication by a generating sequence of K."""
+    return _automorphism_search(K)[1], [K.cayley[x] for x in K.generating_sequence()]
+
+
 def _class_walk(K: FiniteQuaternionGroup, members: frozenset):
     """L's walk under K x| Aut(K): ``_generate``'s sets and words, and its maps.
 
-    The maps are the generators of Aut(K), then left multiplication by a
-    generating sequence of K, each as ``image[x]``, so the walk reaches every
-    phi(xL) with x in K; phi(xL) contains 1 exactly when x^-1, hence x, lies
-    in L.
+    The maps are ``equivalence_maps(K)``, the automorphisms first, so the
+    walk reaches every phi(xL) with x in K; phi(xL) contains 1 exactly when
+    x^-1, hence x, lies in L.
     """
-    maps = _automorphism_search(K)[1] + [K.cayley[x] for x in K.generating_sequence()]
+    automorphisms, translations = equivalence_maps(K)
+    maps = automorphisms + translations
     sets, _, word = _generate(members, maps, lambda S, f: frozenset(f[t] for t in S))
     return sets, word, maps
 
@@ -198,8 +200,10 @@ def _equivalent_sets(K: FiniteQuaternionGroup, members: frozenset) -> set[frozen
 
 
 def copy_count(L: ReflectionSystem) -> int:
-    """Number of reflection systems equivalent to L: the size of its class."""
-    return len(_equivalent_sets(L.parent, L.member_set()))
+    """Number of reflection systems equivalent to L: the size of its class,
+    as ``enumerate_systems`` walked it."""
+    enumerate_systems(L.parent)
+    return L.parent._class_sizes[L.members]
 
 
 def subgroup_copy_count(L: ReflectionSystem) -> int:
@@ -244,54 +248,41 @@ def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
     generate K are canonicalised once per equivalence class.  The (H, gamma)
     with L_gamma a canonical system are kept on K as ``K._system_pairs``,
     keyed by its member set, in ``normal_subgroups`` order; gamma is the
-    search's ``image[x]``.
+    search's ``image[x]``.  Every system's ascending members map to the size
+    of its class in ``K._class_sizes``, which ``copy_count`` reads.
     """
     if K.order > AUTOMORPHISM_BOUND:
         raise ValueError(f"enumeration bound {AUTOMORPHISM_BOUND} exceeded by |K| = {K.order}")
     if K._systems is not None:
         return K._systems
 
-    seen: set[frozenset] = set()
+    sizes: dict[tuple[int, ...], int] = {}
     systems, pairs = [], {}
     for H in normal_subgroups(K):
         # for H = 1, the search whose generators _class_walk uses, cached on K
         search = _automorphism_search(K) if H.order == 1 else _quotient_search(H)
         for gamma in search[0]:
-            members = frozenset(l_gamma(H, gamma))
-            if members not in seen:
+            members = l_gamma(H, gamma)
+            if members not in sizes:
                 if len(K.subgroup_closure(members)) != K.order:
                     continue
-                equivalent = _equivalent_sets(K, members)
-                seen |= equivalent
-                canon = min(tuple(sorted(s)) for s in equivalent)
-                systems.append(ReflectionSystem(K, minimal_generators(K, canon)))
-                pairs[frozenset(canon)] = []
+                equivalent = [tuple(sorted(S)) for S in _equivalent_sets(K, frozenset(members))]
+                sizes.update(dict.fromkeys(equivalent, len(equivalent)))
+                canon = min(equivalent)
+                L = ReflectionSystem(K, minimal_generators(K, canon))
+                # canon is the closure minimal_generators reached last
+                object.__setattr__(L, "_members", canon)
+                systems.append(L)
+                pairs[canon] = []
             if members in pairs:
                 pairs[members].append((H, gamma))
     systems.sort(key=lambda L: (L.size, L.members))
-    K._systems, K._system_pairs = systems, pairs
+    K._systems, K._class_sizes = systems, sizes
+    K._system_pairs = {frozenset(canon): kept for canon, kept in pairs.items()}
     return systems
 
 
 # -- dicyclic systems ------------------------------------------------------
-
-
-def omega_set(n: int) -> list[DicyclicIndex]:
-    """All (a, b) with a <= b, a | n, b | n, gcd(a, b) = 1."""
-    if n < 2:
-        raise ValueError(f"omega_set needs n >= 2, got {n}")
-    divs = divisors(n)  # ascending, so the pairs come out sorted by (a, b)
-    new = tuple.__new__  # every entry is valid by construction: no check
-    return [new(DicyclicIndex, (n, a, b))
-            for i, a in enumerate(divs) for b in divs[i:] if math.gcd(a, b) == 1]
-
-
-def omega_count_formula(n: int) -> int:
-    """|Omega_n| = ((prod of (2*alpha_j + 1)) + 1) / 2 over the factorization."""
-    prod = 1
-    for alpha in prime_factorization(n).values():
-        prod *= 2 * alpha + 1
-    return (prod + 1) // 2
 
 
 def dicyclic_system(idx: DicyclicIndex) -> ReflectionSystem:

@@ -1,6 +1,5 @@
 """Classification pipeline: index sets, records, scans, isomorphisms."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -151,6 +150,38 @@ def test_index_types_check_make_and_replace(make, fields, change):
         idx._replace(**change)
     with pytest.raises(ValueError):
         make._make((idx._asdict() | change).values())
+
+
+def test_value_types_hash_their_fields_and_refuse_assignment():
+    # Subgroup and ReflectionSystem are slotted classes, the other four tuples;
+    # each hashes as its field tuple did as a frozen dataclass, so no set or
+    # dict order moves
+    from quatrefl.groups import normal_subgroups
+    from quatrefl.refgroups import generate_from_reflections, reflection_orbit_types
+
+    K = build_group("dicyclic", 3)
+    L = enumerate_systems(K)[1]
+    H = normal_subgroups(K)[1]
+    rec = classify_K(K)[0]
+    values = [(H, (K, H.members), "members"), (L, (K, L.generators), "generators")]
+    for value, name in [(rec, "order"), (reflection_orbit_types(group_for_record(rec)), "entries"),
+                        (corollary_pair_search(100, "ii")[0], "c"),
+                        (generate_from_reflections(K, [], L.generators), "elements")]:
+        values.append((value, tuple(getattr(value, f) for f in value._fields), name))
+    for value, fields, name in values:
+        assert hash(value) == hash(fields)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 0
+    # a twin from the same fields is equal; the caches are not fields
+    twin = type(L)(K, L.generators)
+    assert twin == L and hash(twin) == hash(L) and twin.members == L.members
+    assert type(H)(K, H.members) == H != L
+    moved = rec._replace(iso_partner="x")
+    assert type(moved) is type(rec) and moved.iso_partner == "x" and rec.iso_partner is None
+    assert moved._replace(iso_partner=None) == rec
 
 
 def test_lambda_set_entries_are_no_larger_than_checked_ones():
@@ -477,7 +508,7 @@ def test_group_for_record_builds_every_family():
         G = group_for_record(rec)
         assert (G.order, G.reflection_count()) == (rec.order, rec.reflections), rec.label_str()
     # a record that classify_K never produced is built the same way
-    cyclic = dataclasses.replace(recs["cyclic"], iso_partner="x")
+    cyclic = recs["cyclic"]._replace(iso_partner="x")
     G = group_for_record(cyclic)
     assert (G.order, G.reflection_count()) == (cyclic.order, cyclic.reflections)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quatrefl import classify, cli, golden, groups
+from quatrefl import cli, golden, groups, indices
 from quatrefl.cli import SizeBoundError, _build_from_args, main
 from quatrefl.exactarith import FieldScalar
 from quatrefl.groups import build_group
@@ -296,7 +296,7 @@ def test_iso_search_at_the_bound_reaches_the_search(monkeypatch):
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(classify, "corollary_pair_search", reached)
+    monkeypatch.setattr(indices, "corollary_pair_search", reached)
     with pytest.raises(Reached):
         main(["iso-search", "--max-n", "1000000", "--type", "i"])
 

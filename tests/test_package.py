@@ -177,11 +177,12 @@ def test_exports_resolve_to_their_modules_objects():
         assert getattr(quatrefl, name) is getattr(importlib.import_module(f"quatrefl.{module}"), name)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(quatrefl, "no_such_name")
-    assert not hasattr(quatrefl, "default_max_order")  # public in groups, not exported
+    assert not hasattr(quatrefl, "default_max_order")  # public in numutil, not exported
 
 
 # The quatrefl modules a fresh process has loaded after `import quatrefl.cli`
-# and then after running each command (its stdout discarded)
+# and then after running each command (its stdout discarded), and whether
+# the command loaded dataclasses
 _LOADED = """
 import contextlib, io, json, sys
 import quatrefl.cli
@@ -189,11 +190,12 @@ loaded = lambda: sorted(m for m in sys.modules if m.startswith("quatrefl"))
 after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = quatrefl.cli.main(sys.argv[1:])
-print(json.dumps([after_import, loaded(), code]))
+print(json.dumps([after_import, loaded(), code, "dataclasses" in sys.modules]))
 """
 
+INDICES = ["quatrefl", "quatrefl.cli", "quatrefl.indices", "quatrefl.numutil"]
 GROUP = ["quatrefl", "quatrefl.cli", "quatrefl.exactarith", "quatrefl.groups", "quatrefl.numutil"]
-SYSTEMS = sorted(GROUP + ["quatrefl.refsystems"])
+SYSTEMS = sorted(GROUP + ["quatrefl.indices", "quatrefl.refsystems"])
 CLASSIFY = sorted(SYSTEMS + ["quatrefl.classify", "quatrefl.refgroups"])
 VERIFY = sorted(CLASSIFY + ["quatrefl.data", "quatrefl.golden"])  # data: the fixtures
 
@@ -204,8 +206,8 @@ VERIFY = sorted(CLASSIFY + ["quatrefl.data", "quatrefl.golden"])  # data: the fi
                  id="group-cayley"),
     pytest.param(["systems", "--k", "T"], SYSTEMS, id="systems"),
     pytest.param(["classify", "--k", "T"], CLASSIFY, id="classify"),
-    pytest.param(["classify", "--index", "6,1,3,4"], CLASSIFY, id="classify-index"),
-    pytest.param(["iso-search", "--max-n", "100", "--type", "ii"], CLASSIFY, id="iso-search"),
+    pytest.param(["classify", "--index", "6,1,3,4"], INDICES, id="classify-index"),
+    pytest.param(["iso-search", "--max-n", "100", "--type", "ii"], INDICES, id="iso-search"),
     pytest.param(["verify", "--suite", "missing"], VERIFY, id="verify"),
 ])
 def test_each_command_loads_only_its_layers(argv, modules):
@@ -214,7 +216,9 @@ def test_each_command_loads_only_its_layers(argv, modules):
     result = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.stderr == ""
-    after_import, after_command, code = json.loads(result.stdout)
+    after_import, after_command, code, dataclasses = json.loads(result.stdout)
     assert after_import == ["quatrefl", "quatrefl.cli"]
     assert after_command == modules
+    # only the layers above the systems layer define dataclasses
+    assert dataclasses == ("quatrefl.classify" in modules)
     assert code == (1 if argv[0] == "verify" else 0)  # the missing suite's known divergence
