@@ -4,8 +4,8 @@ Dicyclic reflection groups carry index quadruples [n, a, b, r] of order 8nr;
 polyhedral ones carry (K, |L|, H) labels.  Records are deduplicated up to
 simultaneous translation/automorphism of (L, H), which is what "the same
 canonical label" means for subgroups of the all-of-K group.  The index sets,
-the formula records and the pair search live in ``indices``; their names are
-imported here, so ``classify.lambda_set`` and the rest still resolve.
+the formula records and the pair search live in ``indices``; this module
+imports the ones it runs, and ``corollary_pair_search``.
 """
 
 from __future__ import annotations
@@ -22,19 +22,16 @@ from .groups import (
     build_group,
     normal_subgroups,
 )
-from .indices import (  # some only so that classify.<name> still resolves
+# perfbench/session.py reads classify.corollary_pair_search and
+# classify.lambda_set, so both resolve here; this module runs only lambda_set
+from .indices import (
     ClassificationRecord,
-    CorollaryPair,
     DicyclicIndex,
     IndexQuadruple,
-    cohen_covered_indices,
-    cohen_index,
     corollary_pair_search,
     dicyclic_record,
     dicyclic_special_record,
-    lambda_count_formula,
     lambda_set,
-    missing_from_cohen,
     omega_set,
 )
 from .numutil import default_max_order, divisors, is_square

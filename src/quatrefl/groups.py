@@ -32,7 +32,7 @@ automorphisms the search has found) go through ``_closure``, which admits
 only the generators that enlarge the closure and grows it a coset at a time
 at each admission (Dimino's method).
 
-A ``Subgroup`` H owns the table of K/H, formed once on first use: ``coset_rep``
+A ``Subgroup`` H owns the table of K/H, formed when H is built: ``coset_rep``
 (rep[x], the least index in xH) and ``cosets`` (each coset's ascending members
 by rep).  The automorphisms of K/H come from one search, ``_quotient_search(H)``,
 which returns the involutions of K/H and a generating set of Aut(K/H), each as
@@ -163,23 +163,35 @@ class FiniteQuaternionGroup:
 
 
 class Subgroup:
-    """A subgroup H given by its sorted member indices in the parent group K;
-    H owns the table of K/H (``cosets``, ``coset_rep``), formed on first use.
+    """A subgroup H given by its ascending member indices in the parent group K;
+    H owns the table of K/H, formed here: ``coset_rep`` (rep[x], the least
+    index in xH) and ``cosets`` (each coset xH's ascending members, keyed by
+    its least member, keys ascending).
 
-    Immutable: ``parent`` and ``members`` are set once, and equality and hash
-    are those of their tuple.  The coset table is kept in slots set to None
-    here, as ``FiniteQuaternionGroup`` keeps its caches.
+    Immutable: every slot is set once, here, and equality and hash are those
+    of (parent, members).  Raises ValueError unless ``members`` is an
+    ascending tuple closed under the product.
     """
 
-    __slots__ = ("parent", "members", "_coset_rep", "_cosets")
+    __slots__ = ("parent", "members", "coset_rep", "cosets")
 
     def __init__(self, parent: FiniteQuaternionGroup, members: tuple[int, ...]):
-        if 0 not in members:
-            raise ValueError("subgroup must contain the identity")
+        cay = parent.cayley
+        if members != tuple(sorted(_closure(0, members, lambda x, g: cay[x][g])[0])):
+            raise ValueError(f"{members!r} is not an ascending subgroup of {parent.name}")
+        # x ascending: a rep is set at its own index first, and each coset
+        # gathers its members in order
+        rep, cosets = [-1] * parent.order, {}
+        for x in range(len(rep)):
+            if rep[x] < 0:  # so x is the least member of xH
+                for h in members:
+                    rep[cay[x][h]] = x
+                cosets[x] = []
+            cosets[rep[x]].append(x)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_coset_rep", None)
-        object.__setattr__(self, "_cosets", None)
+        object.__setattr__(self, "coset_rep", tuple(rep))
+        object.__setattr__(self, "cosets", {c: tuple(m) for c, m in cosets.items()})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -195,29 +207,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @property
-    def coset_rep(self) -> tuple[int, ...]:
-        """rep[x], the least index in xH."""
-        if self._coset_rep is None:
-            cay, rep = self.parent.cayley, [-1] * self.parent.order
-            for x in range(len(rep)):
-                if rep[x] < 0:  # so x is the least member of xH
-                    for h in self.members:
-                        rep[cay[x][h]] = x
-            object.__setattr__(self, "_coset_rep", tuple(rep))
-        return self._coset_rep
-
-    @property
-    def cosets(self) -> dict[int, tuple[int, ...]]:
-        """Each coset xH's ascending members, keyed by its least member, keys ascending."""
-        if self._cosets is None:
-            cay = self.parent.cayley
-            # a rep first occurs at its own index, so the keys ascend
-            cosets = {c: tuple(sorted(cay[c][h] for h in self.members))
-                      for c in dict.fromkeys(self.coset_rep)}
-            object.__setattr__(self, "_cosets", cosets)
-        return self._cosets
 
     @property
     def name(self) -> str:

@@ -11,12 +11,12 @@ multiplication by a generating sequence of K), gives L's class, whose size
 ``enumerate_systems`` keeps on K for ``copy_count``, and the witness of
 ``systems_equivalent``; ``subgroup_copy_count`` walks L's orbit under
 conjugation.  Neither lists all of K or Aut(K).  The pairs of Omega_n and
-``omega_set`` live in ``indices`` and are imported here.
+``omega_set`` live in ``indices``, which this module does not import.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .groups import (
     AUTOMORPHISM_BOUND,
@@ -29,7 +29,9 @@ from .groups import (
     build_group,
     normal_subgroups,
 )
-from .indices import DicyclicIndex, omega_count_formula, omega_set  # read through refsystems too
+
+if TYPE_CHECKING:
+    from .indices import DicyclicIndex
 
 
 class PreconditionError(ValueError):
@@ -54,17 +56,17 @@ class NonGeneratingSeedError(ValueError):
 class ReflectionSystem:
     """A reflection system, given by a seed that circ-generates it (orbits walk the seed).
 
-    Immutable: ``parent`` and ``generators`` are set once, and equality and
-    hash are those of their tuple.  ``members`` is formed on first use and
-    kept in a slot, or handed over by ``enumerate_systems``, which has it.
+    Immutable: every slot is set once, here, and equality and hash are those
+    of (parent, generators).  ``members`` is the generators' circ-closure,
+    ascending.
     """
 
-    __slots__ = ("parent", "generators", "_members")
+    __slots__ = ("parent", "generators", "members")
 
     def __init__(self, parent: FiniteQuaternionGroup, generators: tuple[int, ...]):
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_members", None)
+        object.__setattr__(self, "members", tuple(sorted(close_under_circ(parent, generators))))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,14 +78,6 @@ class ReflectionSystem:
 
     def __hash__(self) -> int:
         return hash((self.parent, self.generators))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """The circ-closure of the generators, ascending."""
-        if self._members is None:
-            object.__setattr__(self, "_members",
-                               tuple(sorted(close_under_circ(self.parent, self.generators))))
-        return self._members
 
     @property
     def size(self) -> int:
@@ -245,7 +239,8 @@ def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
     Every reflection system is some L_gamma = {x : gamma(xH) = x^-1 H} for a
     normal subgroup H and an involutive automorphism gamma of K/H, which the
     quotient search lists without listing Aut(K/H); the L_gamma that
-    generate K are canonicalised once per equivalence class.  The (H, gamma)
+    generate K are canonicalised once per equivalence class, and each that
+    does not is closed once and recorded as such.  The (H, gamma)
     with L_gamma a canonical system are kept on K as ``K._system_pairs``,
     keyed by its member set, in ``normal_subgroups`` order; gamma is the
     search's ``image[x]``.  Every system's ascending members map to the size
@@ -257,22 +252,22 @@ def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
         return K._systems
 
     sizes: dict[tuple[int, ...], int] = {}
-    systems, pairs = [], {}
+    systems, pairs, proper = [], {}, set()  # proper: the L_gamma that generate less than K
     for H in normal_subgroups(K):
         # for H = 1, the search whose generators _class_walk uses, cached on K
         search = _automorphism_search(K) if H.order == 1 else _quotient_search(H)
         for gamma in search[0]:
             members = l_gamma(H, gamma)
+            if members in proper:
+                continue
             if members not in sizes:
                 if len(K.subgroup_closure(members)) != K.order:
+                    proper.add(members)
                     continue
                 equivalent = [tuple(sorted(S)) for S in _equivalent_sets(K, frozenset(members))]
                 sizes.update(dict.fromkeys(equivalent, len(equivalent)))
                 canon = min(equivalent)
-                L = ReflectionSystem(K, minimal_generators(K, canon))
-                # canon is the closure minimal_generators reached last
-                object.__setattr__(L, "_members", canon)
-                systems.append(L)
+                systems.append(ReflectionSystem(K, minimal_generators(K, canon)))
                 pairs[canon] = []
             if members in pairs:
                 pairs[members].append((H, gamma))

@@ -28,16 +28,20 @@ from quatrefl.groups import (
     commutator_subgroup,
     normal_subgroups,
 )
-from quatrefl.refsystems import (
+from quatrefl.indices import (
     DicyclicIndex,
+    lambda_count_formula,
+    missing_from_cohen,
+    omega_count_formula,
+    omega_set,
+)
+from quatrefl.refsystems import (
     close_system,
     close_under_circ,
     copy_count,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
-    omega_count_formula,
-    omega_set,
     subgroup_copy_count,
     system_orbit,
     systems_equivalent,
@@ -53,9 +57,7 @@ from quatrefl.classify import (
     classify_K,
     corollary_pair_search,
     group_for_record,
-    lambda_count_formula,
     lambda_set,
-    missing_from_cohen,
     order_scan,
     polyhedral_records,
     the_dicyclic_family_isomorphism,

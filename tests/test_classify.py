@@ -16,28 +16,26 @@ from quatrefl.classify import (
     _dedup_subgroups,
     _paired_images,
     classify_K,
-    cohen_covered_indices,
-    cohen_index,
     corollary_pair_search,
     dicyclic_record,
     dicyclic_special_record,
     find_isomorphisms,
     group_for_record,
-    lambda_count_formula,
     lambda_set,
-    missing_from_cohen,
     order_scan,
     polyhedral_records,
     the_dicyclic_family_isomorphism,
     the_polyhedral_isomorphism,
 )
-from quatrefl.refsystems import (
+from quatrefl.indices import (
     DicyclicIndex,
-    copy_count,
-    enumerate_systems,
+    cohen_covered_indices,
+    cohen_index,
+    lambda_count_formula,
+    missing_from_cohen,
     omega_set,
-    subgroup_copy_count,
 )
+from quatrefl.refsystems import copy_count, enumerate_systems, subgroup_copy_count
 from quatrefl.refgroups import (
     diagonal_subgroups,
     iso_prescreen,
@@ -175,7 +173,8 @@ def test_value_types_hash_their_fields_and_refuse_assignment():
             setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):
             value.extra = 0
-    # a twin from the same fields is equal; the caches are not fields
+    # a twin from the same fields is equal; the coset table and the members
+    # are formed from the fields, and are not fields themselves
     twin = type(L)(K, L.generators)
     assert twin == L and hash(twin) == hash(L) and twin.members == L.members
     assert type(H)(K, H.members) == H != L

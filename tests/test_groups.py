@@ -506,6 +506,20 @@ def test_subgroup_owns_its_coset_table(tag, n):
         assert H.coset_rep is rep and H.cosets is cosets
 
 
+@pytest.mark.parametrize("tag,n,members", [
+    ("cyclic", 4, (0, 2)),            # closes to all of C4
+    ("T", None, (0, *range(10, 16))),  # 1 and the six elements of order 4 close to T
+    ("dicyclic", 3, (1, 0)),          # {1, -1}, but not ascending
+    ("dicyclic", 3, (1,)),            # the identity missing
+    ("dicyclic", 3, ()),
+    ("dicyclic", 3, (0, 0)),
+])
+def test_subgroup_refuses_members_that_are_not_an_ascending_subgroup(tag, n, members):
+    K = build_group(tag, n)
+    with pytest.raises(ValueError, match=f"not an ascending subgroup of {K.name}"):
+        quatrefl.groups.Subgroup(K, members)
+
+
 def test_normality_direct_check():
     for K in (build_group("T"), build_group("dicyclic", 6)):
         for s in normal_subgroups(K):

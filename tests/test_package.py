@@ -1,6 +1,6 @@
 """Package hygiene: every public function and method in the package, and every
-defaulted parameter of a function, has a use there; the package and each command load only
-the modules they need."""
+defaulted parameter of a function, has a use there; only a class's ``__init__`` calls
+``object.__setattr__``; the package and each command load only the modules they need."""
 
 import ast
 import importlib
@@ -180,6 +180,38 @@ def test_exports_resolve_to_their_modules_objects():
     assert not hasattr(quatrefl, "default_max_order")  # public in numutil, not exported
 
 
+def _object_setattr_scopes() -> list[tuple[tuple[str, str], ...]]:
+    """The scope of each call of ``object.__setattr__`` in the package, outermost
+    first: the module, then each enclosing class or function, as (kind, name)."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (("class", child.name),))
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, scope + (("def", child.name),))
+            else:
+                func = getattr(child, "func", None)
+                if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                        and func.attr == "__setattr__" and getattr(func.value, "id", None) == "object"):
+                    scopes.append(scope)
+                visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), (("module", path.stem),))
+    return scopes
+
+
+def test_object_setattr_is_called_only_in_a_class_init():
+    # an immutable class sets each slot once, as it is built: no slot is
+    # filled later, and no other code writes into an object it does not own
+    scopes = _object_setattr_scopes()
+    assert [scope for scope in scopes
+            if scope[-1] != ("def", "__init__") or scope[-2][0] != "class"] == []
+    assert {scope[-2][1] for scope in scopes} == {"Subgroup", "ReflectionSystem"}
+
+
 # The quatrefl modules a fresh process has loaded after `import quatrefl.cli`
 # and then after running each command (its stdout discarded), and whether
 # the command loaded dataclasses
@@ -195,8 +227,8 @@ print(json.dumps([after_import, loaded(), code, "dataclasses" in sys.modules]))
 
 INDICES = ["quatrefl", "quatrefl.cli", "quatrefl.indices", "quatrefl.numutil"]
 GROUP = ["quatrefl", "quatrefl.cli", "quatrefl.exactarith", "quatrefl.groups", "quatrefl.numutil"]
-SYSTEMS = sorted(GROUP + ["quatrefl.indices", "quatrefl.refsystems"])
-CLASSIFY = sorted(SYSTEMS + ["quatrefl.classify", "quatrefl.refgroups"])
+SYSTEMS = sorted(GROUP + ["quatrefl.refsystems"])
+CLASSIFY = sorted(SYSTEMS + ["quatrefl.classify", "quatrefl.indices", "quatrefl.refgroups"])
 VERIFY = sorted(CLASSIFY + ["quatrefl.data", "quatrefl.golden"])  # data: the fixtures
 
 

@@ -32,14 +32,13 @@ from quatrefl.classify import (
     order_scan,
     the_polyhedral_isomorphism,
 )
+from quatrefl.indices import DicyclicIndex, omega_set
 from quatrefl.refsystems import (
-    DicyclicIndex,
     close_system,
     close_under_circ,
     dicyclic_element,
     dicyclic_system,
     enumerate_systems,
-    omega_set,
 )
 from quatrefl.refgroups import (
     IDENTITY,

@@ -17,8 +17,8 @@ from quatrefl.groups import (
     normal_subgroups,
     quotient_automorphisms,
 )
+from quatrefl.indices import DicyclicIndex, omega_count_formula, omega_set
 from quatrefl.refsystems import (
-    DicyclicIndex,
     _equivalent_sets,
     NonGeneratingSeedError,
     PreconditionError,
@@ -31,8 +31,6 @@ from quatrefl.refsystems import (
     enumerate_systems,
     l_gamma,
     minimal_generators,
-    omega_count_formula,
-    omega_set,
     orbit_partition,
     subgroup_copy_count,
     system_orbit,
@@ -580,7 +578,7 @@ def test_close_under_circ_matches_the_pairwise_oracle():
 
 def test_system_generators_must_circ_generate_the_members():
     # orbits are walked from the generators, so the members are their
-    # circ-closure, formed once on first use
+    # circ-closure, formed once, when the system is built
     T = T_group()
     L24 = next(L for L in enumerate_systems(T) if L.size == 24)
     assert ReflectionSystem(T, L24.generators) == L24
@@ -657,6 +655,25 @@ def test_system_json():
     data = L.to_json()
     assert data["size"] == 12 and len(data["members"]) == 12
     assert sum(len(o) for o in data["orbit_partition"]) == 12
+
+
+@pytest.mark.parametrize("tag,n", [("dicyclic", 24), ("I", None)])
+def test_enumeration_closes_each_l_gamma_once(monkeypatch, tag, n):
+    # an L_gamma that fails to generate K comes back under other (H, gamma)
+    # and is not closed again
+    from quatrefl.groups import _quotient_search
+
+    K = build_group.__wrapped__(tag, n)  # uncached, so nothing is enumerated yet
+    l_gammas = {l_gamma(H, gamma) for H in normal_subgroups(K) for gamma in _quotient_search(H)[0]}
+    closure, closed = K.subgroup_closure, []
+
+    def counted(seed):
+        closed.append(tuple(seed))
+        return closure(closed[-1])
+
+    monkeypatch.setattr(K, "subgroup_closure", counted)
+    enumerate_systems(K)
+    assert len(closed) == len(set(closed)) and set(closed) <= l_gammas
 
 
 def test_enumeration_bound_error():
