@@ -3,9 +3,13 @@
 Dicyclic reflection groups carry index quadruples [n, a, b, r] of order 8nr;
 polyhedral ones carry (K, |L|, H) labels.  Records are deduplicated up to
 simultaneous translation/automorphism of (L, H), which is what "the same
-canonical label" means for subgroups of the all-of-K group.  The index sets,
-the formula records and the pair search live in ``indices``; this module
-imports the ones it runs, and ``corollary_pair_search``.
+canonical label" means for subgroups of the all-of-K group.  The groups that
+order scans and the known-pair maps build (``build_index_group``, and
+``group_for_record``'s cyclic and dicyclic families) live in
+``groups.label_group``'s C_n and D_n, which carry no exact values: none of
+them prints an element or an index.  The index sets, the formula records and
+the pair search live in ``indices``; this module imports the ones it runs,
+and ``corollary_pair_search``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .groups import (
     Subgroup,
     _generate,
     build_group,
+    label_group,
     normal_subgroups,
 )
 # perfbench/session.py reads classify.corollary_pair_search and
@@ -149,16 +154,16 @@ def group_for_record(rec: ClassificationRecord) -> ReflectionGroup:
     if rec.family == "polyhedral":
         K = build_group(rec.K_name)
     else:  # 'cyclic' (C<n>) or 'dicyclic-special' (D<n>)
-        K = build_group("cyclic" if rec.family == "cyclic" else "dicyclic", int(rec.K_name[1:]))
+        K = label_group("cyclic" if rec.family == "cyclic" else "dicyclic", int(rec.K_name[1:]))
     L = next(S for S in enumerate_systems(K) if S.size == rec.L_size)
     H = next(S for S in normal_subgroups(K) if S.name == rec.H_name)
     return build_reflection_group(K, L, H)
 
 
 def build_index_group(idx: IndexQuadruple) -> ReflectionGroup:
-    """Honest construction of G(n, a, b, r) inside the dicyclic group."""
-    K = build_group("dicyclic", idx.n)
-    L = dicyclic_system(DicyclicIndex(idx.n, idx.a, idx.b))
+    """Honest construction of G(n, a, b, r) inside the dicyclic group (``label_group``'s)."""
+    K = label_group("dicyclic", idx.n)
+    L = dicyclic_system(DicyclicIndex(idx.n, idx.a, idx.b), K)
     gen = K.subgroup_closure([dicyclic_element(K, 2 * idx.n // idx.r, 0)]) if idx.r > 1 else (0,)
     H = Subgroup(K, gen)
     return build_reflection_group(K, L, H, label=(idx.n, idx.a, idx.b, idx.r))

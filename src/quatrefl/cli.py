@@ -150,8 +150,10 @@ def _max_order() -> int:
         raise UsageError(str(exc)) from exc
 
 
-def _build_from_args(args) -> "FiniteQuaternionGroup":
-    from .groups import build_group
+def _build_from_args(args, valued: bool = True) -> "FiniteQuaternionGroup":
+    """The group named by --k/--n; C_n and D_n without values (``label_group``)
+    unless ``valued``."""
+    from .groups import build_group, label_group
 
     if args.k in ("cyclic", "dicyclic"):
         if args.n is None:
@@ -163,7 +165,7 @@ def _build_from_args(args) -> "FiniteQuaternionGroup":
             raise SizeBoundError(f"--k {args.k} --n {args.n}: Cayley table of {order}^2 "
                                  f"entries exceeds the bound {bound} (QUATREFL_MAX_ORDER)")
         try:
-            return build_group(args.k, args.n)
+            return (build_group if valued else label_group)(args.k, args.n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     if args.n is not None:
@@ -174,7 +176,7 @@ def _build_from_args(args) -> "FiniteQuaternionGroup":
 def cmd_group(args) -> int:
     from .groups import element_order_census
 
-    K = _build_from_args(args)
+    K = _build_from_args(args, valued=args.emit != "summary")  # a summary prints no element
     if args.emit == "summary":
         print(f"name={K.name}")
         print(f"order={K.order}")

@@ -3,10 +3,16 @@
 ``build_group`` covers the full classification: cyclic C_n, dicyclic D_n of
 order 4n, and the binary tetrahedral / octahedral / icosahedral groups of
 orders 24 / 48 / 120.  C_n and D_n are built from the labels of their
-elements, zeta_n^e and zeta_2n^e j^s, with no walk: the values
-(``embedded_circle_element``, no quaternion product), orders, inverses and
-products are closed form in the labels, and the Cayley table is formed once,
-each row a rotation of the sorted positions gathered into sorted order.  The
+elements, zeta_n^e and zeta_2n^e j^s, with no walk (``_label_group``):
+orders, inverses and products are closed form in the labels, and each row of
+the Cayley table is a rotation of the label positions.  ``build_group``'s
+C_n and D_n carry the values (``embedded_circle_element``, no quaternion
+product) in sorted order, each row gathered once into it.  ``label_group``'s
+index each element by its label and carry no values: no sort and no gather,
+for callers that print no element or index (order scans, the known-pair
+maps, the cyclic and dicyclic groups of ``classify.group_for_record`` and
+``group --emit summary``).  Only the functions that form values import
+``exactarith`` and ``fractions``.  The
 polyhedral groups close ``polyhedral_generators`` under right multiplication
 modulo a prime, which is injective on K, form each element once along the
 word that first reached it (at most 119 exact products a group), and fill
@@ -49,12 +55,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .exactarith import FieldScalar, Quaternion, embedded_circle_element
 from .numutil import prime_root_of_unity
+
+if TYPE_CHECKING:
+    from .exactarith import Quaternion
 
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
 POLYHEDRAL_ORDER = {"T": 24, "O": 48, "I": 120}
@@ -70,7 +77,7 @@ class FiniteQuaternionGroup:
     it was built from.  Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, name: str, tag: str, n: Optional[int], elements: list[Quaternion],
+    def __init__(self, name: str, tag: str, n: Optional[int], elements: Optional[list[Quaternion]],
                  cayley: list[list[int]], inv: list[int], element_orders: list[int],
                  build_gens: tuple[int, ...]):
         self.name = name
@@ -79,8 +86,9 @@ class FiniteQuaternionGroup:
         self.elements = elements
         self.cayley = cayley
         self.inv = inv
-        self.conductor = elements[0].conductor
-        self.index = {q: i for i, q in enumerate(elements)}
+        # a group of ``label_group`` has no values: no conductor, no index
+        self.conductor = None if elements is None else elements[0].conductor
+        self.index = None if elements is None else {q: i for i, q in enumerate(elements)}
         self.element_orders = element_orders
         self.build_gens = build_gens
         # lazily built caches, each set here first: cached_property would write
@@ -96,7 +104,7 @@ class FiniteQuaternionGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.cayley)
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -348,9 +356,6 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     tag: 'cyclic' (n >= 1), 'dicyclic' (n >= 2), or 'T' / 'O' / 'I'.
     """
     if tag in ("cyclic", "dicyclic"):
-        least = 1 if tag == "cyclic" else 2
-        if n is None or n < least:
-            raise ValueError(f"{tag} group needs n >= {least}, got {n}")
         return _label_group(tag, n)
     if tag in POLYHEDRAL_CONDUCTOR:
         if n is not None:
@@ -359,7 +364,26 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
     raise ValueError(f"unsupported group tag {tag!r}")
 
 
+@lru_cache(maxsize=128)
+def label_group(tag: str, n: int) -> FiniteQuaternionGroup:
+    """C_n or D_n indexed by label, with no values (``elements`` is None).
+
+    Element e + N s is zeta^e j^s (as in ``_label_group``), and ``build_gens``
+    is (1, N) ((1 % n,) for C_n).  For callers that print no element or
+    index: the table, inverses and orders are ``build_group(tag, n)``'s under
+    a relabelling, formed with no exact value, sort or gather.  A bad n
+    raises ``build_group``'s ValueError.
+    """
+    if tag not in ("cyclic", "dicyclic"):
+        raise ValueError(f"label group needs tag 'cyclic' or 'dicyclic', got {tag!r}")
+    return _label_group(tag, n, valued=False)
+
+
 def polyhedral_generators(tag: str) -> list[Quaternion]:
+    from fractions import Fraction
+
+    from .exactarith import FieldScalar, Quaternion
+
     m = POLYHEDRAL_CONDUCTOR[tag]
     half = Fraction(1, 2)
     zeta = Quaternion.from_rationals(m, (half, half, half, half))
@@ -409,6 +433,8 @@ def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaterni
     that first reached y, so column y gathers column k of ``right`` at
     column parent(y).
     """
+    from .exactarith import Quaternion
+
     right, word = _reduced_walk(gens, order)
     values = [Quaternion.one(gens[0].conductor)]
     for parent, k in word[1:]:
@@ -433,46 +459,63 @@ def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaterni
                                  tuple(pos[y] for y in right[0]))
 
 
-def _label_group(tag: str, n: int) -> FiniteQuaternionGroup:
+def _label_group(tag: str, n: Optional[int], valued: bool = True) -> FiniteQuaternionGroup:
     """C_n or D_n, tabulated from the labels of its elements, with no walk.
 
     D_n's elements are zeta^e j^s (zeta = zeta_2n, e mod N = 2n, s = 0, 1),
     labelled e + N s; C_n's are zeta_n^e, labelled e (N = n, s = 0 only).
-    zeta^e is ``embedded_circle_element``, re + im*i, and zeta^e j =
-    re*j + im*k reuses its scalars.  The product is closed form in the
-    labels, mod N: (e, 0)(f, t) = (e + f, t), (e, 1)(f, 0) = (e - f, 1) and
-    (e, 1)(f, 1) = (e - f + n, 0); so are the orders (N / gcd(e, N) for
-    s = 0, 4 for s = 1) and the inverses ((-e, 0) and (e + n, 1)).  With
-    P_s[f] the sorted position of (f, s), row (e, 0) of the table is the
-    rotations of P_0 and P_1 by e, and row (e, 1) the reversed rotations of
-    P_1 at e and P_0 at e + n; each row is gathered once into sorted order.
+    The product is closed form in the labels, mod N: (e, 0)(f, t) =
+    (e + f, t), (e, 1)(f, 0) = (e - f, 1) and (e, 1)(f, 1) = (e - f + n, 0);
+    so are the orders (N / gcd(e, N) for s = 0, 4 for s = 1) and the
+    inverses ((-e, 0) and (e + n, 1)).  With P_s[f] the position of (f, s),
+    row (e, 0) of the table is the rotations of P_0 and P_1 by e, and row
+    (e, 1) the reversed rotations of P_1 at e and P_0 at e + n.
+
+    Unless ``valued``, a position is its label and the group has no values.
+    Else zeta^e is ``embedded_circle_element``, re + im*i, zeta^e j =
+    re*j + im*k reuses its scalars, the positions are the sorted ones, and
+    each row is gathered once into sorted order.
     """
-    name, N, m = (f"C{n}", n, math.lcm(4, n)) if tag == "cyclic" else (f"D{n}", 2 * n, 4 * n)
-    circle = [embedded_circle_element(m, N, e) for e in range(N)]
+    least = 1 if tag == "cyclic" else 2
+    if n is None or n < least:
+        raise ValueError(f"{tag} group needs n >= {least}, got {n}")
+    name, N = (f"C{n}", n) if tag == "cyclic" else (f"D{n}", 2 * n)
     orders = [N // math.gcd(e, N) for e in range(N)]
     inverse = [-e % N for e in range(N)]
     gens = (1 % N,)
     if tag == "dicyclic":
-        zero = circle[0].c
-        circle += [Quaternion(zero, zero, q.a, q.b) for q in circle]
         orders += [4] * N
         inverse += [N + (e + n) % N for e in range(N)]
         gens += (N,)
-    idx = _sort_order(circle, orders)
-    pos = _positions(idx)
-    P0, P1 = pos[:N], pos[N:]
+    values = None
+    idx = pos = list(range(len(orders)))
+    if valued:
+        from .exactarith import Quaternion, embedded_circle_element
+
+        m = 4 * n if tag == "dicyclic" else math.lcm(4, n)
+        values = [embedded_circle_element(m, N, e) for e in range(N)]
+        if tag == "dicyclic":
+            zero = values[0].c
+            values += [Quaternion(zero, zero, q.a, q.b) for q in values]
+        idx = _sort_order(values, orders)
+        pos = _positions(idx)
+    # P_s twice over, so that a rotation, or a reversed one, is one slice
+    P0, P1 = pos[:N] * 2, pos[N:] * 2
 
     def row(label: int) -> list[int]:
         e = label % N
         if label < N:
-            return P0[e:] + P0[:e] + P1[e:] + P1[:e]
+            return P0[e:e + N] + P1[e:e + N]
         g = (e + n) % N
-        return P1[e::-1] + P1[:e:-1] + P0[g::-1] + P0[:g:-1]
+        return P1[e + N:e:-1] + P0[g + N:g:-1]
 
-    # itemgetter of one index returns the bare item; C1's one row is sorted
-    take = operator.itemgetter(*idx) if len(idx) > 1 else list
-    return FiniteQuaternionGroup(name, tag, n, [circle[i] for i in idx],
-                                 [list(take(row(i))) for i in idx], [pos[inverse[i]] for i in idx],
+    rows = map(row, idx)
+    if valued:
+        # itemgetter of one index returns the bare item; C1's one row is sorted
+        take = operator.itemgetter(*idx) if len(idx) > 1 else list
+        rows = (list(take(r)) for r in rows)
+        values = [values[i] for i in idx]
+    return FiniteQuaternionGroup(name, tag, n, values, list(rows), [pos[inverse[i]] for i in idx],
                                  [orders[i] for i in idx], tuple(pos[g] for g in gens))
 
 

@@ -47,8 +47,17 @@ def omega_set(n: int) -> list[DicyclicIndex]:
         raise ValueError(f"omega_set needs n >= 2, got {n}")
     divs = divisors(n)  # ascending, so the pairs come out sorted by (a, b)
     new = tuple.__new__  # every entry is valid by construction: no check
-    return [new(DicyclicIndex, (n, a, b))
-            for i, a in enumerate(divs) for b in divs[i:] if math.gcd(a, b) == 1]
+    out = []
+    for i, a in enumerate(divs):
+        if a * a > n:  # coprime divisors a <= b of n have a b | n
+            break
+        m = n // a
+        for b in divs[i:]:
+            if b > m:
+                break
+            if math.gcd(a, b) == 1:
+                out.append(new(DicyclicIndex, (n, a, b)))
+    return out
 
 
 def omega_count_formula(n: int) -> int:
@@ -180,11 +189,17 @@ def lambda_set(n: int) -> list[IndexQuadruple]:
     new = tuple.__new__  # every entry is valid by construction: no check
     out = []
     for i, a in enumerate(divs):
+        if a * a > n:  # coprime divisors a <= b of n have a b | n
+            break
+        m = n // a
         for b in divs[i:]:
+            if b > m:
+                break
             if math.gcd(a, b) == 1:
-                out.append(new(IndexQuadruple, (n, a, b, n // (a * b))))
+                r = m // b  # n / ab
+                out.append(new(IndexQuadruple, (n, a, b, r)))
                 if (a * b) % 2 == 1:
-                    out.append(new(IndexQuadruple, (n, a, b, 2 * n // (a * b))))
+                    out.append(new(IndexQuadruple, (n, a, b, 2 * r)))
     return out
 
 

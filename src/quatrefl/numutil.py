@@ -19,13 +19,11 @@ def divisors(n: int) -> list[int]:
     if n <= 0:
         raise ValueError(f"divisors expects a positive integer, got {n}")
     small, large = [], []
-    d = 1
-    while d * d <= n:
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
             small.append(d)
             if d != n // d:
                 large.append(n // d)
-        d += 1
     return small + large[::-1]
 
 

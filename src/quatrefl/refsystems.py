@@ -16,7 +16,7 @@ conjugation.  Neither lists all of K or Aut(K).  The pairs of Omega_n and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .groups import (
     AUTOMORPHISM_BOUND,
@@ -280,10 +280,11 @@ def enumerate_systems(K: FiniteQuaternionGroup) -> list[ReflectionSystem]:
 # -- dicyclic systems ------------------------------------------------------
 
 
-def dicyclic_system(idx: DicyclicIndex) -> ReflectionSystem:
-    """The system generated by {1, w^a, j, w^b j} inside D_n."""
-    K = build_group("dicyclic", idx.n)
-    n = idx.n
+def dicyclic_system(idx: DicyclicIndex, K: Optional[FiniteQuaternionGroup] = None) -> ReflectionSystem:
+    """The system generated by {1, w^a, j, w^b j} inside D_n, n = idx.n:
+    inside K if given (``groups.label_group``'s D_n, say), else ``build_group``'s."""
+    if K is None:
+        K = build_group("dicyclic", idx.n)
     # locate elements by their symbolic role: w = the embedded zeta_2n
     w = dicyclic_element(K, idx.a, 0)
     j = dicyclic_element(K, 0, 1)

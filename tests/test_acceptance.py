@@ -153,7 +153,7 @@ def test_criterion_04_dicyclic_formulas_explicit():
         for rec in classify_K(K):
             G = group_for_record(rec)
             explicit_order = len(G.elements)
-            explicit_refl = sum(1 for t in G.elements if _is_reflection_triple(K, t))
+            explicit_refl = sum(1 for t in G.elements if _is_reflection_triple(G.K, t))
             ok &= explicit_order == rec.order and explicit_refl == rec.reflections
             if rec.family == "dicyclic":
                 nn, a, b, r = rec.label

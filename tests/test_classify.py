@@ -8,12 +8,13 @@ import re
 
 import pytest
 
-from quatrefl.groups import automorphism_group, build_group
+from quatrefl.groups import Subgroup, automorphism_group, build_group, label_group
 from quatrefl.golden import load_fixture, suite_isos
 from quatrefl.numutil import is_square
 from quatrefl.classify import (
     IndexQuadruple,
     _dedup_subgroups,
+    build_index_group,
     _paired_images,
     classify_K,
     corollary_pair_search,
@@ -35,8 +36,15 @@ from quatrefl.indices import (
     missing_from_cohen,
     omega_set,
 )
-from quatrefl.refsystems import copy_count, enumerate_systems, subgroup_copy_count
+from quatrefl.refsystems import (
+    copy_count,
+    dicyclic_element,
+    dicyclic_system,
+    enumerate_systems,
+    subgroup_copy_count,
+)
 from quatrefl.refgroups import (
+    build_reflection_group,
     diagonal_subgroups,
     iso_prescreen,
     model_mul,
@@ -629,6 +637,17 @@ def test_isomorphisms_fixture_polyhedral_pair_is_the_one_found():
     assert found == {tuple(label) for label in load_fixture("isomorphisms")["polyhedral_pair"]}
 
 
+def test_index_sets_match_the_gcd_definition():
+    # every pair a <= b of divisors of n with gcd(a, b) = 1, with no early break
+    for n in range(2, 3001):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        pairs = [(a, b) for i, a in enumerate(divs) for b in divs[i:] if math.gcd(a, b) == 1]
+        assert [(idx.a, idx.b) for idx in omega_set(n)] == pairs, n
+        assert [tuple(q) for q in lambda_set(n)] == [
+            (n, a, b, r) for a, b in pairs
+            for r in ((n // (a * b), 2 * n // (a * b)) if a * b % 2 else (n // (a * b),))], n
+
+
 def test_isomorphisms_fixture_family_bound_is_the_one_verified():
     bound = load_fixture("isomorphisms")["dicyclic_family"]["default_bound"]
     checked = [int(m.group(1)) for _, label in suite_isos().lines
@@ -642,6 +661,41 @@ def test_explicit_maps_verify():
     for n in (3, 5, 7, 9):
         G1, G2, pairs = the_dicyclic_family_isomorphism(n)
         assert verify_isomorphism(G1, G2, pairs)
+
+
+def _valued_index_group(idx):
+    """``build_index_group`` of idx, built in ``build_group``'s D_n."""
+    K = build_group("dicyclic", idx.n)
+    L = dicyclic_system(DicyclicIndex(idx.n, idx.a, idx.b))
+    gen = K.subgroup_closure([dicyclic_element(K, 2 * idx.n // idx.r, 0)]) if idx.r > 1 else (0,)
+    return build_reflection_group(K, L, Subgroup(K, gen))
+
+
+def test_index_groups_have_the_same_invariants_in_either_d_n():
+    # build_index_group works in label_group's D_n; the census and the
+    # reflection count are those of the same group in build_group's D_n
+    for n in range(2, 41):
+        for idx in lambda_set(n):
+            G, V = build_index_group(idx), _valued_index_group(idx)
+            assert G.K is label_group("dicyclic", n) and V.K is build_group("dicyclic", n)
+            assert (G.order, G.L.size, G.H.order) == (V.order, V.L.size, V.H.order), idx
+            assert G.reflection_count() == V.reflection_count(), idx
+            assert G.element_order_census() == V.element_order_census(), idx
+
+
+def test_known_pair_maps_verify_in_either_d_n(monkeypatch):
+    import quatrefl.classify
+
+    for n in range(3, 16, 2):
+        G1, G2, pairs = the_dicyclic_family_isomorphism(n)
+        assert G1.K is label_group("dicyclic", n) and G2.K is label_group("dicyclic", 2 * n)
+        assert verify_isomorphism(G1, G2, pairs), n
+    # the same maps, formed from the same words, in build_group's D_n and D_2n
+    monkeypatch.setattr(quatrefl.classify, "build_index_group", _valued_index_group)
+    for n in range(3, 16, 2):
+        G1, G2, pairs = the_dicyclic_family_isomorphism(n)
+        assert G1.K is build_group("dicyclic", n) and G2.K is build_group("dicyclic", 2 * n)
+        assert verify_isomorphism(G1, G2, pairs), n
 
 
 def test_a_pair_without_a_known_map_is_settled_by_search(monkeypatch):

@@ -6,9 +6,11 @@ import json
 import math
 import operator
 import random
+import re
 
 import pytest
 
+import quatrefl.exactarith
 import quatrefl.groups
 from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
@@ -26,6 +28,7 @@ from quatrefl.groups import (
     commutator_subgroup,
     element_order_census,
     is_normal,
+    label_group,
     normal_subgroups,
     polyhedral_generators,
     quotient_automorphisms,
@@ -401,6 +404,60 @@ def test_label_build_forms_the_table_once():
         tracemalloc.stop()
     assert K.order == 800
     assert peak <= 2 * retained, (peak, retained)
+
+
+@pytest.mark.parametrize("tag,ns", [("cyclic", range(1, 61)), ("dicyclic", range(2, 61))],
+                         ids=["C1-C60", "D2-D60"])
+def test_label_group_is_the_valued_group_relabelled(tag, ns):
+    # label e + N s is the element zeta^e j^s; perm sends it to the sorted
+    # index of that value in build_group's group, and carries the label
+    # group's table, inverses and orders onto the valued group's
+    for n in ns:
+        K, L = build_group(tag, n), label_group(tag, n)
+        N, m = (2 * n, 4 * n) if tag == "dicyclic" else (n, math.lcm(4, n))
+        j = Quaternion.unit(m, "j")
+        circle = [embedded_circle_element(m, N, e) for e in range(N)]
+        values = circle + ([q * j for q in circle] if tag == "dicyclic" else [])
+        perm = [K.index[q] for q in values]
+        assert sorted(perm) == list(range(K.order)) == list(range(L.order))
+        assert (L.name, L.tag, L.n, L.elements, L.conductor, L.index) == (K.name, tag, n, None, None, None)
+        for x, row in enumerate(L.cayley):
+            valued_row = K.cayley[perm[x]]
+            assert [perm[z] for z in row] == [valued_row[p] for p in perm], (tag, n, x)
+        assert [perm[y] for y in L.inv] == [K.inv[p] for p in perm]
+        assert L.element_orders == [K.element_orders[p] for p in perm]
+        assert L.build_gens == (1 % N, N)[:len(K.build_gens)]
+        assert [perm[g] for g in L.build_gens] == list(K.build_gens)
+        if tag == "dicyclic":
+            for s in (0, 1):
+                for e in range(N):
+                    assert dicyclic_element(L, e, s) == e + N * s
+                    assert dicyclic_element(K, e, s) == perm[e + N * s]
+
+
+@pytest.mark.parametrize("tag,n", [("cyclic", 0), ("cyclic", -2), ("cyclic", None),
+                                   ("dicyclic", 1), ("dicyclic", 0), ("dicyclic", None)])
+def test_label_group_refuses_a_bad_n_as_build_group_does(tag, n):
+    with pytest.raises(ValueError) as built:
+        build_group(tag, n)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+        label_group(tag, n)
+
+
+def test_label_group_takes_only_the_cyclic_and_dicyclic_tags():
+    for tag in ("T", "O", "I", "X"):
+        with pytest.raises(ValueError, match="label group needs tag"):
+            label_group(tag, None)
+
+
+def test_label_group_forms_no_values(monkeypatch):
+    def valued(*args):
+        raise AssertionError("formed values")
+
+    monkeypatch.setattr(quatrefl.exactarith, "embedded_circle_element", valued)
+    monkeypatch.setattr(quatrefl.groups, "_sort_order", valued)
+    assert label_group.__wrapped__("dicyclic", 9).order == 36
+    assert label_group.__wrapped__("cyclic", 9).order == 9
 
 
 @pytest.mark.parametrize("tag,n", [("cyclic", 6), ("dicyclic", 5), ("T", None), ("I", None)])

@@ -236,6 +236,8 @@ VERIFY = sorted(CLASSIFY + ["quatrefl.data", "quatrefl.golden"])  # data: the fi
     pytest.param(["group", "--k", "T"], GROUP, id="group"),
     pytest.param(["group", "--k", "dicyclic", "--n", "3", "--emit", "cayley"], GROUP,
                  id="group-cayley"),
+    pytest.param(["group", "--k", "dicyclic", "--n", "200"],
+                 [m for m in GROUP if m != "quatrefl.exactarith"], id="group-summary"),
     pytest.param(["systems", "--k", "T"], SYSTEMS, id="systems"),
     pytest.param(["classify", "--k", "T"], CLASSIFY, id="classify"),
     pytest.param(["classify", "--index", "6,1,3,4"], INDICES, id="classify-index"),
@@ -254,3 +256,15 @@ def test_each_command_loads_only_its_layers(argv, modules):
     # only the layers above the systems layer define dataclasses
     assert dataclasses == ("quatrefl.classify" in modules)
     assert code == (1 if argv[0] == "verify" else 0)  # the missing suite's known divergence
+
+
+def test_a_group_summary_imports_no_exact_arithmetic():
+    # C_n and D_n without values: neither exactarith nor fractions is loaded
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    child = ("import sys, quatrefl.cli; quatrefl.cli.main(sys.argv[1:]); "
+             "print([m for m in ('quatrefl.exactarith', 'fractions', 'decimal') if m in sys.modules])")
+    for k in ("cyclic", "dicyclic"):
+        result = subprocess.run([sys.executable, "-c", child, "group", "--k", k, "--n", "200"],
+                                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[-1] == "[]"
