@@ -169,6 +169,11 @@ def build_index_group(idx: IndexQuadruple) -> ReflectionGroup:
     return build_reflection_group(K, L, H, label=(idx.n, idx.a, idx.b, idx.r))
 
 
+# the orders of ``polyhedral_records()``, so that an order scan classifies T, O
+# and I only for these
+_POLYHEDRAL_RECORD_ORDERS = frozenset({48, 96, 192, 240, 384, 480, 768, 1152, 2304, 4608, 28800})
+
+
 def polyhedral_records() -> tuple[ClassificationRecord, ...]:
     """The records of T, O and I, from ``classify_K``'s cache on each group."""
     out = []
@@ -196,7 +201,8 @@ def order_scan(order: int) -> list[ClassificationRecord]:
         # m = 2 would duplicate [2,1,1,4]: D_1 = <w^2, j> is the cyclic C4
         if m >= 4 and m % 2 == 0:
             records.append(dicyclic_special_record(m, half=True))
-    records.extend(rec for rec in polyhedral_records() if rec.order == order)
+    if order in _POLYHEDRAL_RECORD_ORDERS:
+        records.extend(rec for rec in polyhedral_records() if rec.order == order)
     records.sort(key=lambda rec: (rec.family, rec.label_str()))
     return records
 

@@ -23,7 +23,7 @@ a o b = a b^-1 a is kept a row at a time (``circ_row``), for the rows that
 are read.
 
 Every generator walk that needs words goes through one closure routine,
-``_generate``: group construction, the automorphism search, and (in
+``_generate``: group construction, the quotient walk, and (in
 ``refsystems`` and ``refgroups``) isomorphism checks and the orbits of
 systems under K x| Aut(K) and under conjugation.  Maps given on generators are
 extended to homomorphisms by ``_extend_map`` along the same walk.  ``_orbits``
@@ -40,14 +40,19 @@ at each admission (Dimino's method).
 
 A ``Subgroup`` H owns the table of K/H, formed when H is built: ``coset_rep``
 (rep[x], the least index in xH) and ``cosets`` (each coset's ascending members
-by rep).  The automorphisms of K/H come from one search, ``_quotient_search(H)``,
+by rep).  The automorphisms of K/H come from one routine, ``_quotient_search(H)``,
 which returns the involutions of K/H and a generating set of Aut(K/H), each as
-``image[x]`` (the rep of the image of xH), checking by ``_extend_map`` only the
-candidates that lie outside the closure of those found and keep the orders of
-generator products.  ``quotient_automorphisms(H)`` and ``automorphism_group``
-are the closure of the search's generators; the involutions are what
-``refsystems.enumerate_systems`` turns into systems and keeps, with their H, for
-``classify.classify_K``.
+``image[x]`` (the rep of the image of xH).  For C_n and D_n, with H = <w^d> in
+the cyclic part and K/H of order above 4 and not Q8, they are closed form in
+the labels (``_quotient_closed_form``): Aut(K/H) is the maps (e, s) ->
+(u e + c s, s) mod d.  T, O, I and the remaining quotients take a walk over
+candidate generator images (``_quotient_walk``), checking by ``_extend_map``
+only the candidates that lie outside the closure of those found and keep the
+orders of generator products.  The normal subgroups of C_n and D_n are closed
+form too; T, O and I's are joins of conjugacy classes.
+``quotient_automorphisms(H)`` and ``automorphism_group`` are the closure of the
+generators; the involutions are what ``refsystems.enumerate_systems`` turns
+into systems and keeps, with their H, for ``classify.classify_K``.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .numutil import prime_root_of_unity
+from .numutil import divisors, prime_root_of_unity
 
 if TYPE_CHECKING:
     from .exactarith import Quaternion
@@ -66,7 +71,7 @@ if TYPE_CHECKING:
 POLYHEDRAL_CONDUCTOR = {"T": 4, "O": 8, "I": 20}
 POLYHEDRAL_ORDER = {"T": 24, "O": 48, "I": 120}
 # the largest |K| whose automorphisms, and so whose systems, are searched
-AUTOMORPHISM_BOUND = 120
+AUTOMORPHISM_BOUND = 480
 
 
 class FiniteQuaternionGroup:
@@ -74,12 +79,16 @@ class FiniteQuaternionGroup:
 
     elements[0] is the identity; ``cayley[x][y]`` is the index of the product,
     ``inv[x]`` that of the inverse and ``build_gens`` those of the generators
-    it was built from.  Instances are immutable after construction and safe to share.
+    it was built from.  C_n and D_n keep their label maps: ``labels[x]`` is
+    the label e + N s of element x = zeta^e j^s (as in ``_label_group``) and
+    ``positions[label]`` its index; both are None for T, O and I.  Instances
+    are immutable after construction and safe to share.
     """
 
     def __init__(self, name: str, tag: str, n: Optional[int], elements: Optional[list[Quaternion]],
                  cayley: list[list[int]], inv: list[int], element_orders: list[int],
-                 build_gens: tuple[int, ...]):
+                 build_gens: tuple[int, ...], labels: Optional[Sequence[int]],
+                 positions: Optional[Sequence[int]]):
         self.name = name
         self.tag = tag
         self.n = n
@@ -91,6 +100,8 @@ class FiniteQuaternionGroup:
         self.index = None if elements is None else {q: i for i, q in enumerate(elements)}
         self.element_orders = element_orders
         self.build_gens = build_gens
+        self.labels = labels
+        self.positions = positions
         # lazily built caches, each set here first: cached_property would write
         # through the instance __dict__, which on CPython 3.11 slows every
         # later attribute read of the instance (1.7x in a micro-benchmark)
@@ -456,7 +467,7 @@ def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaterni
     cayley = [list(_gather(_gather(idx, cayley[i]), pos)) for i in idx]
     return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
                                  [row.index(0) for row in cayley], [orders[i] for i in idx],
-                                 tuple(pos[y] for y in right[0]))
+                                 tuple(pos[y] for y in right[0]), None, None)
 
 
 def _label_group(tag: str, n: Optional[int], valued: bool = True) -> FiniteQuaternionGroup:
@@ -516,7 +527,7 @@ def _label_group(tag: str, n: Optional[int], valued: bool = True) -> FiniteQuate
         rows = (list(take(r)) for r in rows)
         values = [values[i] for i in idx]
     return FiniteQuaternionGroup(name, tag, n, values, list(rows), [pos[inverse[i]] for i in idx],
-                                 [orders[i] for i in idx], tuple(pos[g] for g in gens))
+                                 [orders[i] for i in idx], tuple(pos[g] for g in gens), idx, pos)
 
 
 def _sort_order(values: list[Quaternion], orders: list[int]) -> list[int]:
@@ -588,7 +599,38 @@ def is_normal(K: FiniteQuaternionGroup, members: Iterable[int]) -> bool:
 
 
 def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:
-    """All normal subgroups: the closure of 1 under joining conjugacy classes.
+    """All normal subgroups, by (order, members), cached on K: in closed form
+    for C_n and D_n (``_label_normal_members``), else by ``_class_joins``."""
+    if K._normal is None:
+        found = _class_joins(K) if K.labels is None else _label_normal_members(K)
+        K._normal = sorted((Subgroup(K, members) for members in found),
+                           key=lambda s: (s.order, s.members))
+    return K._normal
+
+
+def _rotation_order(K: FiniteQuaternionGroup) -> int:
+    """N, the order of w = zeta in C_n or D_n: labels e + N s."""
+    return K.n if K.tag == "cyclic" else 2 * K.n
+
+
+def _label_normal_members(K: FiniteQuaternionGroup) -> list[tuple[int, ...]]:
+    """The normal subgroups of C_n or D_n, from the labels: the <w^d> for d | N
+    (w = zeta, N its order); for D_n with n even, the index-2 <w^2, j> and
+    <w^2, w j>; and D_n.  A normal subgroup of D_n with a member w^e j holds
+    its conjugates w^(e+2f) j, hence <w^2>, so it has index at most 2."""
+    N = _rotation_order(K)
+    found = [range(0, N, d) for d in divisors(N)]
+    if K.tag == "dicyclic":
+        if K.n % 2 == 0:
+            evens = range(0, N, 2)
+            found += [[*evens, *(N + e for e in evens)], [*evens, *(N + e + 1 for e in evens)]]
+        found.append(range(K.order))
+    return [tuple(sorted(map(K.positions.__getitem__, labels))) for labels in found]
+
+
+def _class_joins(K: FiniteQuaternionGroup) -> list[tuple[int, ...]]:
+    """The members of every normal subgroup: the closure of 1 under joining
+    conjugacy classes.
 
     Each subgroup found keeps the generators its closure admitted, so a join
     grows the base by the class with ``_enlarge`` instead of closing again
@@ -609,11 +651,7 @@ def normal_subgroups(K: FiniteQuaternionGroup) -> list[Subgroup]:
         admitted.setdefault(joined, gens)
         return joined
 
-    if K._normal is None:
-        found = _generate((0,), K.conjugacy_classes(), join)[0]
-        K._normal = sorted((Subgroup(K, members) for members in found),
-                           key=lambda s: (s.order, s.members))
-    return K._normal
+    return _generate((0,), K.conjugacy_classes(), join)[0]
 
 
 def commutator_subgroup(K: FiniteQuaternionGroup) -> Subgroup:
@@ -659,7 +697,73 @@ def _generated_automorphisms(rep: Sequence[int], generators: list) -> list[tuple
 
 
 def _quotient_search(H: Subgroup):
-    """The involutive automorphisms of K/H and a generating set of Aut(K/H), K = H.parent.
+    """The involutive automorphisms of K/H and a generating set of Aut(K/H),
+    K = H.parent, each as ``image[x]`` (the rep of the image of xH): (the
+    sorted involutions, the generators).  In closed form where
+    ``_cyclic_quotient`` gives one, else by ``_quotient_walk``."""
+    d = _cyclic_quotient(H)
+    return _quotient_walk(H) if d is None else _quotient_closed_form(H, d)
+
+
+def _cyclic_quotient(H: Subgroup) -> Optional[int]:
+    """d when K = H.parent is C_n or D_n and H = <w^d> lies in its cyclic part
+    <w> (w = zeta, of order N), and K/H, on the labels (e mod d, s), has
+    order above 4 and is not Q8; else None.
+
+    K/H is C_d for C_n.  For D_n it has order 2d and j^2 = w^n, so it is
+    dihedral when d | n and dicyclic otherwise.  Past order 4, bar Q8, the
+    rotations <w> of K/H are characteristic, and every automorphism is
+    (e, s) -> (u e + c s, s) mod d, u a unit (Hol(C_d), c = 0 for C_n).
+    """
+    K = H.parent
+    if K.labels is None:
+        return None
+    N = _rotation_order(K)
+    if any(K.labels[h] >= N for h in H.members):
+        return None
+    quotient = K.order // H.order
+    if quotient <= 4 or (quotient == 8 and K.tag == "dicyclic" and K.n % 4):
+        return None
+    return N // H.order
+
+
+def _quotient_closed_form(H: Subgroup, d: int):
+    """``_quotient_search`` for H = <w^d> with ``_cyclic_quotient(H) == d``.
+
+    phi_{u,c}: (e, s) -> (u e + c s, s) mod d, over the units u mod d and
+    (for D_n) the c mod d, is an involution exactly when u^2 = 1 and
+    c (u + 1) = 0 mod d.  The generators are phi_{u,0} for the units u that a
+    greedy closure admits, then phi_{1,1} for D_n.  With R_s[f] the rep of
+    the coset of label (f, s), f < d, the image of (e, s) is R_s at
+    (u e mod d) + c s: a gather of R_s, rotated by c s, over the d values of
+    u e mod d, repeated N / d times, then gathered over ``K.labels``.
+    """
+    K, rep = H.parent, H.coset_rep
+    N = _rotation_order(K)
+    sheets = (0,) if K.tag == "cyclic" else (0, N)
+    # R_s twice over, so that a rotation is one slice
+    R = [_gather(K.positions[s:s + d], rep) * 2 for s in sheets]
+
+    def phi(u: int, c: int) -> tuple[int, ...]:
+        times = [u * e % d for e in range(d)]
+        table = ()
+        for k, R_s in enumerate(R):
+            table += _gather(times, R_s[c * k:c * k + d]) * (N // d)
+        return _gather(K.labels, table)
+
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    twists = range(d) if K.tag == "dicyclic" else (0,)
+    involutions = sorted(phi(u, c) for u in units if u * u % d == 1 for c in twists if c * (u + 1) % d == 0)
+    generators = [phi(u, 0) for u in _closure(1, units, lambda x, g: x * g % d)[1]]
+    if K.tag == "dicyclic":
+        generators.append(phi(1, 1))
+    return involutions, generators
+
+
+def _quotient_walk(H: Subgroup):
+    """``_quotient_search`` by a walk over candidate images of generators, for
+    every K/H that has no closed form: T, O and I's, and those of order at
+    most 4 or equal to Q8.
 
     The candidates are the same-order images of a generating sequence of K/H,
     in ``itertools.product`` order; a candidate's key is that tuple of images.

@@ -311,10 +311,14 @@ def reflection_orbit_types(G: ReflectionGroup) -> ReflectionOrbitType:
 
 def realize_matrices(G: ReflectionGroup):
     """Exact 2x2 monomial matrices for every element, as nested tuples;
-    ValueError when |G| exceeds ``default_max_order()``."""
+    ValueError when |G| exceeds ``default_max_order()``, or when K carries no
+    values (a ``groups.label_group``)."""
     bound = default_max_order()
     if G.order > bound:
         raise ValueError(f"matrix realization bound {bound} exceeded (|G| = {G.order})")
+    if G.K.elements is None:
+        raise ValueError(f"{G.K.name} is a label group with no element values; build the "
+                         f"reflection group in build_group({G.K.tag!r}, {G.K.n}) to realize it")
     return [triple_to_matrix(G.K, t) for t in sorted(G.elements)]
 
 

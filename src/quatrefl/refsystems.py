@@ -10,8 +10,11 @@ L under ``equivalence_maps(K)`` (the generators of Aut(K), then left
 multiplication by a generating sequence of K), gives L's class, whose size
 ``enumerate_systems`` keeps on K for ``copy_count``, and the witness of
 ``systems_equivalent``; ``subgroup_copy_count`` walks L's orbit under
-conjugation.  Neither lists all of K or Aut(K).  The pairs of Omega_n and
-``omega_set`` live in ``indices``, which this module does not import.
+conjugation.  Neither lists all of K or Aut(K).  Enumeration reads the normal
+subgroups H and the involutions of K/H from ``groups`` (closed form for C_n
+and D_n, a walk for T, O and I), for |K| up to ``AUTOMORPHISM_BOUND`` (480, so
+D_n up to n = 120).  The pairs of Omega_n and ``omega_set`` live in
+``indices``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -224,12 +227,24 @@ def subgroup_copy_count(L: ReflectionSystem) -> int:
 
 
 def minimal_generators(K: FiniteQuaternionGroup, members: tuple[int, ...]) -> tuple[int, ...]:
-    """A small seed whose circ-closure is the given closed set."""
-    gens, closed = [0], {0}
+    """A small seed whose circ-closure is the given closed set: each member
+    outside the closure so far is admitted, and the closure grown in place.
+
+    The closure of a seed is its orbits under the maps s_a (a in the seed),
+    so admitting x adds x, the images of the old closure under s_x, and then
+    the images of each new layer under every map."""
+    gens, closed, maps = [0], {0}, [K.circ_row(0)]
     for x in members:
         if x not in closed:
             gens.append(x)
-            closed = close_under_circ(K, gens)
+            maps.append(K.circ_row(x))
+            layer = {x, *map(maps[-1].__getitem__, closed)} - closed
+            while layer:
+                closed |= layer
+                reached = set()
+                for f in maps:
+                    reached.update(map(f.__getitem__, layer))
+                layer = reached - closed
     return tuple(gens)
 
 

@@ -548,6 +548,19 @@ def test_order_scan_480():
     assert len(recs) == 8
 
 
+def test_order_scan_classifies_the_polyhedral_groups_only_at_their_orders(monkeypatch):
+    from quatrefl import classify
+
+    assert classify._POLYHEDRAL_RECORD_ORDERS == {rec.order for rec in polyhedral_records()}
+
+    def refuse():
+        raise AssertionError("polyhedral_records called")
+
+    expected = order_scan(16)
+    monkeypatch.setattr(classify, "polyhedral_records", refuse)
+    assert order_scan(16) == expected
+
+
 def test_order_scan_dicyclic_records_match_the_linear_walk():
     # a record [n,a,b,r] has order 8nr, so only n dividing order/8 can reach it
     for order in range(1, 4001):

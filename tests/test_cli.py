@@ -302,7 +302,7 @@ def test_iso_search_at_the_bound_reaches_the_search(monkeypatch):
 
 
 def test_systems_beyond_bound_exits_3():
-    result = run_cli("systems", "--k", "dicyclic", "--n", "31")
+    result = run_cli("systems", "--k", "dicyclic", "--n", "121")
     assert result.returncode == 3
     assert "bound" in result.stderr
 

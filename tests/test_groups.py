@@ -16,12 +16,16 @@ from quatrefl.exactarith import Quaternion, embedded_circle_element
 from quatrefl.groups import (
     POLYHEDRAL_ORDER,
     _close_generators,
+    _class_joins,
     _closure,
+    _cyclic_quotient,
     _enlarge,
     _extend_map,
     _generate,
+    _generated_automorphisms,
     _orbits,
     _quotient_search,
+    _quotient_walk,
     _reduced_walk,
     automorphism_group,
     build_group,
@@ -869,7 +873,58 @@ def _quotient_search_reference(K, rep):
 def test_quotient_search_matches_the_unscreened_reference(tag, n):
     K = build_group(tag, n) if n else build_group(tag)
     for H in normal_subgroups(K):
-        assert _quotient_search(H) == _quotient_search_reference(K, H.coset_rep)
+        assert _quotient_walk(H) == _quotient_search_reference(K, H.coset_rep)
+
+
+@pytest.mark.parametrize("tag,ns,pairs", [("cyclic", range(1, 61), 136), ("dicyclic", range(2, 31), 109)])
+def test_closed_forms_match_the_walks(tag, ns, pairs):
+    # the (K, H) with a closed form: the same sorted involutions and the same
+    # closure of the generators as the walk, and the same normal subgroups as
+    # the class joins
+    found = 0
+    for n in ns:
+        K = build_group(tag, n)
+        assert [H.members for H in normal_subgroups(K)] == sorted(_class_joins(K), key=lambda m: (len(m), m))
+        for H in normal_subgroups(K):
+            if _cyclic_quotient(H) is not None:
+                found += 1
+                (involutions, generators), walked = _quotient_search(H), _quotient_walk(H)
+                assert involutions == walked[0]
+                assert (_generated_automorphisms(H.coset_rep, generators)
+                        == _generated_automorphisms(H.coset_rep, walked[1]))
+    assert found == pairs
+
+
+def test_enumeration_walks_only_quotients_without_a_closed_form(monkeypatch):
+    # C_n and D_n take the walk only for a quotient of order at most 4 or Q8
+    walked = []
+    walk = quatrefl.groups._quotient_walk
+
+    def recording(H):
+        walked.append(H)
+        return walk(H)
+
+    monkeypatch.setattr(quatrefl.groups, "_quotient_walk", recording)
+    for tag, ns in (("dicyclic", range(3, 31)), ("cyclic", range(1, 61))):
+        for n in ns:
+            enumerate_systems(label_group.__wrapped__(tag, n))  # uncached, so nothing is reused
+    assert walked
+    for H in walked:
+        K = H.parent
+        assert K.order // H.order <= 4 or _quotient_census(H) == {1: 1, 2: 1, 4: 6}, (K.name, H.members)
+
+
+def _quotient_census(H):
+    """The element-order census of K/H; Q8 is the group of order 8 with {1: 1, 2: 1, 4: 6}."""
+    K, rep = H.parent, H.coset_rep
+    census = {}
+    for c in set(rep):
+        k, y = 1, c
+        while y != 0:
+            y = rep[K.cayley[y][c]]
+            k += 1
+        census[k] = census.get(k, 0) + 1
+    return dict(sorted(census.items()))
 
 
 def test_quotient_search_walks_only_screened_unknown_keys(monkeypatch):
@@ -989,6 +1044,6 @@ def test_group_json_shape():
 
 
 def test_automorphism_bound_error():
-    K = build_group("dicyclic", 31)  # order 124
-    with pytest.raises(ValueError, match=r"bound 120 exceeded by \|K\| = 124"):
+    K = build_group("dicyclic", 121)  # order 484
+    with pytest.raises(ValueError, match=r"bound 480 exceeded by \|K\| = 484"):
         automorphism_group(K)

@@ -830,6 +830,17 @@ def test_realize_matrices_bound_error(monkeypatch):
         realize_matrices(G)
 
 
+def test_realize_matrices_of_a_label_group_names_the_valued_group():
+    # build_index_group builds in label_group's D_n, which has no values
+    idx = IndexQuadruple(3, 1, 3, 2)
+    with pytest.raises(ValueError, match=r"label group .* build_group\('dicyclic', 3\)"):
+        realize_matrices(build_index_group(idx))
+    K = build_group("dicyclic", 3)
+    H = Subgroup(K, K.subgroup_closure([dicyclic_element(K, 3, 0)]))
+    G = build_reflection_group(K, dicyclic_system(DicyclicIndex(3, 1, 3), K), H)
+    assert len(realize_matrices(G)) == G.order == 48
+
+
 def test_generate_from_reflections_bound_error(monkeypatch):
     T = build_group("T")
     monkeypatch.setenv("QUATREFL_MAX_ORDER", "50")

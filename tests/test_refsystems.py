@@ -676,7 +676,29 @@ def test_enumeration_closes_each_l_gamma_once(monkeypatch, tag, n):
     assert len(closed) == len(set(closed)) and set(closed) <= l_gammas
 
 
+def _minimal_generators_reference(K, members):
+    """The seed that closes from scratch after each admission."""
+    gens, closed = [0], {0}
+    for x in members:
+        if x not in closed:
+            gens.append(x)
+            closed = close_under_circ(K, gens)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None)]
+                         + [("dicyclic", n) for n in range(2, 17)])
+def test_minimal_generators_match_the_reference(tag, n):
+    K = build_group(tag, n)
+    for H in normal_subgroups(K):
+        for gamma in quotient_automorphisms(H):
+            members = l_gamma(H, gamma)  # circ-closed
+            gens = minimal_generators(K, members)
+            assert gens == _minimal_generators_reference(K, members)
+            assert close_under_circ(K, gens) == frozenset(members)
+
+
 def test_enumeration_bound_error():
-    K = build_group("dicyclic", 31)  # order 124
-    with pytest.raises(ValueError, match=r"enumeration bound 120 exceeded by \|K\| = 124"):
+    K = build_group("dicyclic", 121)  # order 484
+    with pytest.raises(ValueError, match=r"enumeration bound 480 exceeded by \|K\| = 484"):
         enumerate_systems(K)
