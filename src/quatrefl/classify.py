@@ -7,9 +7,10 @@ canonical label" means for subgroups of the all-of-K group.  The groups that
 order scans and the known-pair maps build (``build_index_group``, and
 ``group_for_record``'s cyclic and dicyclic families) live in
 ``groups.label_group``'s C_n and D_n, which carry no exact values: none of
-them prints an element or an index.  The index sets, the formula records and
-the pair search live in ``indices``; this module imports the ones it runs,
-and ``corollary_pair_search``.
+them prints an element or an index.  ``build_index_group`` reads H =
+<w^(2n/r)> from D_n's labels, with no closure.  The index sets, the formula
+records and the pair search live in ``indices``; this module imports the
+ones it runs, and ``corollary_pair_search``.
 """
 
 from __future__ import annotations
@@ -162,10 +163,9 @@ def group_for_record(rec: ClassificationRecord) -> ReflectionGroup:
 
 def build_index_group(idx: IndexQuadruple) -> ReflectionGroup:
     """Honest construction of G(n, a, b, r) inside the dicyclic group (``label_group``'s)."""
-    K = label_group("dicyclic", idx.n)
+    K, N = label_group("dicyclic", idx.n), 2 * idx.n
     L = dicyclic_system(DicyclicIndex(idx.n, idx.a, idx.b), K)
-    gen = K.subgroup_closure([dicyclic_element(K, 2 * idx.n // idx.r, 0)]) if idx.r > 1 else (0,)
-    H = Subgroup(K, gen)
+    H = Subgroup(K, tuple(sorted(map(K.positions.__getitem__, range(0, N, N // idx.r)))))
     return build_reflection_group(K, L, H, label=(idx.n, idx.a, idx.b, idx.r))
 
 

@@ -39,8 +39,8 @@ only the generators that enlarge the closure and grows it a coset at a time
 at each admission (Dimino's method).
 
 A ``Subgroup`` H owns the table of K/H, formed when H is built: ``coset_rep``
-(rep[x], the least index in xH) and ``cosets`` (each coset's ascending members
-by rep).  The automorphisms of K/H come from one routine, ``_quotient_search(H)``,
+(rep[x], the least index in xH); xH is row x of the table at ``H.members``.
+The automorphisms of K/H come from one routine, ``_quotient_search(H)``,
 which returns the involutions of K/H and a generating set of Aut(K/H), each as
 ``image[x]`` (the rep of the image of xH).  For C_n and D_n, with H = <w^d> in
 the cyclic part and K/H of order above 4 and not Q8, they are closed form in
@@ -77,18 +77,17 @@ AUTOMORPHISM_BOUND = 480
 class FiniteQuaternionGroup:
     """A finite subgroup of the unit quaternions with full multiplication data.
 
-    elements[0] is the identity; ``cayley[x][y]`` is the index of the product,
-    ``inv[x]`` that of the inverse and ``build_gens`` those of the generators
-    it was built from.  C_n and D_n keep their label maps: ``labels[x]`` is
-    the label e + N s of element x = zeta^e j^s (as in ``_label_group``) and
-    ``positions[label]`` its index; both are None for T, O and I.  Instances
-    are immutable after construction and safe to share.
+    elements[0] is the identity; ``cayley[x][y]`` is the index of the product
+    and ``inv[x]`` that of the inverse.  C_n and D_n keep their label maps:
+    ``labels[x]`` is the label e + N s of element x = zeta^e j^s (as in
+    ``_label_group``) and ``positions[label]`` its index; both are None for
+    T, O and I.  ``generating_sequence()`` is its one generating set.
+    Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, name: str, tag: str, n: Optional[int], elements: Optional[list[Quaternion]],
                  cayley: list[list[int]], inv: list[int], element_orders: list[int],
-                 build_gens: tuple[int, ...], labels: Optional[Sequence[int]],
-                 positions: Optional[Sequence[int]]):
+                 labels: Optional[Sequence[int]], positions: Optional[Sequence[int]]):
         self.name = name
         self.tag = tag
         self.n = n
@@ -99,7 +98,6 @@ class FiniteQuaternionGroup:
         self.conductor = None if elements is None else elements[0].conductor
         self.index = None if elements is None else {q: i for i, q in enumerate(elements)}
         self.element_orders = element_orders
-        self.build_gens = build_gens
         self.labels = labels
         self.positions = positions
         # lazily built caches, each set here first: cached_property would write
@@ -116,18 +114,6 @@ class FiniteQuaternionGroup:
     @property
     def order(self) -> int:
         return len(self.cayley)
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[x], -k)
-        acc = 0
-        base = x
-        while k:
-            if k & 1:
-                acc = self.cayley[acc][base]
-            base = self.cayley[base][base]
-            k >>= 1
-        return acc
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -184,33 +170,28 @@ class FiniteQuaternionGroup:
 class Subgroup:
     """A subgroup H given by its ascending member indices in the parent group K;
     H owns the table of K/H, formed here: ``coset_rep`` (rep[x], the least
-    index in xH) and ``cosets`` (each coset xH's ascending members, keyed by
-    its least member, keys ascending).
+    index in xH).  The coset xH is ``K.cayley[x][h]`` for h in ``members``.
 
     Immutable: every slot is set once, here, and equality and hash are those
     of (parent, members).  Raises ValueError unless ``members`` is an
     ascending tuple closed under the product.
     """
 
-    __slots__ = ("parent", "members", "coset_rep", "cosets")
+    __slots__ = ("parent", "members", "coset_rep")
 
     def __init__(self, parent: FiniteQuaternionGroup, members: tuple[int, ...]):
         cay = parent.cayley
         if members != tuple(sorted(_closure(0, members, lambda x, g: cay[x][g])[0])):
             raise ValueError(f"{members!r} is not an ascending subgroup of {parent.name}")
-        # x ascending: a rep is set at its own index first, and each coset
-        # gathers its members in order
-        rep, cosets = [-1] * parent.order, {}
+        # x ascending: a rep is set at its own index first
+        rep = [-1] * parent.order
         for x in range(len(rep)):
             if rep[x] < 0:  # so x is the least member of xH
                 for h in members:
                     rep[cay[x][h]] = x
-                cosets[x] = []
-            cosets[rep[x]].append(x)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "coset_rep", tuple(rep))
-        object.__setattr__(self, "cosets", {c: tuple(m) for c, m in cosets.items()})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -303,26 +284,26 @@ def _enlarge(members: set, admitted: list, g, mul: Callable, bound: Optional[int
     Nothing changes when g is already a member.  Otherwise g is admitted and
     the closure grows a right coset of H at a time (Dimino's method; Butler,
     LNCS 559, 1991): the first is H g, and each coset c is multiplied by
-    every admitted h through its first member only.  The closure is a union
-    of right cosets of H, so c h lies in it or misses it whole; when that
-    product t is new, c h, formed from t and the rest of c, is the next
-    coset.  Growing H to G takes (|G| - |H|) + ([G : H] - 1)(k - 1) + 1
+    every admitted h through its first member only.  Each right coset of H
+    lies in the closure or misses it, so c h lies in it or misses it whole;
+    when that product t is new, c h, formed from t and the rest of c, is the
+    next coset.  Growing H to G takes (|G| - |H|) + ([G : H] - 1)(k - 1) + 1
     products, k = len(admitted) with g.  Raises ValueError when the closure
     has more than ``bound`` members.
     """
     if g in members:
         return
     admitted.append(g)
-    cosets: list[list] = []
+    grown: list[list] = []
 
     def add(coset: list) -> None:
         members.update(coset)
-        cosets.append(coset)
+        grown.append(coset)
         if bound is not None and len(members) > bound:
             raise ValueError(f"closure exceeded bound {bound}")
 
     add([mul(u, g) for u in members])
-    for c in cosets:  # cosets grows while it is walked
+    for c in grown:  # grown grows while it is walked
         for h in admitted:
             t = mul(c[0], h)
             if t not in members:
@@ -379,11 +360,10 @@ def build_group(tag: str, n: Optional[int] = None) -> FiniteQuaternionGroup:
 def label_group(tag: str, n: int) -> FiniteQuaternionGroup:
     """C_n or D_n indexed by label, with no values (``elements`` is None).
 
-    Element e + N s is zeta^e j^s (as in ``_label_group``), and ``build_gens``
-    is (1, N) ((1 % n,) for C_n).  For callers that print no element or
-    index: the table, inverses and orders are ``build_group(tag, n)``'s under
-    a relabelling, formed with no exact value, sort or gather.  A bad n
-    raises ``build_group``'s ValueError.
+    Element e + N s is zeta^e j^s (as in ``_label_group``).  For callers
+    that print no element or index: the table, inverses and orders are
+    ``build_group(tag, n)``'s under a relabelling, formed with no exact
+    value, sort or gather.  A bad n raises ``build_group``'s ValueError.
     """
     if tag not in ("cyclic", "dicyclic"):
         raise ValueError(f"label group needs tag 'cyclic' or 'dicyclic', got {tag!r}")
@@ -466,8 +446,7 @@ def _close_generators(name: str, tag: str, n: Optional[int], gens: list[Quaterni
     pos = _positions(idx)
     cayley = [list(_gather(_gather(idx, cayley[i]), pos)) for i in idx]
     return FiniteQuaternionGroup(name, tag, n, [values[i] for i in idx], cayley,
-                                 [row.index(0) for row in cayley], [orders[i] for i in idx],
-                                 tuple(pos[y] for y in right[0]), None, None)
+                                 [row.index(0) for row in cayley], [orders[i] for i in idx], None, None)
 
 
 def _label_group(tag: str, n: Optional[int], valued: bool = True) -> FiniteQuaternionGroup:
@@ -493,11 +472,9 @@ def _label_group(tag: str, n: Optional[int], valued: bool = True) -> FiniteQuate
     name, N = (f"C{n}", n) if tag == "cyclic" else (f"D{n}", 2 * n)
     orders = [N // math.gcd(e, N) for e in range(N)]
     inverse = [-e % N for e in range(N)]
-    gens = (1 % N,)
     if tag == "dicyclic":
         orders += [4] * N
         inverse += [N + (e + n) % N for e in range(N)]
-        gens += (N,)
     values = None
     idx = pos = list(range(len(orders)))
     if valued:
@@ -527,7 +504,7 @@ def _label_group(tag: str, n: Optional[int], valued: bool = True) -> FiniteQuate
         rows = (list(take(r)) for r in rows)
         values = [values[i] for i in idx]
     return FiniteQuaternionGroup(name, tag, n, values, list(rows), [pos[inverse[i]] for i in idx],
-                                 [orders[i] for i in idx], tuple(pos[g] for g in gens), idx, pos)
+                                 [orders[i] for i in idx], idx, pos)
 
 
 def _sort_order(values: list[Quaternion], orders: list[int]) -> list[int]:
@@ -778,13 +755,13 @@ def _quotient_walk(H: Subgroup):
     """
     K, rep = H.parent, H.coset_rep
     cay = K.cayley
-    cosets = sorted(set(rep))
+    reps = sorted(set(rep))
 
     def mul(c1: int, c2: int) -> int:
         return rep[cay[c1][c2]]
 
     orders = {}
-    for c in cosets:
+    for c in reps:
         k, y = 1, c
         while y != 0:
             y = mul(y, c)
@@ -808,7 +785,7 @@ def _quotient_walk(H: Subgroup):
     pairs = [(a, b, orders[mul(ga, gb)]) for (a, ga), (b, gb) in itertools.combinations(enumerate(gens), 2)]
     members, admitted, full = {tuple(gens)}, [], {}
     involutions = []
-    for key in itertools.product(*([c for c in cosets if orders[c] == orders[g]] for g in gens)):
+    for key in itertools.product(*([c for c in reps if orders[c] == orders[g]] for g in gens)):
         known = key in members
         if known:
             if not involutive(key):
@@ -820,10 +797,10 @@ def _quotient_walk(H: Subgroup):
             if any(orders[mul(key[a], key[b])] != o for a, b, o in pairs):
                 continue
             image = _extend_map(right, key, mul, 0)
-            if image is None or len(set(image)) < len(cosets):
+            if image is None or len(set(image)) < len(reps):
                 continue
-        on_cosets = dict(zip(elements, image))
-        phi = tuple(on_cosets[c] for c in rep)
+        on_reps = dict(zip(elements, image))
+        phi = tuple(on_reps[c] for c in rep)
         if not known:
             full[key] = phi
             _enlarge(members, admitted, key, lambda k, g: tuple(full[g][c] for c in k))

@@ -10,8 +10,9 @@ the antidiagonal permutation matrix.  The product rule
 is the monomial matrix product; it is unit-tested against exact 2x2
 quaternion matrices.  Keeping elements as index triples makes the largest
 constructions (order 28800) cheap.  ``ReflectionGroup(L, H, gamma)`` reads K
-from ``L.parent`` and the cosets from H; gamma, the involution of K/H that
-``induced_quotient_involution`` forms, is ``image[x]`` as in the quotient search.
+from ``L.parent``; gamma, the involution of K/H that
+``induced_quotient_involution`` forms, is ``image[x]`` as in the quotient
+search, and the coset gamma(bH) is row gamma[b] of K's table at H's members.
 
 Isomorphism rests on one invariant of the abstract group and one walk.  The
 element-order census is counted per coset in closed form: (b, y, 0) has order
@@ -91,9 +92,9 @@ class ReflectionGroup:
     def elements(self) -> frozenset:
         """Every (b, y, s) with y in gamma(bH), built on first use."""
         if self._elements is None:
-            gamma, cosets = self.gamma, self.H.cosets
-            self._elements = frozenset((b, y, s) for b in range(self.K.order)
-                                       for y in cosets[gamma[b]] for s in (0, 1))
+            cay, gamma, members = self.K.cayley, self.gamma, self.H.members
+            self._elements = frozenset((b, cay[gamma[b]][h], s) for b in range(self.K.order)
+                                       for h in members for s in (0, 1))
         return self._elements
 
     @property
@@ -124,10 +125,10 @@ class ReflectionGroup:
         """The number of elements of each order, ascending: the closed-form
         ``triple_order`` of (b, y, 0) and (b, y, 1) for b in K and y in
         gamma(bH), 2|K||H| orders and no walk."""
-        K, gamma, cosets = self.K, self.gamma, self.H.cosets
+        K, gamma, members = self.K, self.gamma, self.H.members
         census: dict[int, int] = {}
         for b in range(K.order):
-            for y in cosets[gamma[b]]:
+            for y in map(K.cayley[gamma[b]].__getitem__, members):
                 for s in (0, 1):
                     o = triple_order(K, (b, y, s))
                     census[o] = census.get(o, 0) + 1
@@ -156,7 +157,7 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
                                 H: Subgroup) -> tuple[int, ...]:
     """The coset map gamma(bH) = b^-1 H seeded on L and extended along products.
 
-    K/H is walked from the cosets of L that ``_closure`` admits, the seed is
+    K/H is walked from the coset reps of L that ``_closure`` admits, the seed is
     extended from them by ``_extend_map``, and the extension must agree with
     the rest of the seed; a homomorphism that inverts a generating set is its
     own inverse, so the result is an involutive automorphism of K/H.
@@ -180,13 +181,13 @@ def induced_quotient_involution(K: FiniteQuaternionGroup, L_members: Sequence[in
     if len(reached) < K.order // H.order:
         raise PreconditionError("quotient map incomplete",
                                 "L does not generate K modulo H")
-    cosets, right, _ = _generate(0, admitted, mul)
+    reps, right, _ = _generate(0, admitted, mul)
     image = _extend_map(right, [seed[c] for c in admitted], mul, 0)
-    on_cosets = None if image is None else dict(zip(cosets, image))
-    if on_cosets is None or any(on_cosets[c] != t for c, t in seed.items()):
+    on_reps = None if image is None else dict(zip(reps, image))
+    if on_reps is None or any(on_reps[c] != t for c, t in seed.items()):
         raise PreconditionError("quotient map not multiplicative",
                                 "the seed on L does not extend to a homomorphism of K/H")
-    return tuple(on_cosets[c] for c in rep)
+    return tuple(on_reps[c] for c in rep)
 
 
 def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Subgroup,
@@ -207,7 +208,7 @@ def build_reflection_group(K: FiniteQuaternionGroup, L: ReflectionSystem, H: Sub
     if not H_set <= L_set:
         raise PreconditionError("H not inside L", f"{H.name} has members outside L")
     if any(K.cayley[x][h] not in L_set for x in L.members for h in H.members):
-        raise PreconditionError("LH != L", "L is not a union of H-cosets")
+        raise PreconditionError("LH != L", "L is not closed under right multiplication by H")
     return ReflectionGroup(L, H, induced_quotient_involution(K, L.members, H), label=label)
 
 

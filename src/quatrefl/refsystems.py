@@ -13,7 +13,8 @@ multiplication by a generating sequence of K), gives L's class, whose size
 conjugation.  Neither lists all of K or Aut(K).  Enumeration reads the normal
 subgroups H and the involutions of K/H from ``groups`` (closed form for C_n
 and D_n, a walk for T, O and I), for |K| up to ``AUTOMORPHISM_BOUND`` (480, so
-D_n up to n = 120).  The pairs of Omega_n and ``omega_set`` live in
+D_n up to n = 120).  The dicyclic systems read w^e j^s from D_n's label map
+(``dicyclic_element``).  The pairs of Omega_n and ``omega_set`` live in
 ``indices``, which this module does not import.
 """
 
@@ -300,7 +301,6 @@ def dicyclic_system(idx: DicyclicIndex, K: Optional[FiniteQuaternionGroup] = Non
     inside K if given (``groups.label_group``'s D_n, say), else ``build_group``'s."""
     if K is None:
         K = build_group("dicyclic", idx.n)
-    # locate elements by their symbolic role: w = the embedded zeta_2n
     w = dicyclic_element(K, idx.a, 0)
     j = dicyclic_element(K, 0, 1)
     wbj = dicyclic_element(K, idx.b, 1)
@@ -308,10 +308,11 @@ def dicyclic_system(idx: DicyclicIndex, K: Optional[FiniteQuaternionGroup] = Non
 
 
 def dicyclic_element(K: FiniteQuaternionGroup, e: int, s: int) -> int:
-    """Index of w^e (s = 0) or w^e * j (s = 1) in D_n, from its build generators (w, j)."""
-    w, j = K.build_gens
-    x = K.power(w, e)
-    return K.cayley[x][j] if s else x
+    """Index of w^e (s = 0) or w^e * j (s = 1) in D_n, read from its label
+    e mod N + N s (N = 2n) in ``K.positions``; ValueError for any other K."""
+    if K.tag != "dicyclic":
+        raise ValueError(f"dicyclic element asked of {K.name}, which is not dicyclic")
+    return K.positions[e % (2 * K.n) + 2 * K.n * s]
 
 
 # -- systems from quotient automorphisms -----------------------------------

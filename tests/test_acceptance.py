@@ -346,7 +346,7 @@ def test_criterion_12_property_suites():
         H = next(S for S in normal_subgroups(K)
                  if S.order == H_order and set(S.members) <= L.member_set())
         gamma = induced_quotient_involution(K, L.members, H)
-        ok &= all(gamma[gamma[c]] == c for c in H.cosets)
+        ok &= all(gamma[gamma[c]] == c for c in set(H.coset_rep))
         G = build_reflection_group(K, L, H)
         ok &= G.order == 2 * H.order * K.order
         ok &= G.reflection_count() == 2 * H.order + L.size - 2

@@ -342,7 +342,7 @@ def test_classify_q8_block():
 
 def test_classify_matches_formula_records():
     # the honest per-K classification agrees with the formula-based records
-    for n in range(2, 9):
+    for n in range(2, 61):
         recs = classify_K(build_group("dicyclic", n))
         plain = {r.label: r for r in recs if r.family == "dicyclic"}
         assert set(plain) == {tuple(idx.as_list()) for idx in lambda_set(n)}
@@ -575,6 +575,25 @@ def test_order_scan_dicyclic_records_match_the_linear_walk():
         assert scanned == sorted(linear, key=lambda rec: rec.label_str())
 
 
+def test_order_scans_leave_only_the_known_pairs_to_settle():
+    # find_isomorphisms drops a pair whose orbit-type multisets differ, and
+    # settles the two known patterns by their maps; so while every other pair
+    # of equal (order, reflections) differs in its multiset, no order scan in
+    # this range reaches isomorphism_search
+    known = []
+    for order in range(8, 20001, 8):
+        buckets = {}
+        for rec in order_scan(order):
+            buckets.setdefault(rec.reflections, []).append(rec)
+        for bucket in buckets.values():
+            for r1, r2 in itertools.combinations(bucket, 2):
+                if r1.orbit_multiset() == r2.orbit_multiset():
+                    known.append(frozenset((r1.label, r2.label)))
+    dicyclic = [frozenset(((n, 1, n, 2), (2 * n, 2, n, 1))) for n in range(3, 20000 // 16 + 1, 2)]
+    polyhedral = frozenset((("T", 12, "C2"), ("O", 14, "1")))
+    assert len(known) == len(set(known)) and set(known) == {*dicyclic, polyhedral}
+
+
 def test_order_192_four_groups_pairwise_distinct():
     recs = [r for r in order_scan(192) if r.reflections == 22]
     assert len(recs) == 4
@@ -680,8 +699,19 @@ def _valued_index_group(idx):
     """``build_index_group`` of idx, built in ``build_group``'s D_n."""
     K = build_group("dicyclic", idx.n)
     L = dicyclic_system(DicyclicIndex(idx.n, idx.a, idx.b))
-    gen = K.subgroup_closure([dicyclic_element(K, 2 * idx.n // idx.r, 0)]) if idx.r > 1 else (0,)
+    gen = K.subgroup_closure([dicyclic_element(K, 2 * idx.n // idx.r, 0)])
     return build_reflection_group(K, L, Subgroup(K, gen))
+
+
+def test_index_group_h_is_the_closure_of_its_rotation():
+    # build_index_group reads H = <w^(2n/r)> from the labels; the walk from
+    # that one element gives the same members
+    for n in range(2, 61):
+        K = label_group("dicyclic", n)
+        for idx in lambda_set(n):
+            H = build_index_group(idx).H
+            assert H.parent is K
+            assert H.members == K.subgroup_closure([dicyclic_element(K, 2 * n // idx.r, 0)]), idx
 
 
 def test_index_groups_have_the_same_invariants_in_either_d_n():

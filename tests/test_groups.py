@@ -379,7 +379,7 @@ def test_closed_form_values_match_the_word_products(tag, ns):
         K = build_group.__wrapped__(tag, n)
         W = _close_generators(K.name, tag, n, *_build_generators(tag, n))
         for field in ("name", "tag", "n", "conductor", "elements", "index", "cayley", "inv",
-                      "element_orders", "build_gens"):
+                      "element_orders"):
             assert getattr(K, field) == getattr(W, field), (tag, n, field)
 
 
@@ -430,13 +430,9 @@ def test_label_group_is_the_valued_group_relabelled(tag, ns):
             assert [perm[z] for z in row] == [valued_row[p] for p in perm], (tag, n, x)
         assert [perm[y] for y in L.inv] == [K.inv[p] for p in perm]
         assert L.element_orders == [K.element_orders[p] for p in perm]
-        assert L.build_gens == (1 % N, N)[:len(K.build_gens)]
-        assert [perm[g] for g in L.build_gens] == list(K.build_gens)
-        if tag == "dicyclic":
-            for s in (0, 1):
-                for e in range(N):
-                    assert dicyclic_element(L, e, s) == e + N * s
-                    assert dicyclic_element(K, e, s) == perm[e + N * s]
+        # the label maps: a label is its own position in L, and perm's in K
+        assert list(L.positions) == list(L.labels) == list(range(L.order))
+        assert list(K.positions) == perm and [K.labels[p] for p in perm] == list(range(K.order))
 
 
 @pytest.mark.parametrize("tag,n", [("cyclic", 0), ("cyclic", -2), ("cyclic", None),
@@ -499,6 +495,31 @@ def test_dicyclic_element_matches_the_exact_lookup():
             assert dicyclic_element(K, e, 1) == K.index[w_e * j], (n, e)
 
 
+@pytest.mark.parametrize("build", [build_group, label_group])
+def test_dicyclic_element_is_the_word_product(build):
+    # w^e j^s formed by |e| Cayley products from w = positions[1] (or its
+    # inverse), then one more by j = positions[N]
+    for n in range(2, 61):
+        K = build("dicyclic", n)
+        N, cay = 2 * n, K.cayley
+        w, j = K.positions[1], K.positions[N]
+        for e in range(-N, 2 * N):
+            step, x = (w if e >= 0 else K.inv[w]), 0
+            for _ in range(abs(e)):
+                x = cay[x][step]
+            assert dicyclic_element(K, e, 0) == x, (n, e)
+            assert dicyclic_element(K, e, 1) == cay[x][j], (n, e)
+
+
+@pytest.mark.parametrize("K", [
+    build_group("cyclic", 6), label_group("cyclic", 6), build_group("cyclic", 1),
+    build_group("T"), build_group("O"), build_group("I")], ids=lambda K: K.name)
+def test_dicyclic_element_refuses_a_group_that_is_not_dicyclic(K):
+    for e, s in ((0, 0), (1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="not dicyclic"):
+            dicyclic_element(K, e, s)
+
+
 def test_element_order_census():
     assert element_order_census(build_group("T")) == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
     censO = element_order_census(build_group("O"))
@@ -556,15 +577,10 @@ COSET_GROUPS = ([("T", None), ("O", None), ("I", None)]
 def test_subgroup_owns_its_coset_table(tag, n):
     K = build_group(tag, n) if n else build_group(tag)
     for H in normal_subgroups(K):
-        rep, cosets = H.coset_rep, H.cosets
+        rep = H.coset_rep
         assert rep == tuple(min(K.cayley[x][h] for h in H.members) for x in range(K.order))
-        assert list(cosets) == sorted(set(rep))  # keyed by rep, ascending
-        for c, coset in cosets.items():
-            assert coset == tuple(sorted(K.cayley[c][h] for h in H.members))
-            assert all(rep[x] == c for x in coset)
-        assert sum(map(len, cosets.values())) == K.order
         # formed once per subgroup
-        assert H.coset_rep is rep and H.cosets is cosets
+        assert H.coset_rep is rep
 
 
 @pytest.mark.parametrize("tag,n,members", [

@@ -80,6 +80,43 @@ def test_every_public_method_is_used():
     assert _unused_public_methods() == sorted(METHODS_ALLOWED)
 
 
+# Public attributes that ``__init__`` sets and the package never reads, on
+# purpose: the group an exception's handler may inspect
+ATTRIBUTES_ALLOWED = {"NonGeneratingSeedError.generated"}
+
+
+def _init_attributes(init: ast.FunctionDef) -> set[str]:
+    """The attributes ``__init__`` sets on self: by assignment to ``self.name``
+    or by ``object.__setattr__(self, "name", ...)``."""
+    names = set()
+    for node in ast.walk(init):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and getattr(node.value, "id", None) == "self":
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__setattr__" \
+                and getattr(node.func.value, "id", None) == "object":
+            names.add(ast.literal_eval(node.args[1]))
+    return names
+
+
+def _unread_public_attributes() -> list[str]:
+    """Class.attribute for each public attribute a class's ``__init__`` sets
+    whose name no attribute read in the package loads (matched by name alone)."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls.name}.{name}" for tree in trees for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for init in cls.body
+                  if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                  for name in _init_attributes(init) if not name.startswith("_") and name not in read)
+
+
+def test_every_public_attribute_set_in_init_is_read():
+    # state that nothing reads restates what another map already holds; an
+    # allowed attribute that is gone or now read fails here too
+    assert _unread_public_attributes() == sorted(ATTRIBUTES_ALLOWED)
+
+
 # Private names that one module imports from another, by defining module: the
 # shared walks of ``groups``
 PRIVATE_IMPORTS = {
