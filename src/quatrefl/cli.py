@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import NoReturn
 
 # Each command imports the layers it runs when it runs, so that a cold process
 # compiles and loads only those: `classify --index` and `iso-search` need only
@@ -346,6 +347,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> int:
+    """The closed-pipe policy: the reader went away (`| head`), so point
+    stdout's descriptor at devnull, where any later flush of what is still
+    buffered goes, and fail with exit 1 and no traceback."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -357,11 +366,28 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, UsageError) else DOMAIN_ERROR
     except BrokenPipeError:
-        # the reader went away (`| head`): send the rest of stdout, flushed
-        # again at exit, to devnull and fail without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return _stdout_closed()
+
+
+def run() -> NoReturn:
+    """The process entry point (the `quatrefl` script and `python -m
+    quatrefl.cli`): ``main()`` on the command line, then stdout and stderr
+    flushed and the process ended with ``os._exit`` and main's code.
+
+    Ending there skips interpreter finalization (module teardown, a last
+    garbage collection over every cached group, freeing it all), which a
+    process that is about to exit has no use for; so no ``atexit`` hook
+    runs.  argparse's ``SystemExit`` and any uncaught exception propagate
+    and end the process as usual.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .exactarith import Quaternion
 from .groups import (
     FiniteQuaternionGroup,
     Subgroup,
@@ -96,6 +95,14 @@ class ReflectionGroup:
             self._elements = frozenset((b, cay[gamma[b]][h], s) for b in range(self.K.order)
                                        for h in members for s in (0, 1))
         return self._elements
+
+    def __contains__(self, t) -> bool:
+        """Whether the triple t = (b, y, s) is an element: b and y index K,
+        s is 0 or 1, and y lies in the coset gamma(bH), whose least index is
+        gamma[b].  Three lookups; ``elements`` is not built."""
+        b, y, s = t
+        n = self.K.order
+        return 0 <= b < n and 0 <= y < n and s in (0, 1) and self.H.coset_rep[y] == self.gamma[b]
 
     @property
     def L_G(self) -> tuple[int, ...]:
@@ -324,6 +331,8 @@ def realize_matrices(G: ReflectionGroup):
 
 
 def triple_to_matrix(K: FiniteQuaternionGroup, t: Triple):
+    from .exactarith import Quaternion
+
     x, y, s = t
     m = K.conductor
     zero = Quaternion.zero(m)
@@ -359,9 +368,9 @@ def verify_isomorphism(G1: ReflectionGroup, G2: ReflectionGroup,
     equal order.
     """
     for t, u in generator_map:
-        if t not in G1.elements:
+        if t not in G1:
             raise ValueError(f"source element {t} is not in G1")
-        if u not in G2.elements:
+        if u not in G2:
             raise ValueError(f"target element {u} is not in G2")
     if G1.order != G2.order:
         return False

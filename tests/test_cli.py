@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -189,11 +191,18 @@ def test_dicyclic_stdout_pinned(args, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
-def test_main_callable_directly(capsys):
+def test_main_callable_directly(monkeypatch, capsys):
+    # main returns its code and ends no process; only run() calls os._exit
+    def exit_(code):
+        raise AssertionError(f"os._exit({code})")
+
+    monkeypatch.setattr(os, "_exit", exit_)
     code = main(["classify", "--index", "2,1,2,1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "[2,1,2,1]" in out and "16" in out
+    assert main(["group", "--k", "dicyclic", "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["group", "systems", "classify"])
@@ -407,6 +416,83 @@ def test_closed_pipe_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert stderr == b""
+
+
+def buffered_env(env=None):
+    # a block-buffered stdout, whatever this process runs with
+    env = cli_env(env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_process_output_is_mains_through_a_pipe_or_a_file(tmp_path):
+    # run() ends the process with os._exit after its last flush: every byte
+    # main() wrote still reaches the pipe or file, buffered or not
+    argv = ["group", "--k", "dicyclic", "--n", "60", "--emit", "cayley"]
+    code, out, _ = _in_process(argv)
+    assert code == 0 and len(out) > 2_000_000
+    expected = out.encode()
+    for env in (buffered_env(), buffered_env({"PYTHONUNBUFFERED": "1"})):
+        result = subprocess.run([sys.executable, "-m", "quatrefl.cli", *argv],
+                                capture_output=True, env=env)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == expected, env.get("PYTHONUNBUFFERED")
+        path = tmp_path / "out.json"
+        with open(path, "wb") as f:
+            result = subprocess.run([sys.executable, "-m", "quatrefl.cli", *argv], stdout=f,
+                                    stderr=subprocess.PIPE, env=env)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert path.read_bytes() == expected, env.get("PYTHONUNBUFFERED")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["group", "--k", "T"], 0),
+    (["verify", "--suite", "missing"], 1),
+    (["group", "--k", "dicyclic", "--n", "1"], 2),
+    (["group", "--k", "dicyclic", "--n", "251"], 3),
+])
+def test_process_exit_code_and_streams_are_mains(argv, code):
+    expected = _in_process(argv)
+    assert expected[0] == code
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == expected
+
+
+# run() with main() replaced by one that leaves its output in stdout's buffer
+_RUN = """
+import atexit, sys
+from quatrefl import cli
+atexit.register(print, "atexit", file=sys.stderr)
+def main():
+    sys.stdout.write("buffered\\n")
+    return int(sys.argv[1])
+cli.main = main
+cli.run()
+"""
+
+
+def test_run_ends_the_process_without_atexit_hooks():
+    result = subprocess.run([sys.executable, "-c", _RUN, "3"], capture_output=True,
+                            text=True, env=buffered_env())
+    assert (result.returncode, result.stdout, result.stderr) == (3, "buffered\n", "")
+
+
+def test_run_flushing_into_a_closed_pipe_exits_1_without_traceback():
+    r, w = os.pipe()
+    os.close(r)  # no reader: the final flush raises BrokenPipeError
+    try:
+        result = subprocess.run([sys.executable, "-c", _RUN, "0"], stdout=w,
+                                stderr=subprocess.PIPE, env=buffered_env())
+    finally:
+        os.close(w)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_suite_choices_are_the_golden_suites():

@@ -251,7 +251,7 @@ def test_object_setattr_is_called_only_in_a_class_init():
 
 # The quatrefl modules a fresh process has loaded after `import quatrefl.cli`
 # and then after running each command (its stdout discarded), and whether
-# the command loaded dataclasses
+# the command loaded dataclasses, and fractions or decimal
 _LOADED = """
 import contextlib, io, json, sys
 import quatrefl.cli
@@ -259,7 +259,8 @@ loaded = lambda: sorted(m for m in sys.modules if m.startswith("quatrefl"))
 after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = quatrefl.cli.main(sys.argv[1:])
-print(json.dumps([after_import, loaded(), code, "dataclasses" in sys.modules]))
+print(json.dumps([after_import, loaded(), code, "dataclasses" in sys.modules,
+                  "fractions" in sys.modules or "decimal" in sys.modules]))
 """
 
 INDICES = ["quatrefl", "quatrefl.cli", "quatrefl.indices", "quatrefl.numutil"]
@@ -277,6 +278,9 @@ VERIFY = sorted(CLASSIFY + ["quatrefl.data", "quatrefl.golden"])  # data: the fi
                  [m for m in GROUP if m != "quatrefl.exactarith"], id="group-summary"),
     pytest.param(["systems", "--k", "T"], SYSTEMS, id="systems"),
     pytest.param(["classify", "--k", "T"], CLASSIFY, id="classify"),
+    # off the polyhedral orders a scan builds label groups only
+    pytest.param(["classify", "--order", "592"],
+                 [m for m in CLASSIFY if m != "quatrefl.exactarith"], id="classify-order"),
     pytest.param(["classify", "--index", "6,1,3,4"], INDICES, id="classify-index"),
     pytest.param(["iso-search", "--max-n", "100", "--type", "ii"], INDICES, id="iso-search"),
     pytest.param(["verify", "--suite", "missing"], VERIFY, id="verify"),
@@ -287,11 +291,13 @@ def test_each_command_loads_only_its_layers(argv, modules):
     result = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.stderr == ""
-    after_import, after_command, code, dataclasses = json.loads(result.stdout)
+    after_import, after_command, code, dataclasses, fractions = json.loads(result.stdout)
     assert after_import == ["quatrefl", "quatrefl.cli"]
     assert after_command == modules
     # only the layers above the systems layer define dataclasses
     assert dataclasses == ("quatrefl.classify" in modules)
+    # only exact arithmetic (and golden, above it) loads fractions
+    assert fractions == ("quatrefl.exactarith" in modules)
     assert code == (1 if argv[0] == "verify" else 0)  # the missing suite's known divergence
 
 
@@ -305,3 +311,12 @@ def test_a_group_summary_imports_no_exact_arithmetic():
                                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.stderr == ""
         assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_script_entry_is_run():
+    # one exit path for a process: the installed script and `python -m
+    # quatrefl.cli` both go through cli.run
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"quatrefl": "quatrefl.cli:run"}

@@ -569,6 +569,26 @@ def test_verify_isomorphism_requires_targets_in_g2():
         verify_isomorphism(G, G, pairs)
 
 
+def test_verify_isomorphism_builds_no_element_set():
+    _, G, gens = _t12_reflection_generators()
+    assert verify_isomorphism(G, G, [(g, g) for g in gens])
+    assert G._elements is None
+
+
+def test_membership_is_membership_of_the_element_set():
+    # valued groups over T and O, and label groups over D3, D6 and D5; every
+    # index one past either end of K and every s in -1..2, so an index of |K|,
+    # a negative index (which must not wrap) and s = 2 are all asked
+    _, G_T12, _ = _t12_reflection_generators()
+    groups = [G_T12, *the_polyhedral_isomorphism()[:2], *_dicyclic_family_pair(),
+              build_index_group(IndexQuadruple(5, 1, 5, 1))]
+    for G in groups:
+        n = G.K.order
+        triples = list(itertools.product(range(-1, n + 1), range(-1, n + 1), range(-1, 3)))
+        assert [t in G for t in triples] == [t in G.elements for t in triples], G
+        assert sum(t in G for t in triples) == G.order
+
+
 def _dicyclic_family_pair():
     return (build_index_group(IndexQuadruple(3, 1, 3, 2)),
             build_index_group(IndexQuadruple(6, 2, 3, 1)))
