@@ -373,6 +373,26 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
     first index's orbit sizes 2, 2a, 2b are distinct, while the partner's
     repeat (the even one of its a, b gives two equal orbits); in (ii) the two
     have 5 and 3 entries.  Each pair is checked, by an AssertionError.
+
+    For each a, the b with a square discriminant come from the factor pairs
+    d * e = M, d < e of equal parity, of a number M fixed by a, with no scan
+    over b:
+
+    (i)  with s = a + b + 1 and u = b - 3a + 1, s^2 - u^2 = 8a(b - a + 1), so
+         the discriminant is u^2 - 8a(a-1).  It is c^2 iff (|u| - c)(|u| + c)
+         = 8a(a-1) = M, so c = (e - d)/2, |u| = (d + e)/2 and
+         b = 3a - 1 +- (d + e)/2 (M > 0 for a >= 3, so d > 0);
+    (ii) with s = 2(a+b) + 1 and u = 2(b - a) + 1 >= 1, s^2 - u^2 = 16ab + 8a,
+         so the discriminant is u^2 + 8a.  It is c^2 iff (c - u)(c + u) =
+         8a = M, so u = (e - d)/2, which must be odd, c = (d + e)/2 and
+         b = a + (u - 1)/2.
+
+    M is even, so d and e are both even: d = 2f and e = 2g with fg = M/4,
+    and the halves above are g - f and f + g.  Then, as for any b, b must lie
+    in [a, max_n // (scale a)], be odd in (i) and coprime to a, and c must be
+    odd.  a and a - 1 are coprime, so the divisors of M/4 come from the
+    factorizations of a and a - 1 by trial division up to sqrt(a), and the
+    search takes about max_n^(3/4) steps over a <= sqrt(max_n).
     """
     if kind not in ("i", "ii"):
         raise ValueError(f"kind must be 'i' or 'ii', got {kind!r}")
@@ -381,20 +401,43 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
     first, step, scale = (3, 2, 1) if kind == "i" else (1, 1, 2)
     out = []
     for a in range(first, math.isqrt(max_n // scale) + 1, step):
-        for b in range(a, max_n // (scale * a) + 1, step):
+        b_max = max_n // (scale * a)
+        for b, c in _square_discriminants(a, kind):
+            if not a <= b <= b_max or (kind == "i" and b % 2 == 0) or c % 2 == 0:
+                continue
             if math.gcd(a, b) != 1:
                 continue
             s = scale * (a + b) + 1
-            disc = s * s - 8 * scale * a * b
-            if disc < 0:
-                continue
-            c = math.isqrt(disc)
-            if c * c != disc or c % 2 == 0:
-                continue
             pair = _validated_pair(scale * a * b, a, b, (s - c) // 2, (s + c) // 2, c)
             if pair is not None:
                 out.append(pair)
     out.sort(key=lambda p: (p.idx1.n, p.idx1.a, p.idx1.b))
+    return out
+
+
+def _square_discriminants(a: int, kind: str) -> list[tuple[int, int]]:
+    """Each (b, c), c > 0, whose discriminant for this a and kind is c^2:
+    one or two per factor pair f * g = M/4, f < g (see
+    ``corollary_pair_search``).  In (i) b may be below a or negative."""
+    factors = prime_factorization(a)
+    if kind == "i":  # M/4 = 2a(a-1), a odd and coprime to a - 1
+        factors.update(prime_factorization(a - 1))
+        quarter = 2 * a * (a - 1)
+    else:  # M/4 = 2a
+        quarter = 2 * a
+    factors[2] = factors.get(2, 0) + 1
+    divs = [1]
+    for p, k in factors.items():
+        divs = [d * p**j for d in divs for j in range(k + 1)]
+    out = []
+    for f in divs:
+        g = quarter // f
+        if f >= g:
+            continue
+        if kind == "i":
+            out += (3 * a - 1 - f - g, g - f), (3 * a - 1 + f + g, g - f)
+        elif (g - f) % 2:
+            out.append((a + (g - f - 1) // 2, f + g))
     return out
 
 

@@ -28,8 +28,10 @@ from quatrefl.classify import (
     the_dicyclic_family_isomorphism,
     the_polyhedral_isomorphism,
 )
+from quatrefl import indices
 from quatrefl.indices import (
     DicyclicIndex,
+    _validated_pair,
     cohen_covered_indices,
     cohen_index,
     lambda_count_formula,
@@ -850,6 +852,60 @@ def test_minus_16_discriminant_validated_by_oracle():
              for p in corollary_pair_search(60, "ii")}
     family = {((n, 1, n, 2), (2 * n, 2, n, 1)) for n in range(3, 61, 2)}
     assert oracle == typed | family
+
+
+def scanned_corollary_pairs(max_n, kind):
+    """The pair search as a scan over every b for every a, testing each
+    discriminant for a square: the reference for the factor-pair search."""
+    first, step, scale = (3, 2, 1) if kind == "i" else (1, 1, 2)
+    out = []
+    for a in range(first, math.isqrt(max_n // scale) + 1, step):
+        for b in range(a, max_n // (scale * a) + 1, step):
+            if math.gcd(a, b) != 1:
+                continue
+            s = scale * (a + b) + 1
+            disc = s * s - 8 * scale * a * b
+            if disc < 0:
+                continue
+            c = math.isqrt(disc)
+            if c * c != disc or c % 2 == 0:
+                continue
+            pair = _validated_pair(scale * a * b, a, b, (s - c) // 2, (s + c) // 2, c)
+            if pair is not None:
+                out.append(pair)
+    out.sort(key=lambda p: (p.idx1.n, p.idx1.a, p.idx1.b))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["i", "ii"])
+def test_corollary_search_equals_the_scan_over_b(kind):
+    # the scan up to max_n is its scan up to 3000 cut at n <= max_n, since it
+    # visits exactly the (a, b) with scale * a * b <= max_n, and sorts by n first
+    scanned = scanned_corollary_pairs(3000, kind)
+    for max_n in range(2, 3001):
+        assert corollary_pair_search(max_n, kind) == [p for p in scanned if p.idx1.n <= max_n]
+    for max_n in (20000, 200000):
+        assert corollary_pair_search(max_n, kind) == scanned_corollary_pairs(max_n, kind)
+
+
+@pytest.mark.parametrize("kind", ["i", "ii"])
+def test_corollary_search_tests_few_candidates(kind, monkeypatch):
+    # a scan over b tests gcd(a, b) for millions of (a, b) at 10^6; the
+    # factor pairs bring a few thousand b to it (the count also takes in the
+    # gcd that each IndexQuadruple of a validated pair checks)
+    calls = 0
+    gcd = math.gcd
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(indices.math, "gcd", counted)
+    pairs = corollary_pair_search(10**6, kind)
+    monkeypatch.undo()
+    assert len(pairs) == {"i": 528, "ii": 962}[kind]
+    assert calls < 10**5
 
 
 # -- missing indices and the classical coverage ---------------------------------

@@ -273,6 +273,29 @@ def test_classify_huge_order_returns_at_once():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("order", ["10000000008", "100000000000000000000"])
+def test_classify_order_beyond_bound_exits_3_at_once(order):
+    result = run_cli("classify", "--order", order, timeout=10)
+    assert result.returncode == 3 and result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "bound 10000000000" in result.stderr
+
+
+def test_classify_order_at_the_bound_reaches_the_scan(monkeypatch):
+    from quatrefl import classify
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(classify, "order_scan", reached)
+    with pytest.raises(Reached):
+        main(["classify", "--order", str(cli.MAX_ORDER_SCAN)])
+
+
 @pytest.mark.parametrize("order", ["0", "-8"])
 def test_classify_non_positive_order_is_a_usage_error(order):
     result = run_cli("classify", "--order", order)
