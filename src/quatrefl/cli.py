@@ -29,13 +29,14 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 
 # corollary_pair_search factors every a up to sqrt(--max-n) by trial division,
-# about max_n^(3/4) steps, and prints every pair: about 20 ms and a thousand
-# pairs per type at 10^6, 0.25-0.5 s and ten thousand pairs at 10^8
+# about max_n^(3/4) steps, and prints every pair: 20-30 ms and a thousand
+# pairs per type at 10^6, 0.2-0.4 s and ten thousand pairs at 10^8
 MAX_ISO_SEARCH_N = 10**6
 
-# order_scan trial-divides order/8 and then each of its divisors, so its time
-# grows with the order and its divisor count: the highly composite order
-# 8 * 1102701600 (1,440 divisors) just under the bound takes about 1.7 s cold
+# order_scan builds Lambda_n, a loop over pairs of divisors of n, for every
+# divisor n of order/8, so its time grows with the divisor count: the highly
+# composite order 8 * 1102701600 (1,440 divisors) just under the bound takes
+# about 1.7 s cold
 MAX_ORDER_SCAN = 10**10
 
 # characters of JSON gathered per write to stdout
@@ -252,7 +253,7 @@ def cmd_classify(args) -> int:
             raise UsageError("--order must be at least 1")
         if args.order > MAX_ORDER_SCAN:
             raise ValueError(f"--order {args.order} exceeds the bound {MAX_ORDER_SCAN} "
-                             "(the scan factors every divisor of order/8 by trial division)")
+                             "(the scan builds Lambda_n for every divisor n of order/8)")
         records = order_scan(args.order)
         isos = find_isomorphisms(records)
         partner = {}

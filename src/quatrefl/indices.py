@@ -380,19 +380,21 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
 
     (i)  with s = a + b + 1 and u = b - 3a + 1, s^2 - u^2 = 8a(b - a + 1), so
          the discriminant is u^2 - 8a(a-1).  It is c^2 iff (|u| - c)(|u| + c)
-         = 8a(a-1) = M, so c = (e - d)/2, |u| = (d + e)/2 and
-         b = 3a - 1 +- (d + e)/2 (M > 0 for a >= 3, so d > 0);
+         = 8a(a-1) = M, so c = (e - d)/2 and |u| = (d + e)/2 >= sqrt(M)
+         > 2a - 1 for a >= 3.  u < 0 would put b = 3a - 1 - |u| below a,
+         so b = 3a - 1 + (d + e)/2;
     (ii) with s = 2(a+b) + 1 and u = 2(b - a) + 1 >= 1, s^2 - u^2 = 16ab + 8a,
          so the discriminant is u^2 + 8a.  It is c^2 iff (c - u)(c + u) =
          8a = M, so u = (e - d)/2, which must be odd, c = (d + e)/2 and
          b = a + (u - 1)/2.
 
     M is even, so d and e are both even: d = 2f and e = 2g with fg = M/4,
-    and the halves above are g - f and f + g.  Then, as for any b, b must lie
-    in [a, max_n // (scale a)], be odd in (i) and coprime to a, and c must be
-    odd.  a and a - 1 are coprime, so the divisors of M/4 come from the
-    factorizations of a and a - 1 by trial division up to sqrt(a), and the
-    search takes about max_n^(3/4) steps over a <= sqrt(max_n).
+    and the halves above are g - f and f + g.  Each such b is at least a;
+    then, as for any b, b must be at most max_n // (scale a), be odd in (i)
+    and coprime to a, and c must be odd.  a and a - 1 are coprime, so the
+    divisors of M/4 come from the factorizations of a and a - 1 by trial
+    division up to sqrt(a), and the search takes about max_n^(3/4) steps
+    over a <= sqrt(max_n).
     """
     if kind not in ("i", "ii"):
         raise ValueError(f"kind must be 'i' or 'ii', got {kind!r}")
@@ -403,7 +405,7 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
     for a in range(first, math.isqrt(max_n // scale) + 1, step):
         b_max = max_n // (scale * a)
         for b, c in _square_discriminants(a, kind):
-            if not a <= b <= b_max or (kind == "i" and b % 2 == 0) or c % 2 == 0:
+            if b > b_max or (kind == "i" and b % 2 == 0) or c % 2 == 0:
                 continue
             if math.gcd(a, b) != 1:
                 continue
@@ -416,9 +418,9 @@ def corollary_pair_search(max_n: int, kind: str) -> list[CorollaryPair]:
 
 
 def _square_discriminants(a: int, kind: str) -> list[tuple[int, int]]:
-    """Each (b, c), c > 0, whose discriminant for this a and kind is c^2:
-    one or two per factor pair f * g = M/4, f < g (see
-    ``corollary_pair_search``).  In (i) b may be below a or negative."""
+    """Each (b, c), c > 0, whose discriminant for this a and kind is c^2
+    and b >= a: one per factor pair f * g = M/4, f < g, in (ii) only those
+    with g - f odd (see ``corollary_pair_search``)."""
     factors = prime_factorization(a)
     if kind == "i":  # M/4 = 2a(a-1), a odd and coprime to a - 1
         factors.update(prime_factorization(a - 1))
@@ -435,7 +437,7 @@ def _square_discriminants(a: int, kind: str) -> list[tuple[int, int]]:
         if f >= g:
             continue
         if kind == "i":
-            out += (3 * a - 1 - f - g, g - f), (3 * a - 1 + f + g, g - f)
+            out.append((3 * a - 1 + f + g, g - f))
         elif (g - f) % 2:
             out.append((a + (g - f - 1) // 2, f + g))
     return out
